@@ -4,8 +4,8 @@ Subcommands: solve, count, kernel, reduce, gen, bench, verify.  CNF inputs
 are detected by header and pushed through the full reduction chain, so the
 tool doubles as an exact 3-CNF model counter.  Exit codes follow solver
 conventions: 10 satisfiable, 20 unsatisfiable, 0 for count/report modes,
-1 parse or validation failure, 2 capacity exceeded, 3 verification
-disagreement.
+1 unusable input (unreadable file, parse or validation failure), 2 capacity
+exceeded or a bad command line, 3 verification disagreement.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
-from .formula import CapacityError, ValidationError, XsatError, XsatFormula
+from .formula import CapacityError, XsatError, XsatFormula
 from .generator import GenSpec, SpecError, SplitMix64, generate
 from .io import (
-    ParseError,
     emit_report,
     parse_dimacs_cnf,
     parse_xsat,
@@ -39,7 +39,11 @@ from .kernel import (
 )
 from .linsys import encode_sys, gauss_jordan
 from .oracle import naive_count
-from .reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
+from .reductions import (
+    ReductionTrace,
+    reduce_cnf_to_xsat,
+    reduce_xsat_to_positive,
+)
 from .substitution import initial_state, substitute
 
 EXIT_OK = 0
@@ -50,19 +54,21 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 
 
-def _load_positive(path: str) -> XsatFormula:
-    """Read a file and return a positive instance, reducing as needed."""
-    data = open(path, "rb").read()
-    kind = sniff_format(data)
-    if kind == "cnf":
-        cnf = parse_dimacs_cnf(data)
-        mid, _ = reduce_cnf_to_xsat(cnf)
-        pos, _ = reduce_xsat_to_positive(mid)
-        return pos
-    f = parse_xsat(data)
+def _load_positive(path: str) -> tuple[XsatFormula,
+                                      list[tuple[str, ReductionTrace]]]:
+    """Read a file and return a positive instance, reducing as needed,
+    with the ``(name, trace)`` of each reduction applied."""
+    data = Path(path).read_bytes()
+    traces = []
+    if sniff_format(data) == "cnf":
+        f, trace = reduce_cnf_to_xsat(parse_dimacs_cnf(data))
+        traces.append(("cnf-to-xsat", trace))
+    else:
+        f = parse_xsat(data)
     if not f.positive or any(l < 0 for c in f.clauses for l in c):
-        f, _ = reduce_xsat_to_positive(f)
-    return f
+        f, trace = reduce_xsat_to_positive(f)
+        traces.append(("positivize", trace))
+    return f, traces
 
 
 def _frac_str(x: Fraction) -> str:
@@ -70,7 +76,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def cmd_solve(args) -> int:
-    f = _load_positive(args.input)
+    f, _ = _load_positive(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
                 want_witnesses=args.witnesses > 0, witness_cap=args.witnesses)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
@@ -83,7 +89,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    f = _load_positive(args.input)
+    f, _ = _load_positive(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free)
     print(rep.count)
     return EXIT_OK
@@ -91,7 +97,7 @@ def cmd_count(args) -> int:
 
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
-    f = _load_positive(args.input)
+    f, _ = _load_positive(args.input)
     if args.method == "gauss":
         kern = extract_kernel(gauss_jordan(encode_sys(f)))
     else:
@@ -105,18 +111,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    data = open(args.input, "rb").read()
-    kind = sniff_format(data)
-    traces = []
-    if kind == "cnf":
-        cnf = parse_dimacs_cnf(data)
-        f, t1 = reduce_cnf_to_xsat(cnf)
-        traces.append(("cnf-to-xsat", t1))
-    else:
-        f = parse_xsat(data)
-    if not f.positive or any(l < 0 for c in f.clauses for l in c):
-        f, t2 = reduce_xsat_to_positive(f)
-        traces.append(("positivize", t2))
+    f, traces = _load_positive(args.input)
     for name, t in traces:
         print(f"c {name}: vars {t.size_before[0]}->{t.size_after[0]} "
               f"clauses {t.size_before[1]}->{t.size_after[1]}")
@@ -383,6 +378,16 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="xsat")
     sub = p.add_subparsers(dest="command", required=True)
@@ -390,13 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--input", required=True)
         sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
-        sp.add_argument("--max-free", type=int, default=DEFAULT_MAX_FREE)
+        sp.add_argument("--max-free", type=_nonnegative,
+                        default=DEFAULT_MAX_FREE)
 
     sp = sub.add_parser("solve", help="solve and print a report record")
     add_common(sp)
     sp.add_argument("--count", action="store_true",
                     help="count mode: exit 0 instead of 10/20")
-    sp.add_argument("--witnesses", type=int, default=0, metavar="N",
+    sp.add_argument("--witnesses", type=_nonnegative, default=0, metavar="N",
                     help="print up to N satisfying assignments")
     sp.set_defaults(func=cmd_solve)
 
@@ -435,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="eta-bar sweep for the fixed-rank family")
     sp.add_argument("--jobs", type=int, default=0,
                     help="parallel cells (default: XSAT_JOBS or 1)")
-    sp.add_argument("--max-free", type=int, default=DEFAULT_MAX_FREE)
+    sp.add_argument("--max-free", type=_nonnegative,
+                    default=DEFAULT_MAX_FREE)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("verify", help="cross-check both methods and the oracle")
@@ -443,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-max", type=int, default=18)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--max-free", type=int, default=DEFAULT_MAX_FREE)
+    sp.add_argument("--max-free", type=_nonnegative,
+                    default=DEFAULT_MAX_FREE)
     sp.set_defaults(func=cmd_verify)
     return p
 
@@ -452,12 +460,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except (XsatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -44,7 +44,11 @@ class ParseError(XsatError):
 
 def _as_text(data) -> str:
     if isinstance(data, (bytes, bytearray)):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"input is not UTF-8 text (byte offset {exc.start})") from exc
     return data
 
 

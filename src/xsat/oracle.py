@@ -1,17 +1,19 @@
 """Ground truth by exhaustive enumeration over all 2^r assignments.
 
-This module is the arbiter of correctness for the algebraic pipeline.  It
-must stay trivially auditable, so there are two independent counters: a
-Gray-code walk with incremental clause bookkeeping (fast enough for the
-full test suite) and a plain double loop over assignments and clauses.
-The two are cross-checked against each other in the tests, so the oracle
-itself has an oracle.
+This module is the arbiter of correctness for the algebraic pipeline, so it
+must stay trivially auditable.  Assignment ``m`` gives variable ``i + 1``
+the value of bit ``i`` of ``m``.  One truth-table core backs every fast
+counter: it walks the assignments in blocks of 2^LOW_BITS, and inside a
+block each literal is a Python int whose bit j is its value under
+assignment ``first + j``, so a clause is evaluated over the whole block in
+a few big-int operations.  ``naive_count_reference`` is a plain double loop
+over assignments and clauses that shares no code with the core; the tests
+check one against the other, so the oracle itself has an oracle.
 """
 
 from __future__ import annotations
 
 from .formula import (
-    BOTTOM,
     Assignment,
     CapacityError,
     CnfFormula,
@@ -21,6 +23,10 @@ from .formula import (
 
 ORACLE_CAP = 24
 
+# Tables over whole blocks, not over all 2^r assignments at once: a block
+# of 2^12 bits is 512 bytes, where a full table at r = 24 is 2 MiB.
+LOW_BITS = 12
+
 
 def _check_cap(num_vars: int, cap: int):
     if num_vars > cap:
@@ -28,48 +34,45 @@ def _check_cap(num_vars: int, cap: int):
             f"{num_vars} variables exceed enumeration cap {cap}")
 
 
-def naive_count(f: XsatFormula, cap: int = ORACLE_CAP) -> int:
-    """Exact model count by walking all 2^r assignments in Gray-code order.
+def _exactly_one(x: int, y: int, z: int) -> int:
+    # parity is odd at one or three true literals; the AND removes three
+    return (x ^ y ^ z) & ~(x & y & z)
 
-    Works on negation-bearing formulas as well as positive ones.  Flipping
-    one bit per step, each clause's count of true literals is maintained
-    incrementally, along with the number of clauses currently sitting at
-    exactly one true literal.
+
+def _any_of(x: int, y: int, z: int) -> int:
+    return x | y | z
+
+
+def _truth_tables(num_vars: int, clauses, clause_table):
+    """Yield ``(first, table)`` for each block of 2^LOW_BITS assignments.
+
+    Bit j of ``table`` is set iff assignment ``first + j`` satisfies every
+    clause under ``clause_table``.  Blocks ascend in ``first``.
     """
-    r = f.num_vars
-    _check_cap(r, cap)
-    k = f.num_clauses
+    low = min(num_vars, LOW_BITS)
+    full = (1 << (1 << low)) - 1
+    # variable v < low alternates runs of 2^v zeros and 2^v ones
+    cols = [(((1 << (1 << v)) - 1) << (1 << v))
+            * (full // ((1 << (2 << v)) - 1)) for v in range(low)]
+    for block in range(1 << (num_vars - low)):
+        vals = cols + [full if block >> i & 1 else 0
+                       for i in range(num_vars - low)]
+        # indexed by literal: [B, x1..xr, ~xr..~x1], so lit -v lands on ~xv
+        lit = [0, *vals, *(full ^ t for t in reversed(vals))]
+        table = full
+        for a, b, c in clauses:
+            table &= clause_table(lit[a], lit[b], lit[c])
+        yield block << low, table
 
-    # occurrences[v] = [(clause index, +1 for plain / -1 for negated), ...]
-    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    true_lits = [0] * k
-    for ci, clause in enumerate(f.clauses):
-        for lit in clause:
-            if lit == BOTTOM:
-                continue
-            occurrences[abs(lit) - 1].append((ci, 1 if lit > 0 else -1))
-            if lit < 0:
-                true_lits[ci] += 1  # negated literals are true at all-zeros
 
-    exactly_one = sum(1 for t in true_lits if t == 1)
-    count = 1 if exactly_one == k else 0
-    bits = 0
-    for step in range(1, 1 << r):
-        v = (step & -step).bit_length() - 1
-        bits ^= 1 << v
-        rising = bits >> v & 1
-        for ci, sign in occurrences[v]:
-            delta = sign if rising else -sign
-            old = true_lits[ci]
-            new = old + delta
-            true_lits[ci] = new
-            if old == 1:
-                exactly_one -= 1
-            if new == 1:
-                exactly_one += 1
-        if exactly_one == k:
-            count += 1
-    return count
+def naive_count(f: XsatFormula, cap: int = ORACLE_CAP) -> int:
+    """Exact one-in-three model count over all 2^r assignments.
+
+    Works on negation-bearing formulas as well as positive ones.
+    """
+    _check_cap(f.num_vars, cap)
+    return sum(table.bit_count() for _, table in
+               _truth_tables(f.num_vars, f.clauses, _exactly_one))
 
 
 def naive_count_reference(f: XsatFormula, cap: int = 16) -> int:
@@ -82,35 +85,20 @@ def naive_count_reference(f: XsatFormula, cap: int = 16) -> int:
 
 
 def naive_models(f: XsatFormula, cap: int = 20) -> list[Assignment]:
-    """All satisfying assignments, in lexicographic order of the bit tuple."""
+    """All satisfying assignments, ascending in m = sum of a[i] * 2^i."""
     _check_cap(f.num_vars, cap)
     r = f.num_vars
     out = []
-    for m in range(1 << r):
-        a = tuple((m >> i) & 1 for i in range(r))
-        if eval_xsat(f, a):
-            out.append(a)
+    for first, table in _truth_tables(r, f.clauses, _exactly_one):
+        while table:
+            m = first + (table & -table).bit_length() - 1
+            out.append(tuple((m >> i) & 1 for i in range(r)))
+            table &= table - 1
     return out
 
 
 def naive_count_cnf(f: CnfFormula, cap: int = ORACLE_CAP) -> int:
     """Satisfying-assignment count under ordinary disjunctive semantics."""
     _check_cap(f.num_vars, cap)
-    pos_masks = []
-    neg_masks = []
-    for clause in f.clauses:
-        p = n = 0
-        for lit in clause:
-            if lit > 0:
-                p |= 1 << (lit - 1)
-            else:
-                n |= 1 << (-lit - 1)
-        pos_masks.append(p)
-        neg_masks.append(n)
-    full = (1 << f.num_vars) - 1
-    count = 0
-    for m in range(1 << f.num_vars):
-        inv = m ^ full
-        if all(m & p or inv & n for p, n in zip(pos_masks, neg_masks)):
-            count += 1
-    return count
+    return sum(table.bit_count() for _, table in
+               _truth_tables(f.num_vars, f.clauses, _any_of))

@@ -82,6 +82,25 @@ def test_parse_error_exit(tmp_path):
     assert main(["solve", "--input", str(bad)]) == EXIT_ERROR
 
 
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "not-utf8"])
+def test_unreadable_input_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "in.xsat"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--max-free", "--witnesses"])
+def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", six_var_file, flag, "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}" in err
+
+
 def test_count_subcommand(six_var_file, capsys):
     assert main(["count", "--input", six_var_file]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "3"
