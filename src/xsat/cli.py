@@ -31,20 +31,17 @@ from .io import (
 )
 from .kernel import (
     DEFAULT_MAX_FREE,
+    build_kernel,
     count_kernel,
-    extract_kernel,
-    kernel_from_substitution,
     size_bounds,
     solve,
 )
-from .linsys import encode_sys, gauss_jordan
 from .oracle import naive_count
 from .reductions import (
     ReductionTrace,
     reduce_cnf_to_xsat,
     reduce_xsat_to_positive,
 )
-from .substitution import initial_state, substitute
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,10 +95,7 @@ def cmd_count(args) -> int:
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
     f, _ = _load_positive(args.input)
-    if args.method == "gauss":
-        kern = extract_kernel(gauss_jordan(encode_sys(f)))
-    else:
-        kern = kernel_from_substitution(substitute(initial_state(f)))
+    kern = build_kernel(f, args.method).kernel
     print(f"p ipe {kern.width} {len(kern.rows)}")
     for row in kern.rows:
         coeffs = " ".join(_frac_str(c) for c in row.coeffs)
@@ -184,10 +178,7 @@ def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE,
 def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
                    max_free: int) -> BenchRow:
     rep = solve(f, method=method, max_free=max_free)
-    if method == "gauss":
-        kern = extract_kernel(gauss_jordan(encode_sys(f)))
-    else:
-        kern = kernel_from_substitution(substitute(initial_state(f)))
+    kern = build_kernel(f, method).kernel
     count, enum_s = timed_enumeration(kern, max_free=max_free)
     lo, hi = size_bounds(f.num_vars)
     return BenchRow(

@@ -40,14 +40,26 @@ class CapacityError(XsatError):
     """Instance exceeds an enumeration cap."""
 
 
+VIOLATIONS_SHOWN = 5
+
+
+def describe_violations(violations: list[str]) -> str:
+    """The violation count and the first ``VIOLATIONS_SHOWN`` violations."""
+    shown = "; ".join(violations[:VIOLATIONS_SHOWN])
+    hidden = len(violations) - VIOLATIONS_SHOWN
+    more = f"; {hidden} more" if hidden > 0 else ""
+    return f"{len(violations)} violation(s): {shown}{more}"
+
+
 class ValidationError(XsatError):
     """Formula violates a structural invariant.
 
-    Carries the full violation list produced by :func:`validate`.
+    Carries the full violation list produced by :func:`validate`; the
+    message names only the count and the first few.
     """
 
     def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
+        super().__init__(describe_violations(violations))
         self.violations = violations
 
 

@@ -31,6 +31,7 @@ from .formula import (
     Triple,
     XsatError,
     XsatFormula,
+    describe_violations,
     validate,
 )
 
@@ -60,6 +61,17 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _header_counts(parts: list[str], line: str, lineno: int) -> tuple[int, int]:
+    """The variable and clause counts of a header line, both nonnegative."""
+    try:
+        counts = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"non-integer counts in header {line!r}", lineno)
+    if min(counts) < 0:
+        raise ParseError(f"negative count in header {line!r}", lineno)
+    return counts
+
+
 def parse_dimacs_cnf(data) -> CnfFormula:
     """Parse DIMACS CNF, enforcing exactly 3 literals per clause."""
     num_vars = None
@@ -70,10 +82,7 @@ def parse_dimacs_cnf(data) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"non-integer counts in header {line!r}", lineno)
+            num_vars, num_clauses = _header_counts(parts, line, lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before header", lineno)
@@ -103,18 +112,16 @@ def parse_xsat(data) -> XsatFormula:
     header = None
     clauses: list[Triple] = []
     positive = False
-    r = k = 0
+    r = k = header_line = 0
     for lineno, line in _content_lines(_as_text(data)):
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] not in ("xsat", "xsat+"):
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
-                r, k = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"non-integer counts in header {line!r}", lineno)
+            r, k = _header_counts(parts, line, lineno)
             positive = parts[1] == "xsat+"
             header = parts[1]
+            header_line = lineno
             continue
         if header is None:
             raise ParseError("clause before header", lineno)
@@ -146,10 +153,14 @@ def parse_xsat(data) -> XsatFormula:
         raise ParseError("missing header")
     if len(clauses) != k:
         raise ParseError(f"header promises {k} clauses, body has {len(clauses)}")
+    if r > 3 * k:
+        # every variable must be covered, and a clause covers at most 3
+        raise ParseError(f"header declares {r} variables but {k} clauses can "
+                         f"cover at most {3 * k}", header_line)
     f = XsatFormula(r, tuple(clauses), positive=positive)
     violations = validate(f)
     if violations:
-        raise ParseError("invalid instance: " + "; ".join(violations))
+        raise ParseError("invalid instance: " + describe_violations(violations))
     return f
 
 

@@ -253,6 +253,44 @@ def profile_total_within_bounds(num_vars: int, total: int) -> tuple[bool, bool]:
     return lo_ok, hi_ok
 
 
+@dataclass(frozen=True)
+class KernelBuild:
+    """A kernel with the rank, nullity and consistency of its system.
+
+    ``state`` is the substitution fixpoint under ``method="subst"`` and None
+    under ``"gauss"``; ``encode_s`` is the time spent encoding the clauses.
+    """
+
+    kernel: KernelInstance
+    rank: int
+    nullity: int
+    inconsistent: bool
+    state: SubstitutionState | None
+    encode_s: float
+
+
+def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
+    """Encode and eliminate (``"gauss"``) or rewrite (``"subst"``) to a kernel.
+
+    Under ``"subst"`` the encoding is the initial substitution state.
+    """
+    t0 = time.perf_counter()
+    if method == "gauss":
+        system = encode_sys(f)
+        t1 = time.perf_counter()
+        rref = gauss_jordan(system)
+        return KernelBuild(extract_kernel(rref), rref.rank, rref.nullity,
+                           rref.inconsistent, None, t1 - t0)
+    if method == "subst":
+        start = initial_state(f)
+        t1 = time.perf_counter()
+        state = substitute(start)
+        rank, nullity = rank_of_subst(state)
+        return KernelBuild(kernel_from_substitution(state), rank, nullity,
+                           state.inconsistent, state, t1 - t0)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def solve(
     f: XsatFormula,
     method: str = "gauss",
@@ -261,53 +299,40 @@ def solve(
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> SolveReport:
     """Full pipeline: encode, eliminate (or substitute), extract, count."""
-    if method not in ("gauss", "subst"):
-        raise ValueError(f"unknown method {method!r}")
     check_valid(f)
     t0 = time.perf_counter()
-
-    system = encode_sys(f)
+    built = build_kernel(f, method)
+    kern = built.kernel
     t1 = time.perf_counter()
 
-    state = None
-    shortcut_unsat = False
-    if method == "gauss":
-        rref = gauss_jordan(system)
-        rank, nullity = rref.rank, rref.nullity
-        kern = extract_kernel(rref)
-        shortcut_unsat = rref.inconsistent
-    else:
-        state = substitute(initial_state(f))
-        rank, nullity = rank_of_subst(state)
-        kern = kernel_from_substitution(state)
-        shortcut_unsat = state.inconsistent
-    t2 = time.perf_counter()
-
-    if shortcut_unsat:
+    if built.inconsistent:
         count, wit = 0, None
     else:
         count, wit = count_kernel(kern, max_free=max_free,
                                   want_witnesses=want_witnesses,
                                   witness_cap=witness_cap)
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
 
     # representation size is always measured on the substitution fixpoint
+    state = built.state
     if state is None:
         state = substitute(initial_state(f))
     profile = [c.expansion_size for c in state.constraints]
     bits = repr_size(kern, profile)
+    t3 = time.perf_counter()
 
+    encode_us = round(built.encode_s * 1e6)
     return SolveReport(
         sat=count > 0,
         count=count,
-        rank=rank,
-        nullity=nullity,
+        rank=built.rank,
+        nullity=built.nullity,
         kernel_vars=kern.width,
         kernel_clauses=len(kern.rows),
         repr_size_bits=bits,
         method=method,
         elapsed_ms=round((t3 - t0) * 1000),
-        phase_us=(round((t1 - t0) * 1e6), round((t2 - t1) * 1e6),
-                  round((t3 - t2) * 1e6)),
+        phase_us=(encode_us, round((t1 - t0) * 1e6) - encode_us,
+                  round((t2 - t1) * 1e6)),
         witnesses=wit,
     )

@@ -1,18 +1,22 @@
-"""Linear-system encoding and Gauss-Jordan elimination over exact rationals.
+"""Linear-system encoding and exact Gauss-Jordan elimination.
 
 A positive one-in-three clause {p, p', p''} becomes the equation
 p + p' + p'' = 1; bottom contributes nothing.  The 0/1 solutions of the
 resulting system are exactly the models of the formula, so the reduced
 row echelon form exposes how many variables are genuinely free.
 
-All arithmetic uses :class:`fractions.Fraction`; nothing is ever rounded.
-The matrix is dense, which is fine at the desk scale this package targets,
-and columns are never physically permuted: pivot and free columns are
-reported as index lists instead.
+Nothing is ever rounded.  Elimination runs on sparse integer rows, each a
+dict of its nonzero entries (three per clause plus fill-in), and never
+forms a fraction (fraction-free elimination, Bareiss, Math. Comp. 1968).
+Only the result is rational: the RREF is unique, so dividing each pivot
+row by its pivot entry gives the same ``Fraction`` matrix a rational
+elimination would.  Columns are never physically permuted: pivot and free
+columns are reported as index lists instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,50 +81,87 @@ def encode_sys(f: XsatFormula) -> LinearSystem:
     return LinearSystem(tuple(rows), tuple(range(1, f.num_vars + 1)))
 
 
-def gauss_jordan(system: LinearSystem) -> RrefResult:
-    """Reduced row echelon form with deterministic pivoting.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    common = math.gcd(*row.values())
+    if common > 1:
+        return {c: v // common for c, v in row.items()}
+    return row
+
+
+def _integer_row(row) -> dict[int, int]:
+    """A rational row as a primitive integer row of its nonzero entries."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive({c: x.numerator * (scale // x.denominator)
+                       for c, x in enumerate(row) if x})
+
+
+def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse fraction-free reduction: (rows, pivot columns).
+
+    Each row is a ``{col: int}`` dict of its nonzero entries, the augmented
+    column included.  Input rows are scaled to integers by the LCM of their
+    denominators, and an update is ``row = p*row - g*pivot_row``.  Every row
+    is kept primitive: divided by the gcd of its entries.  The first ``len(pivot_cols)`` rows are the pivot rows in
+    order; the rest are zero on every variable column.
 
     Pivot selection: leftmost column holding a nonzero entry at or below the
-    current row, smallest row index on ties.  Eliminates above and below at
-    pivot time, scales pivots to 1, and drops all-zero rows from the result.
-    Inconsistency is a flag, never an exception.
+    current row, smallest row index on ties.  Every row stays a nonzero
+    multiple of the row a rational elimination with the same rule would
+    hold, so the zero pattern, the pivots and the row order are the same.
     """
-    rows = [list(row) for row in system.entries]
+    rows = [_integer_row(row) for row in system.entries]
     n_rows = len(rows)
-    n_vars = system.num_vars
     pivot_cols: list[int] = []
     cur = 0
-    for col in range(n_vars):
-        pivot_row = None
-        for i in range(cur, n_rows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
+    for col in range(system.num_vars):
+        pivot_row = next((i for i in range(cur, n_rows) if col in rows[i]), None)
         if pivot_row is None:
             continue
-        if pivot_row != cur:
-            rows[cur], rows[pivot_row] = rows[pivot_row], rows[cur]
-        factor = rows[cur][col]
-        if factor != 1:
-            rows[cur] = [x / factor for x in rows[cur]]
+        rows[cur], rows[pivot_row] = rows[pivot_row], rows[cur]
+        pivot = rows[cur]
         for i in range(n_rows):
-            if i == cur or rows[i][col] == 0:
+            row = rows[i]
+            if i == cur or col not in row:
                 continue
-            g = rows[i][col]
-            rows[i] = [a - g * b for a, b in zip(rows[i], rows[cur])]
+            d = math.gcd(pivot[col], row[col])
+            p, g = pivot[col] // d, row[col] // d
+            new = {c: p * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = new.get(c, 0) - g * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            rows[i] = _primitive(new)
         pivot_cols.append(col)
         cur += 1
+    return rows, pivot_cols
 
-    inconsistent = any(
-        all(x == 0 for x in row[:n_vars]) and row[n_vars] != 0
-        for row in rows[cur:])
-    kept = tuple(tuple(row) for row in rows[:cur])
+
+def gauss_jordan(system: LinearSystem) -> RrefResult:
+    """Reduced row echelon form, pivot rule as in :func:`integer_rref`.
+
+    Each pivot row of the integer reduction, divided by its pivot entry,
+    is the row of the rational RREF; all-zero rows are dropped.
+    Inconsistency is a flag, never an exception.
+    """
+    rows, pivot_cols = integer_rref(system)
+    n_vars = system.num_vars
     rank = len(pivot_cols)
-    free_cols = tuple(c for c in range(n_vars) if c not in set(pivot_cols))
+    inconsistent = any(n_vars in row for row in rows[rank:])
+    zero = Fraction(0)
+    kept = []
+    for row, col in zip(rows, pivot_cols):
+        dense = [zero] * (n_vars + 1)
+        for c, v in row.items():
+            dense[c] = Fraction(v, row[col])
+        kept.append(tuple(dense))
+    pivots = set(pivot_cols)
     return RrefResult(
-        matrix=LinearSystem(kept, system.var_of_col),
+        matrix=LinearSystem(tuple(kept), system.var_of_col),
         pivot_cols=tuple(pivot_cols),
-        free_cols=free_cols,
+        free_cols=tuple(c for c in range(n_vars) if c not in pivots),
         rank=rank,
         nullity=n_vars - rank,
         inconsistent=inconsistent,

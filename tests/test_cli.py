@@ -92,6 +92,30 @@ def test_unreadable_input_one_error_line(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("text", ["p xsat -5 0\n", "p cnf -3 0\n"],
+                         ids=["xsat", "cnf"])
+def test_negative_header_count_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "p xsat+ 1000000 1\n1 2 3 0\n",
+    "p xsat+ 3 3000\n" + "1 2 3 0\n" * 3000,
+], ids=["uncoverable-header", "many-duplicates"])
+def test_invalid_instance_error_is_short(tmp_path, capsys, text):
+    path = tmp_path / "in.xsat"
+    path.write_text(text)
+    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024, len(err.encode())
+
+
 @pytest.mark.parametrize("flag", ["--max-free", "--witnesses"])
 def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:

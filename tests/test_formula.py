@@ -6,12 +6,13 @@ from xsat import (
     BOTTOM,
     DimensionError,
     EmptyFormulaError,
+    ValidationError,
     XsatFormula,
     eval_xsat,
     kappa,
     validate,
 )
-from xsat.formula import canonical_triple, literal_value
+from xsat.formula import VIOLATIONS_SHOWN, canonical_triple, check_valid, literal_value
 from xsat.generator import SplitMix64, gen_random, GenSpec
 
 
@@ -117,6 +118,21 @@ def test_validate_negative_in_positive():
 def test_validate_index_out_of_range():
     f = XsatFormula(2, ((1, 2, 3),))
     assert any(v.startswith("index-out-of-range") for v in validate(f))
+
+
+def test_validation_error_message_names_count_and_first_few():
+    f = XsatFormula(40, ((1, 2, 3),))
+    with pytest.raises(ValidationError) as err:
+        check_valid(f)
+    full = validate(f)
+    assert len(full) == 38  # 37 uncovered variables, density below r/3
+    assert err.value.violations == full
+    message = str(err.value)
+    assert message.startswith("38 violation(s): uncovered-variable: 4; ")
+    assert message.count("uncovered-variable") == VIOLATIONS_SHOWN
+    assert message.endswith(f"; {38 - VIOLATIONS_SHOWN} more")
+    with pytest.raises(ValidationError, match=r"^1 violation\(s\): uncovered-variable: 4$"):
+        check_valid(XsatFormula(4, ((1, 2, 3), (1, 2, BOTTOM))))
 
 
 def test_canonicalization_is_content_equality():

@@ -70,6 +70,38 @@ def test_parse_xsat_rejects_what_validate_rejects():
         parse_xsat("p xsat+ 4 2\n1 2 3 0\n1 2 B 0\n")
 
 
+@pytest.mark.parametrize("text", [
+    "p xsat -5 0\n", "p xsat+ 3 -1\n1 2 3 0\n", "p cnf -3 0\n",
+    "p cnf 3 -1\n1 2 3 0\n",
+], ids=["xsat-vars", "xsat-clauses", "cnf-vars", "cnf-clauses"])
+def test_negative_header_count_rejected(text):
+    parse = parse_dimacs_cnf if " cnf " in text else parse_xsat
+    with pytest.raises(ParseError, match="negative count") as err:
+        parse(text)
+    assert err.value.line == 1
+
+
+def test_parse_xsat_rejects_more_variables_than_clauses_cover():
+    with pytest.raises(ParseError, match="2 clauses can cover at most 6") as err:
+        parse_xsat("c big\np xsat 7 2\n1 2 3 0\n4 5 6 0\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="cover at most 3"):
+        parse_xsat("p xsat+ 1000000 1\n1 2 3 0\n")
+    f = parse_xsat("p xsat+ 6 2\n1 2 3 0\n4 5 6 0\n")  # r = 3k is fine
+    assert f.num_vars == 6
+
+
+def test_parse_xsat_violation_message_is_bounded():
+    # 30 copies of one clause: 29 duplicate-clause violations
+    text = "p xsat+ 3 30\n" + "1 2 3 0\n" * 30
+    with pytest.raises(ParseError) as err:
+        parse_xsat(text)
+    message = str(err.value)
+    assert message.startswith("invalid instance: 29 violation(s): ")
+    assert message.count("duplicate-clause") == 5
+    assert message.endswith("; 24 more")
+
+
 def test_parse_xsat_zero_literal():
     with pytest.raises(ParseError, match="terminator"):
         parse_xsat("p xsat+ 3 1\n1 2 0 0\n")

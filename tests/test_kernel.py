@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,9 @@ from xsat import (
     repr_size,
     solve,
 )
+from xsat import kernel as kernel_module
 from xsat.generator import GenSpec, SplitMix64, gen_partition, gen_random
-from xsat.kernel import profile_total_within_bounds, size_bounds
+from xsat.kernel import build_kernel, profile_total_within_bounds, size_bounds
 from xsat.oracle import naive_models
 from xsat.substitution import expansion_profile, initial_state, substitute
 
@@ -208,6 +210,63 @@ def test_solve_report_phase_timings(six_var):
     rep = solve(six_var)
     assert len(rep.phase_us) == 3
     assert all(t >= 0 for t in rep.phase_us)
+
+
+def test_build_kernel_matches_each_route(six_var, dense_unsat):
+    f = gen_random(GenSpec(r=12, k=8, seed=4))
+    for g in (six_var, dense_unsat, f):
+        rref = gauss_jordan(encode_sys(g))
+        built = build_kernel(g, "gauss")
+        assert built.kernel == extract_kernel(rref)
+        assert (built.rank, built.nullity, built.inconsistent) == (
+            rref.rank, rref.nullity, rref.inconsistent)
+        assert built.state is None
+        state = substitute(initial_state(g))
+        built = build_kernel(g, "subst")
+        assert built.kernel == kernel_from_substitution(state)
+        assert built.state == state
+        assert (built.rank, built.nullity) == (len(state.independent),
+                                               len(state.dependent))
+    with pytest.raises(ValueError, match="unknown method"):
+        build_kernel(six_var, "simplex")
+    with pytest.raises(ValueError, match="unknown method"):
+        solve(six_var, method="simplex")
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, method):
+    # tracing rebinds these names in xsat.kernel; every call must go through them
+    names = {
+        "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
+                  "initial_state", "substitute", "count_kernel", "repr_size"),
+        "subst": ("check_valid", "initial_state", "substitute", "rank_of_subst",
+                  "kernel_from_substitution", "count_kernel", "repr_size"),
+    }[method]
+    called = []
+    for name in names:
+        real = getattr(kernel_module, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, name, spy)
+    assert solve(six_var, method=method).count == 3
+    assert sorted(set(called)) == sorted(names)
+
+
+def test_solve_elapsed_covers_the_repr_size_pass(six_var, monkeypatch):
+    # under gauss the substitution pass only feeds repr_size_bits
+    real = kernel_module.substitute
+
+    def slow_substitute(state):
+        time.sleep(0.05)
+        return real(state)
+
+    monkeypatch.setattr(kernel_module, "substitute", slow_substitute)
+    rep = solve(six_var, method="gauss")
+    assert rep.elapsed_ms >= 50
+    assert sum(rep.phase_us) < 50_000
 
 
 def test_enumeration_cost_tracks_free_vars_not_total_vars():

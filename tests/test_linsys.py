@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,16 +6,107 @@ import pytest
 from xsat import (
     BOTTOM,
     EncodingError,
+    LinearSystem,
+    RrefResult,
     XsatFormula,
     encode_sys,
     gauss_jordan,
     naive_count,
     rank_of,
 )
-from xsat.generator import GenSpec, SplitMix64, gen_partition, gen_random
+from xsat.generator import (
+    GenSpec,
+    SplitMix64,
+    gen_fib_chain,
+    gen_fixed_rank,
+    gen_partition,
+    gen_random,
+)
+from xsat.linsys import integer_rref
 from xsat.oracle import naive_models
 
+from test_acceptance import ensemble
+
 F = Fraction
+
+
+def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
+    """Reference: dense Gauss-Jordan over Fraction, same pivot rule."""
+    rows = [list(row) for row in system.entries]
+    n_rows = len(rows)
+    n_vars = system.num_vars
+    pivot_cols: list[int] = []
+    cur = 0
+    for col in range(n_vars):
+        pivot_row = None
+        for i in range(cur, n_rows):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != cur:
+            rows[cur], rows[pivot_row] = rows[pivot_row], rows[cur]
+        factor = rows[cur][col]
+        if factor != 1:
+            rows[cur] = [x / factor for x in rows[cur]]
+        for i in range(n_rows):
+            if i == cur or rows[i][col] == 0:
+                continue
+            g = rows[i][col]
+            rows[i] = [a - g * b for a, b in zip(rows[i], rows[cur])]
+        pivot_cols.append(col)
+        cur += 1
+
+    inconsistent = any(
+        all(x == 0 for x in row[:n_vars]) and row[n_vars] != 0
+        for row in rows[cur:])
+    kept = tuple(tuple(row) for row in rows[:cur])
+    rank = len(pivot_cols)
+    free_cols = tuple(c for c in range(n_vars) if c not in set(pivot_cols))
+    return RrefResult(
+        matrix=LinearSystem(kept, system.var_of_col),
+        pivot_cols=tuple(pivot_cols),
+        free_cols=free_cols,
+        rank=rank,
+        nullity=n_vars - rank,
+        inconsistent=inconsistent,
+    )
+
+
+def _random_triples(r: int, k: int, seed: int) -> XsatFormula:
+    """k distinct triples over r variables, coverage not required."""
+    rng = SplitMix64(seed)
+    triples: set[tuple[int, int, int]] = set()
+    while len(triples) < k:
+        vs = set()
+        while len(vs) < 3:
+            vs.add(1 + rng.randbelow(r))
+        triples.add(tuple(sorted(vs)))
+    return XsatFormula(r, tuple(triples))
+
+
+def _random_rational_system(n_rows: int, n_vars: int, seed: int) -> LinearSystem:
+    """Entries p/q with p in -3..3 and q in 1..5, about half of them zero."""
+    rng = SplitMix64(seed)
+
+    def entry():
+        if rng.randbelow(2):
+            return F(0)
+        return F(rng.randbelow(7) - 3, 1 + rng.randbelow(5))
+
+    rows = tuple(tuple(entry() for _ in range(n_vars + 1)) for _ in range(n_rows))
+    return LinearSystem(rows, tuple(range(1, n_vars + 1)))
+
+
+def _assert_same_rref(system: LinearSystem):
+    sparse = gauss_jordan(system)
+    assert sparse == dense_gauss_jordan(system)
+    rows, pivot_cols = integer_rref(system)
+    assert pivot_cols == list(sparse.pivot_cols)
+    for row in rows:
+        assert all(isinstance(v, int) and v for v in row.values())
+        assert math.gcd(*row.values()) in (0, 1), row
 
 
 def test_encode_single_clause():
@@ -148,3 +240,55 @@ def test_rref_preserves_solutions():
             for row in res.matrix.entries:
                 lhs = sum(c * v for c, v in zip(row[:-1], model))
                 assert lhs == row[-1]
+
+
+def test_sparse_rref_equals_dense_on_criterion2_ensemble():
+    for f in ensemble():
+        _assert_same_rref(encode_sys(f))
+
+
+def test_sparse_rref_equals_dense_on_families():
+    formulas = [gen_partition(r) for r in (3, 6, 15, 30)]
+    formulas += [gen_fib_chain(k) for k in (2, 5, 12, 30)]
+    formulas += [gen_fixed_rank(rank + nullity, rank)
+                 for rank, nullity in ((7, 12), (11, 14), (11, 22), (20, 20))]
+    for f in formulas:
+        _assert_same_rref(encode_sys(f))
+
+
+@pytest.mark.parametrize("r,k,seed", [
+    (12, 16, 1), (20, 26, 2), (33, 40, 3), (48, 64, 4), (60, 80, 5), (66, 66, 6),
+    (66, 88, 7),
+])
+def test_sparse_rref_equals_dense_on_random_triples(r, k, seed):
+    _assert_same_rref(encode_sys(_random_triples(r, k, seed)))
+
+
+def test_sparse_rref_equals_dense_on_rational_entries():
+    for seed in range(40):
+        n_rows = 2 + seed % 7
+        n_vars = 3 + (seed * 5) % 8
+        _assert_same_rref(_random_rational_system(n_rows, n_vars, seed))
+    system = LinearSystem(((F(1, 2), F(2, 3), F(0), F(5, 7)),
+                           (F(-3, 4), F(0), F(7, 5), F(1, 3)),
+                           (F(1, 4), F(4, 3), F(7, 5), F(-1, 6))), (1, 2, 3))
+    _assert_same_rref(system)
+    assert gauss_jordan(system).matrix.entries[0][0] == 1
+
+
+def test_sparse_rref_equals_dense_on_inconsistent_systems():
+    # x = 1 and x = 2: the first row is the pivot, so the kept rhs is 1
+    system = LinearSystem(((F(1), F(1)), (F(1), F(2))), (1,))
+    res = gauss_jordan(system)
+    assert res.inconsistent and res.matrix.entries == ((F(1), F(1)),)
+    _assert_same_rref(system)
+    f = XsatFormula(3, ((1, 2, BOTTOM), (1, 3, BOTTOM), (2, 3, BOTTOM),
+                        (1, 2, 3)))
+    _assert_same_rref(encode_sys(f))
+    assert gauss_jordan(encode_sys(f)).inconsistent
+
+
+def test_sparse_rref_on_empty_systems():
+    for system in (LinearSystem((), ()), LinearSystem((), (1, 2)),
+                   LinearSystem(((F(0),), (F(3),)), ())):
+        _assert_same_rref(system)
