@@ -37,6 +37,7 @@ from .kernel import (
     KernelInstance,
     KernelRow,
     SolveReport,
+    count_blocks,
     count_kernel,
     extract_kernel,
     kernel_from_substitution,

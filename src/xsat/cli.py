@@ -32,6 +32,7 @@ from .io import (
 from .kernel import (
     DEFAULT_MAX_FREE,
     build_kernel,
+    count_blocks,
     count_kernel,
     size_bounds,
     solve,
@@ -307,13 +308,27 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _counts_disagree(f: XsatFormula, max_free: int) -> tuple[int, int, int] | None:
+def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
+    """Name the counts that differ, or None when every counter agrees.
+
+    Both methods are solved and checked against the oracle, and the flat
+    walk ``count_kernel`` against the block walk ``count_blocks`` on each
+    method's own kernel.
+    """
     g = solve(f, method="gauss", max_free=max_free).count
     s = solve(f, method="subst", max_free=max_free).count
     n = naive_count(f)
-    if g == s == n:
-        return None
-    return g, s, n
+    if not g == s == n:
+        return f"gauss={g} subst={s} oracle={n}"
+    for method in ("gauss", "subst"):
+        built = build_kernel(f, method)
+        if built.inconsistent:
+            continue
+        walk = count_kernel(built.kernel, max_free=max_free)[0]
+        blocks = count_blocks(built.kernel, max_free=max_free)
+        if walk != blocks:
+            return f"{method} kernel: count_kernel={walk} count_blocks={blocks}"
+    return None
 
 
 def _compact(f: XsatFormula, drop: int) -> XsatFormula:
@@ -355,15 +370,15 @@ def cmd_verify(args) -> int:
         f = generate(spec)
         disagreement = _counts_disagree(f, args.max_free)
         if disagreement:
-            g, s, n = disagreement
             small = shrink_disagreement(f, args.max_free)
             path = os.path.join(args.out_dir, f"disagreement_{trial}.xsat")
             with open(path, "wb") as fh:
                 fh.write(serialize_xsat(small))
-            print(f"c disagreement at trial {trial}: gauss={g} subst={s} "
-                  f"oracle={n}; repro written to {path}")
+            print(f"c disagreement at trial {trial}: {disagreement}; "
+                  f"repro written to {path}")
             return EXIT_DISAGREE
-    print(f"c verified: {args.trials} trials, all three counts agree")
+    print(f"c verified: {args.trials} trials, all three counts agree, "
+          "and count_kernel = count_blocks on both kernels")
     return EXIT_OK
 
 
@@ -436,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_MAX_FREE)
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("verify", help="cross-check both methods and the oracle")
+    sp = sub.add_parser("verify", help="cross-check methods, counters and oracle")
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--r-max", type=int, default=18)
     sp.add_argument("--seed", type=int, default=0)

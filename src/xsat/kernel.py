@@ -6,12 +6,16 @@ exactly when every row's residual ``rhs - sum(coeff * s)`` lands in {0, 1};
 the residual then IS the pivot variable's value, so counting admissible
 free assignments counts models, with no separate back-substitution pass.
 
-Enumeration walks {0,1}^d in Gray-code order: one bit flips per step, so
-each row's running sum is updated with a single addition.  Rows are scaled
-to integers beforehand (residual test becomes membership in {0, D}) to
-keep the hot loop on machine integers.  The walk may be partitioned by
-fixing a prefix of the free bits; per-partition counts add up to the
-unpartitioned count bit for bit.
+Rows are scaled to integers beforehand, so the residual test becomes
+membership in {0, D}.  Two counters apply the same rule and give the same
+count.  ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code
+order, one bit flip and one addition per touched row per step.  It alone
+lists witnesses and takes a ``prefix`` of fixed free bits (per-prefix
+counts add up to the full count bit for bit), and it is the walk that
+criterion 8 and ``xsat bench`` time.  ``count_blocks`` Gray-walks only the
+free bits above BLOCK_BITS and accepts all 2^BLOCK_BITS low assignments
+of a step at once, as bits of one Python int per row; ``solve`` counts
+with it whenever no witnesses are wanted.
 """
 
 from __future__ import annotations
@@ -111,13 +115,18 @@ def _scaled_rows(kern: KernelInstance) -> tuple[list[list[int]], list[int], list
     """Clear denominators row by row; residual test becomes v in {0, D}."""
     coeffs, rhs, dens = [], [], []
     for row in kern.rows:
-        den = row.rhs.denominator
-        for c in row.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        coeffs.append([int(c * den) for c in row.coeffs])
-        rhs.append(int(row.rhs * den))
+        den = math.lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
+        coeffs.append([c.numerator * (den // c.denominator) for c in row.coeffs])
+        rhs.append(row.rhs.numerator * (den // row.rhs.denominator))
         dens.append(den)
     return coeffs, rhs, dens
+
+
+def _check_width(d: int, max_free: int):
+    if d > max_free:
+        raise CapacityError(
+            f"kernel has {d} free variables, cap is {max_free}; "
+            "raise the cap or sample through the bench harness")
 
 
 def count_kernel(
@@ -135,10 +144,7 @@ def count_kernel(
     requested and the final count does not exceed ``witness_cap``.
     """
     d = kern.width
-    if d > max_free:
-        raise CapacityError(
-            f"kernel has {d} free variables, cap is {max_free}; "
-            "raise the cap or sample through the bench harness")
+    _check_width(d, max_free)
     if len(prefix) > d:
         raise ValueError("prefix longer than the free variable list")
 
@@ -227,6 +233,84 @@ def count_kernel(
     return count, None
 
 
+# Free bits below BLOCK_BITS are counted together: each row's acceptance
+# over all 2^BLOCK_BITS low assignments is one Python int of 512 bytes.
+BLOCK_BITS = 12
+
+
+def _low_tables(coeffs: list[list[int]], low: int) -> tuple[int, list[dict[int, int]]]:
+    """Per row, map each sum of its first ``low`` coefficients to its block.
+
+    Bit j of a block stands for the low assignment whose bit p is free bit
+    p; it is set in ``table[s]`` iff that assignment's partial sum is s.
+    """
+    full = (1 << (1 << low)) - 1
+    # free bit p alternates runs of 2^p zeros and 2^p ones over the block
+    cols = [(((1 << (1 << p)) - 1) << (1 << p))
+            * (full // ((1 << (2 << p)) - 1)) for p in range(low)]
+    tables = []
+    for row in coeffs:
+        table = {0: full}
+        for c, col in zip(row, cols):
+            if not c:
+                continue
+            split: dict[int, int] = {}
+            for s, block in table.items():
+                on = block & col
+                if block ^ on:
+                    split[s] = split.get(s, 0) | (block ^ on)
+                if on:
+                    split[s + c] = split.get(s + c, 0) | on
+            table = split
+        tables.append(table)
+    return full, tables
+
+
+def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
+    """Count admissible free assignments 2^BLOCK_BITS at a time.
+
+    Same scaled rows, acceptance rule and count as :func:`count_kernel`.
+    The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated per
+    row by :func:`_low_tables`; the high bits are Gray-walked, keeping each
+    row's residual ``t`` after the high part.  A row accepts the block
+    ``table[t]`` (residual 0) or ``table[t - D]`` (residual D); a group of
+    rows sharing a pivot accepts where all of them are 0 or all are D.
+    """
+    d = kern.width
+    _check_width(d, max_free)
+    coeffs, res, dens = _scaled_rows(kern)
+    low = min(d, BLOCK_BITS)
+    full, tables = _low_tables(coeffs, low)
+    by_pivot: dict[int, list[int]] = {}
+    for i, row in enumerate(kern.rows):
+        by_pivot.setdefault(row.pivot_var, []).append(i)
+    groups = list(by_pivot.values())
+    flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
+             for pos in range(low, d)]
+
+    count = 0
+    high = 0
+    for step in range(1 << (d - low)):
+        if step:
+            pos = (step & -step).bit_length() - 1
+            high ^= 1 << pos
+            rising = high >> pos & 1
+            for i, delta in flips[pos]:
+                res[i] += -delta if rising else delta
+        block = full
+        for g in groups:
+            zero = one = full
+            for i in g:
+                table = tables[i]
+                zero &= table.get(res[i], 0)
+                one &= table.get(res[i] - dens[i], 0)
+            block &= zero | one
+            if not block:
+                break
+        count += block.bit_count()
+    return count
+
+
 def repr_size(kern: KernelInstance, profile: list[int]) -> float:
     """Representation size in bits: r * log2(total expansion occurrences)."""
     total = sum(profile)
@@ -307,10 +391,12 @@ def solve(
 
     if built.inconsistent:
         count, wit = 0, None
-    else:
+    elif want_witnesses:
         count, wit = count_kernel(kern, max_free=max_free,
-                                  want_witnesses=want_witnesses,
+                                  want_witnesses=True,
                                   witness_cap=witness_cap)
+    else:
+        count, wit = count_blocks(kern, max_free=max_free), None
     t2 = time.perf_counter()
 
     # representation size is always measured on the substitution fixpoint

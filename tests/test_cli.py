@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from xsat import parse_xsat, naive_count, solve
+from xsat import count_blocks, parse_xsat, naive_count, solve
 from xsat import cli
 from xsat.cli import (
     EXIT_CAPACITY,
@@ -188,7 +188,9 @@ def test_gen_reproducible(capsys):
 def test_verify_passes(tmp_path, capsys):
     assert main(["verify", "--trials", "10", "--r-max", "10", "--seed", "1",
                  "--out-dir", str(tmp_path)]) == EXIT_OK
-    assert "all three counts agree" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all three counts agree" in out
+    assert "count_kernel = count_blocks on both kernels" in out
 
 
 def test_verify_zero_trials(capsys):
@@ -218,6 +220,22 @@ def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     # the injected fault disagrees everywhere, so greedy removal must reach
     # a single-clause instance
     assert small.num_clauses == 1
+
+
+def test_verify_names_a_faulty_block_counter(tmp_path, monkeypatch, capsys):
+    # solve stays right; only the walk comparison can see the fault
+    def faulty(kern, max_free=30):
+        return count_blocks(kern, max_free) + (kern.width > 1)
+
+    monkeypatch.setattr(cli, "count_blocks", faulty)
+    code = main(["verify", "--trials", "5", "--r-max", "8", "--seed", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_DISAGREE
+    line = capsys.readouterr().out.strip()
+    assert "kernel: count_kernel=" in line and "count_blocks=" in line, line
+    assert "repro written to" in line
+    repro = [p for p in os.listdir(tmp_path) if p.startswith("disagreement")]
+    assert len(repro) == 1
 
 
 def test_bench_random_sweep(tmp_path):

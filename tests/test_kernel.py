@@ -8,7 +8,10 @@ from xsat import (
     BOTTOM,
     CapacityError,
     ValidationError,
+    KernelInstance,
+    KernelRow,
     XsatFormula,
+    count_blocks,
     count_kernel,
     encode_sys,
     eval_xsat,
@@ -20,10 +23,19 @@ from xsat import (
     solve,
 )
 from xsat import kernel as kernel_module
-from xsat.generator import GenSpec, SplitMix64, gen_partition, gen_random
+from xsat.generator import (
+    GenSpec,
+    SplitMix64,
+    gen_fib_chain,
+    gen_fixed_rank,
+    gen_partition,
+    gen_random,
+)
 from xsat.kernel import build_kernel, profile_total_within_bounds, size_bounds
 from xsat.oracle import naive_models
 from xsat.substitution import expansion_profile, initial_state, substitute
+
+from test_acceptance import ensemble
 
 F = Fraction
 
@@ -233,15 +245,16 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
         solve(six_var, method="simplex")
 
 
-@pytest.mark.parametrize("method", ["gauss", "subst"])
-def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, method):
-    # tracing rebinds these names in xsat.kernel; every call must go through them
-    names = {
-        "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
-                  "initial_state", "substitute", "count_kernel", "repr_size"),
-        "subst": ("check_valid", "initial_state", "substitute", "rank_of_subst",
-                  "kernel_from_substitution", "count_kernel", "repr_size"),
-    }[method]
+SOLVE_STEPS = {
+    "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
+              "initial_state", "substitute", "repr_size"),
+    "subst": ("check_valid", "initial_state", "substitute", "rank_of_subst",
+              "kernel_from_substitution", "repr_size"),
+}
+
+
+def _spy_on(monkeypatch, names) -> list[str]:
+    """Wrap each named global of xsat.kernel; return the list of calls."""
     called = []
     for name in names:
         real = getattr(kernel_module, name)
@@ -251,7 +264,26 @@ def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, metho
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(kernel_module, name, spy)
+    return called
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, method):
+    # tracing rebinds these names in xsat.kernel; every call must go through
+    # them, and a count-only solve counts with the block walk alone
+    names = SOLVE_STEPS[method] + ("count_blocks",)
+    called = _spy_on(monkeypatch, names + ("count_kernel",))
     assert solve(six_var, method=method).count == 3
+    assert sorted(set(called)) == sorted(names)
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_solve_with_witnesses_calls_the_flat_walk_by_module_global_name(
+        six_var, monkeypatch, method):
+    names = SOLVE_STEPS[method] + ("count_kernel",)
+    called = _spy_on(monkeypatch, names + ("count_blocks",))
+    rep = solve(six_var, method=method, want_witnesses=True)
+    assert rep.count == 3 and sorted(rep.witnesses) == sorted(naive_models(six_var))
     assert sorted(set(called)) == sorted(names)
 
 
@@ -282,3 +314,110 @@ def test_enumeration_cost_tracks_free_vars_not_total_vars():
     _, t_small = timed_enumeration(small)
     _, t_large = timed_enumeration(large)
     assert t_large < 6 * t_small
+
+
+# ---------------------------------------------------------------------------
+# count_blocks against the flat walk
+
+def _agreed_count(kern) -> int:
+    """The count of both counters, which must agree."""
+    count = count_blocks(kern)
+    assert count == count_kernel(kern)[0]
+    return count
+
+
+def _has_filter_group(kern) -> bool:
+    pivots = [row.pivot_var for row in kern.rows]
+    return len(set(pivots)) < len(pivots)
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_count_blocks_matches_flat_walk_on_criterion2_ensemble(method):
+    for f in ensemble():
+        _agreed_count(build_kernel(f, method).kernel)
+
+
+def test_count_blocks_matches_flat_walk_on_families():
+    formulas = [gen_partition(r) for r in (3, 6, 15, 21, 27)]
+    formulas += [gen_fib_chain(k) for k in range(2, 12)]
+    formulas += [gen_fixed_rank(rank + eta_bar, rank)
+                 for rank, eta_bar in ((4, 2), (6, 11), (7, 12), (9, 13), (11, 17))]
+    for f in formulas:
+        for method in ("gauss", "subst"):
+            _agreed_count(build_kernel(f, method).kernel)
+
+
+def test_count_blocks_matches_flat_walk_on_subst_filter_groups():
+    rng = SplitMix64(23)
+    seen = 0
+    for trial in range(60):
+        r = 9 + rng.randbelow(10)
+        k = r // 2 + rng.randbelow(r // 2 + 1)
+        kern = build_kernel(gen_random(GenSpec(r=r, k=k, seed=trial + 900)),
+                            "subst").kernel
+        if _has_filter_group(kern):
+            seen += 1
+            _agreed_count(kern)
+    assert seen >= 20, seen
+
+
+# rational coefficients, so rows are scaled by a denominator D > 1
+RATIONALS = (F(1, 3), F(-2, 3), F(1, 2), F(-3, 2), F(5, 6), F(-1), F(2))
+
+
+def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int) -> KernelInstance:
+    """Sparse rational rows, some sharing a pivot, that admit a planted
+    assignment.
+
+    Each row's rhs is its planted partial sum plus its pivot's planted
+    value, so at the planted assignment every row's residual is its
+    pivot's value: 0 on some rows and 1 on others.
+    """
+    planted = [rng.randbelow(2) for _ in range(width)]
+    pivot_value = [rng.randbelow(2) for _ in range(n_pivots)]
+    rows = []
+    for i in range(n_rows):
+        coeffs = [F(0)] * width
+        for _ in range(min(width, 1 + rng.randbelow(4))):
+            coeffs[rng.randbelow(width)] = RATIONALS[rng.randbelow(len(RATIONALS))]
+        pivot = rng.randbelow(n_pivots)
+        rhs = sum(c * s for c, s in zip(coeffs, planted)) + pivot_value[pivot]
+        rows.append(KernelRow(tuple(coeffs), F(rhs), width + 1 + pivot))
+    return KernelInstance(tuple(range(1, width + 1)), tuple(rows),
+                          width + n_pivots)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 11, 12, 13, 16, 20])
+def test_count_blocks_matches_flat_walk_on_rational_rows(width):
+    rng = SplitMix64(100 + width)
+    denominators = set()
+    for _ in range(2 if width >= 16 else 12):
+        kern = _planted_kernel(rng, width, n_rows=1 + rng.randbelow(6),
+                               n_pivots=1 + rng.randbelow(3))
+        denominators.update(kernel_module._scaled_rows(kern)[2])
+        assert _agreed_count(kern) > 0
+    assert width == 0 or max(denominators) > 1
+
+
+@pytest.mark.parametrize("width", [0, 1, 11, 12, 13, 20])
+def test_count_blocks_matches_flat_walk_at_block_edges(width):
+    kernels = [KernelInstance(tuple(range(1, width + 1)), (), width)]
+    if width >= 2:  # fixed-rank needs nullity in [2, 2 * rank]
+        kernels.append(_gauss_kernel(gen_fixed_rank(width + width, width)))
+    if 2 <= width <= 13:
+        rank = -(-width // 2)
+        kernels.append(_gauss_kernel(gen_fixed_rank(rank + width, rank)))
+    for kern in kernels:
+        assert kern.width == width
+        _agreed_count(kern)
+
+
+def test_count_blocks_capacity_error_matches_flat_walk():
+    kern = _gauss_kernel(gen_partition(9))
+    assert kern.width == 6
+    with pytest.raises(CapacityError) as flat:
+        count_kernel(kern, max_free=5)
+    with pytest.raises(CapacityError) as blocks:
+        count_blocks(kern, max_free=5)
+    assert str(blocks.value) == str(flat.value)
+    assert count_blocks(kern, max_free=6) == 27
