@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -69,10 +68,6 @@ def _load_positive(path: str) -> tuple[XsatFormula,
     return f, traces
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def cmd_solve(args) -> int:
     f, _ = _load_positive(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
@@ -99,9 +94,9 @@ def cmd_kernel(args) -> int:
     kern = build_kernel(f, args.method).kernel
     print(f"p ipe {kern.width} {len(kern.rows)}")
     for row in kern.rows:
-        coeffs = " ".join(_frac_str(c) for c in row.coeffs)
-        line = f"{coeffs} = {_frac_str(row.rhs)}" if kern.width else f"= {_frac_str(row.rhs)}"
-        print(line)
+        coeffs = " ".join(str(Fraction(c, row.den)) for c in row.coeffs)
+        rhs = Fraction(row.rhs, row.den)
+        print(f"{coeffs} = {rhs}" if kern.width else f"= {rhs}")
     return EXIT_OK
 
 
@@ -178,8 +173,9 @@ def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE,
 
 def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
                    max_free: int) -> BenchRow:
-    rep = solve(f, method=method, max_free=max_free)
-    kern = build_kernel(f, method).kernel
+    built = build_kernel(f, method)
+    rep = solve(f, method=method, max_free=max_free, built=built)
+    kern = built.kernel
     count, enum_s = timed_enumeration(kern, max_free=max_free)
     lo, hi = size_bounds(f.num_vars)
     return BenchRow(
@@ -259,6 +255,9 @@ def cmd_bench(args) -> int:
 
     results: list[tuple] = []
     if jobs > 1:
+        # imported here: it is about a quarter of this module's cold import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_bench_cell, cells):
                 results.extend(chunk)
@@ -315,13 +314,13 @@ def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     walk ``count_kernel`` against the block walk ``count_blocks`` on each
     method's own kernel.
     """
-    g = solve(f, method="gauss", max_free=max_free).count
-    s = solve(f, method="subst", max_free=max_free).count
+    builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
+    g, s = (solve(f, method=method, max_free=max_free, built=built).count
+            for method, built in builds.items())
     n = naive_count(f)
     if not g == s == n:
         return f"gauss={g} subst={s} oracle={n}"
-    for method in ("gauss", "subst"):
-        built = build_kernel(f, method)
+    for method, built in builds.items():
         if built.inconsistent:
             continue
         walk = count_kernel(built.kernel, max_free=max_free)[0]
@@ -462,8 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built on the first call of main and reused: parsing leaves it unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

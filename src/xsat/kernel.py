@@ -2,20 +2,22 @@
 
 After elimination (or substitution) every pivot variable is an affine
 function of the free variables.  A free assignment s extends to a model
-exactly when every row's residual ``rhs - sum(coeff * s)`` lands in {0, 1};
-the residual then IS the pivot variable's value, so counting admissible
-free assignments counts models, with no separate back-substitution pass.
+exactly when every row's residual lands in {0, 1}; the residual then IS
+the pivot variable's value, so counting admissible free assignments counts
+models, with no separate back-substitution pass.
 
-Rows are scaled to integers beforehand, so the residual test becomes
-membership in {0, D}.  Two counters apply the same rule and give the same
-count.  ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code
-order, one bit flip and one addition per touched row per step.  It alone
-lists witnesses and takes a ``prefix`` of fixed free bits (per-prefix
-counts add up to the full count bit for bit), and it is the walk that
-criterion 8 and ``xsat bench`` time.  ``count_blocks`` Gray-walks only the
-free bits above BLOCK_BITS and accepts all 2^BLOCK_BITS low assignments
-of a step at once, as bits of one Python int per row; ``solve`` counts
-with it whenever no witnesses are wanted.
+Kernel rows are integer: coefficients, a rhs and one positive denominator
+D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
+An RREF row is primitive, so its D is its pivot entry; a substitution row
+has D = 1.  Two counters apply the same rule to the rows as they are and
+give the same count.  ``count_kernel`` is the flat walk: it visits
+{0,1}^d in Gray-code order, one bit flip and one addition per touched row
+per step.  It alone lists witnesses and takes a ``prefix`` of fixed free
+bits (per-prefix counts add up to the full count bit for bit), and it is
+the walk that criterion 8 and ``xsat bench`` time.  ``count_blocks``
+Gray-walks only the free bits above BLOCK_BITS and accepts all
+2^BLOCK_BITS low assignments of a step at once, as bits of one Python int
+per row; ``solve`` counts with it whenever no witnesses are wanted.
 """
 
 from __future__ import annotations
@@ -35,9 +37,15 @@ DEFAULT_WITNESS_CAP = 1000
 
 @dataclass(frozen=True)
 class KernelRow:
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    """``den * pivot_var = rhs - sum(coeffs * s)`` over the free variables s.
+
+    A free assignment suits the row when the residual is 0 or ``den``.
+    """
+
+    coeffs: tuple[int, ...]
+    rhs: int
     pivot_var: int
+    den: int = 1
 
 
 @dataclass(frozen=True)
@@ -75,16 +83,18 @@ class SolveReport:
 
 
 def extract_kernel(rref: RrefResult) -> KernelInstance:
-    """Free-column entries of each pivot row, rhs from the augmented column."""
+    """Free-column entries of each pivot row, rhs from the augmented column,
+    and the pivot entry as the row's denominator."""
     free_cols = rref.free_cols
     var_of_col = rref.matrix.var_of_col
     n_vars = rref.matrix.num_vars
     rows = []
-    for row, pivot_col in zip(rref.matrix.entries, rref.pivot_cols):
+    for row, pivot_col in zip(rref.matrix.rows, rref.pivot_cols):
         rows.append(KernelRow(
-            coeffs=tuple(row[c] for c in free_cols),
-            rhs=row[n_vars],
+            coeffs=tuple(row.get(c, 0) for c in free_cols),
+            rhs=row.get(n_vars, 0),
             pivot_var=var_of_col[pivot_col],
+            den=row[pivot_col],
         ))
     return KernelInstance(
         free_vars=tuple(var_of_col[c] for c in free_cols),
@@ -97,29 +107,18 @@ def kernel_from_substitution(state: SubstitutionState) -> KernelInstance:
     """Rewrite fixpoint constraints into kernel rows.
 
     A constraint lhs = const + sum(c * v) becomes a row with pivot lhs,
-    coefficients -c on the free side and rhs const, matching the residual
-    convention above.
+    coefficients -c on the free side, rhs const and denominator 1, matching
+    the residual convention above.
     """
     free_vars = tuple(sorted(state.dependent))
     col_of = {v: i for i, v in enumerate(free_vars)}
     rows = []
     for con in state.constraints:
-        coeffs = [Fraction(0)] * len(free_vars)
+        coeffs = [0] * len(free_vars)
         for v, c in con.coeffs:
-            coeffs[col_of[v]] = Fraction(-c)
-        rows.append(KernelRow(tuple(coeffs), Fraction(con.const), con.lhs))
+            coeffs[col_of[v]] = -c
+        rows.append(KernelRow(tuple(coeffs), con.const, con.lhs))
     return KernelInstance(free_vars, tuple(rows), state.num_vars)
-
-
-def _scaled_rows(kern: KernelInstance) -> tuple[list[list[int]], list[int], list[int]]:
-    """Clear denominators row by row; residual test becomes v in {0, D}."""
-    coeffs, rhs, dens = [], [], []
-    for row in kern.rows:
-        den = math.lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
-        coeffs.append([c.numerator * (den // c.denominator) for c in row.coeffs])
-        rhs.append(row.rhs.numerator * (den // row.rhs.denominator))
-        dens.append(den)
-    return coeffs, rhs, dens
 
 
 def _check_width(d: int, max_free: int):
@@ -148,7 +147,9 @@ def count_kernel(
     if len(prefix) > d:
         raise ValueError("prefix longer than the free variable list")
 
-    coeffs, rhs, dens = _scaled_rows(kern)
+    coeffs = [row.coeffs for row in kern.rows]
+    rhs = [row.rhs for row in kern.rows]
+    dens = [row.den for row in kern.rows]
     n_rows = len(kern.rows)
 
     # rows grouped by pivot variable; groups of size > 1 are filters
@@ -238,7 +239,7 @@ def count_kernel(
 BLOCK_BITS = 12
 
 
-def _low_tables(coeffs: list[list[int]], low: int) -> tuple[int, list[dict[int, int]]]:
+def _low_tables(coeffs: list[tuple[int, ...]], low: int) -> tuple[int, list[dict[int, int]]]:
     """Per row, map each sum of its first ``low`` coefficients to its block.
 
     Bit j of a block stands for the low assignment whose bit p is free bit
@@ -269,7 +270,7 @@ def _low_tables(coeffs: list[list[int]], low: int) -> tuple[int, list[dict[int, 
 def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
     """Count admissible free assignments 2^BLOCK_BITS at a time.
 
-    Same scaled rows, acceptance rule and count as :func:`count_kernel`.
+    Same rows, acceptance rule and count as :func:`count_kernel`.
     The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated per
     row by :func:`_low_tables`; the high bits are Gray-walked, keeping each
     row's residual ``t`` after the high part.  A row accepts the block
@@ -278,7 +279,9 @@ def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
     """
     d = kern.width
     _check_width(d, max_free)
-    coeffs, res, dens = _scaled_rows(kern)
+    coeffs = [row.coeffs for row in kern.rows]
+    res = [row.rhs for row in kern.rows]
+    dens = [row.den for row in kern.rows]
     low = min(d, BLOCK_BITS)
     full, tables = _low_tables(coeffs, low)
     by_pivot: dict[int, list[int]] = {}
@@ -342,7 +345,9 @@ class KernelBuild:
     """A kernel with the rank, nullity and consistency of its system.
 
     ``state`` is the substitution fixpoint under ``method="subst"`` and None
-    under ``"gauss"``; ``encode_s`` is the time spent encoding the clauses.
+    under ``"gauss"``.  ``encode_s`` is the time spent encoding the clauses
+    and ``eliminate_s`` the rest of the build: elimination or rewriting,
+    then extraction.
     """
 
     kernel: KernelInstance
@@ -351,6 +356,7 @@ class KernelBuild:
     inconsistent: bool
     state: SubstitutionState | None
     encode_s: float
+    eliminate_s: float
 
 
 def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
@@ -363,15 +369,17 @@ def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
         system = encode_sys(f)
         t1 = time.perf_counter()
         rref = gauss_jordan(system)
-        return KernelBuild(extract_kernel(rref), rref.rank, rref.nullity,
-                           rref.inconsistent, None, t1 - t0)
+        kern = extract_kernel(rref)
+        return KernelBuild(kern, rref.rank, rref.nullity, rref.inconsistent,
+                           None, t1 - t0, time.perf_counter() - t1)
     if method == "subst":
         start = initial_state(f)
         t1 = time.perf_counter()
         state = substitute(start)
         rank, nullity = rank_of_subst(state)
-        return KernelBuild(kernel_from_substitution(state), rank, nullity,
-                           state.inconsistent, state, t1 - t0)
+        kern = kernel_from_substitution(state)
+        return KernelBuild(kern, rank, nullity, state.inconsistent, state,
+                           t1 - t0, time.perf_counter() - t1)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -381,11 +389,16 @@ def solve(
     max_free: int = DEFAULT_MAX_FREE,
     want_witnesses: bool = False,
     witness_cap: int = DEFAULT_WITNESS_CAP,
+    built: KernelBuild | None = None,
 ) -> SolveReport:
-    """Full pipeline: encode, eliminate (or substitute), extract, count."""
+    """Full pipeline: encode, eliminate (or substitute), extract, count.
+
+    ``built``, when given, is ``build_kernel(f, method)`` already done; its
+    recorded build times stand in for building again.
+    """
     check_valid(f)
-    t0 = time.perf_counter()
-    built = build_kernel(f, method)
+    if built is None:
+        built = build_kernel(f, method)
     kern = built.kernel
     t1 = time.perf_counter()
 
@@ -407,7 +420,7 @@ def solve(
     bits = repr_size(kern, profile)
     t3 = time.perf_counter()
 
-    encode_us = round(built.encode_s * 1e6)
+    build_s = built.encode_s + built.eliminate_s
     return SolveReport(
         sat=count > 0,
         count=count,
@@ -417,8 +430,8 @@ def solve(
         kernel_clauses=len(kern.rows),
         repr_size_bits=bits,
         method=method,
-        elapsed_ms=round((t3 - t0) * 1000),
-        phase_us=(encode_us, round((t1 - t0) * 1e6) - encode_us,
+        elapsed_ms=round((build_s + t3 - t1) * 1000),
+        phase_us=(round(built.encode_s * 1e6), round(built.eliminate_s * 1e6),
                   round((t2 - t1) * 1e6)),
         witnesses=wit,
     )

@@ -1,10 +1,15 @@
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xsat
 from xsat import count_blocks, parse_xsat, naive_count, solve
 from xsat import cli
+from xsat import kernel as kernel_module
 from xsat.cli import (
     EXIT_CAPACITY,
     EXIT_DISAGREE,
@@ -158,6 +163,25 @@ def test_kernel_output_rational_rhs(unsat_file, capsys):
     assert lines[1:] == ["= 1/3"] * 4
 
 
+# gauss rows with pivot entry 2: every coefficient and rhs is a half
+HALVES = "p xsat+ 6 3\n1 2 6 0\n1 3 4 0\n2 3 5 0\n"
+HALVES_KERNEL = {
+    "gauss": ["p ipe 3 3", "1/2 -1/2 1/2 = 1/2", "-1/2 1/2 1/2 = 1/2",
+              "1/2 1/2 -1/2 = 1/2"],
+    "subst": ["p ipe 4 3", "-1 0 -1 1 = 0", "1 1 0 0 = 1", "1 0 1 0 = 1"],
+}
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_kernel_output_half_integer_rows(tmp_path, capsys, method):
+    p = tmp_path / "halves.xsat"
+    p.write_text(HALVES)
+    assert main(["kernel", "--input", str(p), "--method", method]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == HALVES_KERNEL[method]
+    assert main(["count", "--input", str(p), "--method", method]) == EXIT_OK
+    assert capsys.readouterr().out == "4\n"
+
+
 def test_reduce_chain(cnf_file, capsys):
     assert main(["reduce", "--input", cnf_file]) == EXIT_OK
     out = capsys.readouterr().out
@@ -281,6 +305,48 @@ def test_bench_parallel_cells_match_sequential(tmp_path):
                 for row in rows]
 
     assert stable(seq) == stable(par)
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_bench_builds_each_kernel_once(tmp_path, monkeypatch, method):
+    built = []
+    real = kernel_module.build_kernel
+
+    def spy(f, method):
+        built.append(f)
+        return real(f, method)
+
+    monkeypatch.setattr(cli, "build_kernel", spy)
+    monkeypatch.setattr(kernel_module, "build_kernel", spy)
+    out = tmp_path / "rows.txt"
+    assert main(["bench", "--r-range", "6..8", "--kappa", "1/2,1",
+                 "--method", method, "--out", str(out)]) == EXIT_OK
+    rows = [l for l in out.read_text().splitlines() if l.startswith("r=")]
+    assert len(rows) >= 3 and len(built) == len(rows)
+
+
+def test_parser_is_built_once_and_keeps_no_state(six_var_file, monkeypatch,
+                                                 capsys):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["solve", "--witnesses", "5", "--input", six_var_file]) == EXIT_SAT
+    first = capsys.readouterr().out.splitlines()
+    assert sum(l.startswith("w ") for l in first) == 3
+    assert main(["solve", "--input", six_var_file]) == EXIT_SAT
+    second = capsys.readouterr().out.splitlines()
+    assert second == [l for l in first if not l.startswith("w ")]
+    assert calls == [1]
+
+
+def test_import_leaves_process_pools_out():
+    src = Path(xsat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, xsat.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_fit_slope():

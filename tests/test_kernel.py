@@ -301,6 +301,34 @@ def test_solve_elapsed_covers_the_repr_size_pass(six_var, monkeypatch):
     assert sum(rep.phase_us) < 50_000
 
 
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+@pytest.mark.parametrize("witnesses", [False, True])
+def test_solve_constructs_no_fraction(six_var, dense_unsat, monkeypatch,
+                                      method, witnesses):
+    # the route from clauses to counts is integer from end to end
+    halves = XsatFormula(6, ((1, 2, 6), (1, 3, 4), (2, 3, 5)))
+    formulas = [six_var, dense_unsat, halves, gen_fib_chain(7),
+                gen_random(GenSpec(r=15, k=9, seed=5))]
+    expected = [naive_count(f) for f in formulas]
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic skips __new__
+        real_coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, n, d: made.append((n, d)) or real_coprime(cls, n, d)))
+    counts = [solve(f, method=method, want_witnesses=witnesses).count
+              for f in formulas]
+    monkeypatch.undo()
+    assert counts == expected
+    assert made == []
+
+
 def test_enumeration_cost_tracks_free_vars_not_total_vars():
     # same nullity, four more total variables: were enumeration exponential
     # in r the ratio would be 16x; tracking only the free side keeps it small
@@ -367,7 +395,8 @@ RATIONALS = (F(1, 3), F(-2, 3), F(1, 2), F(-3, 2), F(5, 6), F(-1), F(2))
 
 def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int) -> KernelInstance:
     """Sparse rational rows, some sharing a pivot, that admit a planted
-    assignment.
+    assignment; each is scaled to an integer row by the lcm D of its
+    denominators.
 
     Each row's rhs is its planted partial sum plus its pivot's planted
     value, so at the planted assignment every row's residual is its
@@ -382,7 +411,9 @@ def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int) -> KernelInstan
             coeffs[rng.randbelow(width)] = RATIONALS[rng.randbelow(len(RATIONALS))]
         pivot = rng.randbelow(n_pivots)
         rhs = sum(c * s for c, s in zip(coeffs, planted)) + pivot_value[pivot]
-        rows.append(KernelRow(tuple(coeffs), F(rhs), width + 1 + pivot))
+        den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        rows.append(KernelRow(tuple(int(c * den) for c in coeffs),
+                              int(rhs * den), width + 1 + pivot, den))
     return KernelInstance(tuple(range(1, width + 1)), tuple(rows),
                           width + n_pivots)
 
@@ -394,7 +425,7 @@ def test_count_blocks_matches_flat_walk_on_rational_rows(width):
     for _ in range(2 if width >= 16 else 12):
         kern = _planted_kernel(rng, width, n_rows=1 + rng.randbelow(6),
                                n_pivots=1 + rng.randbelow(3))
-        denominators.update(kernel_module._scaled_rows(kern)[2])
+        denominators.update(row.den for row in kern.rows)
         assert _agreed_count(kern) > 0
     assert width == 0 or max(denominators) > 1
 

@@ -1,10 +1,14 @@
 """Property tests over small formulas with negations and bottom.
 
 Every method and every counter must give the oracle's count through the
-reduction chain, and the text format must round-trip.  Settings are fixed
+reduction chain, the text format must round-trip, and the integer
+elimination must agree with a dense rational one.  Settings are fixed
 (derandomized, no deadline, a bounded number of examples), so the run is
 the same every time.
 """
+
+import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,9 @@ from xsat import (
     XsatFormula,
     count_blocks,
     count_kernel,
+    encode_sys,
+    extract_kernel,
+    gauss_jordan,
     naive_count,
     naive_count_cnf,
     parse_xsat,
@@ -24,6 +31,8 @@ from xsat import (
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
+
+from test_linsys import dense_gauss_jordan
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=120,
                  database=None)
@@ -55,6 +64,16 @@ def xsat_formulas(draw) -> XsatFormula:
     n, clauses = _compact(clauses)
     distinct = dict.fromkeys(canonical_triple(c) for c in clauses)
     return XsatFormula(n, tuple(distinct), positive=False)
+
+
+@st.composite
+def positive_systems(draw) -> XsatFormula:
+    """Positive clauses over 3 to 9 variables, coverage not required, up to
+    11 of them (so rank deficits and rational inconsistency occur)."""
+    n = draw(st.integers(3, 9))
+    clauses = draw(st.lists(clause(n, allow_bottom=True), min_size=1,
+                            max_size=11))
+    return XsatFormula(n, tuple(tuple(abs(l) for l in c) for c in clauses))
 
 
 @st.composite
@@ -94,3 +113,20 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
 @given(xsat_formulas())
 def test_serialize_parse_round_trip(f):
     assert parse_xsat(serialize_xsat(f)) == f
+
+
+@FIXED
+@given(positive_systems())
+def test_integer_elimination_matches_rational_elimination(f):
+    system = encode_sys(f)
+    rref = gauss_jordan(system)
+    dense = dense_gauss_jordan(system)
+    assert rref == dense
+    kern = extract_kernel(rref)
+    assert len(kern.rows) == dense.rank
+    for row, rational in zip(kern.rows, dense.matrix.entries):
+        # D is the least common denominator of the rational row
+        assert row.den > 0 and math.gcd(row.den, row.rhs, *row.coeffs) == 1
+        assert [Fraction(c, row.den) for c in row.coeffs] == [
+            rational[c] for c in dense.free_cols]
+        assert Fraction(row.rhs, row.den) == rational[f.num_vars]
