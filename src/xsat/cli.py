@@ -224,25 +224,22 @@ def fit_slope(points: list[tuple[float, float]]) -> float | None:
     return sxy / sxx
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi or lo)
-
-
 def cmd_bench(args) -> int:
-    jobs = args.jobs or int(os.environ.get("XSAT_JOBS", "1"))
+    try:
+        jobs = args.jobs or int(os.environ.get("XSAT_JOBS", "1"))
+    except ValueError as exc:
+        raise XsatError(f"XSAT_JOBS: {exc}") from None
     cells = []
     skipped_cells = []
     if args.family == "fixed-rank":
-        lo, hi = _parse_range(args.nullity_range)
+        lo, hi = args.nullity_range
         for eta_bar in range(lo, hi + 1):
             cells.append((args.rank + eta_bar, args.rank, (args.seed,),
                           "fixed-rank", args.method, args.max_free))
     else:
-        r_lo, r_hi = _parse_range(args.r_range)
-        kappas = [Fraction(t) for t in args.kappa.split(",")]
+        r_lo, r_hi = args.r_range
         for r in range(r_lo, r_hi + 1):
-            for kap in kappas:
+            for kap in args.kappa:
                 k = kap * r
                 if k.denominator != 1:
                     skipped_cells.append(
@@ -383,14 +380,33 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+def _checked(parse, what: str):
+    """An argparse ``type=`` that turns a failed ``parse`` into a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+    return convert
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(text)
+        return int(text)
+    return _checked(parse, f"an integer >= {low}")
+
+
+def _int_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("..")
+    return int(lo), int(hi or lo)
+
+
+_nonnegative = _at_least(0)
+_range = _checked(_int_range, "a range LO..HI")
+_fractions = _checked(lambda text: [Fraction(t) for t in text.split(",")],
+                      "a comma-separated list of fractions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("bench", help="sweep ensembles and record measurements")
-    sp.add_argument("--r-range", default="6..15")
-    sp.add_argument("--kappa", default="1/3,1/2,2/3,1")
+    sp.add_argument("--r-range", type=_range, default="6..15")
+    sp.add_argument("--kappa", type=_fractions, default="1/3,1/2,2/3,1")
     sp.add_argument("--per-cell", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -442,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="random")
     sp.add_argument("--rank", type=int, default=11,
                     help="row rank for the fixed-rank family")
-    sp.add_argument("--nullity-range", default="12..22",
+    sp.add_argument("--nullity-range", type=_range, default="12..22",
                     help="eta-bar sweep for the fixed-rank family")
     sp.add_argument("--jobs", type=int, default=0,
                     help="parallel cells (default: XSAT_JOBS or 1)")
@@ -452,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check methods, counters and oracle")
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--r-max", type=int, default=18)
+    sp.add_argument("--r-max", type=_at_least(6), default=18)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--max-free", type=_nonnegative,

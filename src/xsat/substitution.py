@@ -2,12 +2,16 @@
 
 Each positive clause is first put in normal form: solve for its lowest
 variable, so {p2, p5, p6} reads p2 = 1 - p5 - p6.  Constraints are sorted
-ascending by their solved variable, then rewritten to a fixpoint: whenever
-some constraint's solved variable occurs in another constraint's body, the
-occurrence is replaced by the defining right-hand side and the result is
+ascending by their solved variable, then rewritten to a fixpoint by one
+back-substitution pass from the last constraint to the first: each
+occurrence of a solved variable in a constraint's body is replaced by the
+right-hand side of the last constraint solved for it, and the result is
 normalized (like terms combined, constants folded, zero coefficients
-dropped).  Body coefficients are signed integers; chains of rewrites
-produce coefficients other than -1, including cancellations.
+dropped).  Every body variable lies above its constraint's solved variable,
+so that source sits later in the order and has already been rewritten: its
+body holds no solved variable, a replacement never brings one in, and one
+pass reaches the fixpoint.  Body coefficients are signed integers; chains
+of rewrites produce coefficients other than -1, including cancellations.
 
 At the fixpoint the solved variables form the independent set N and the
 remaining variables the dependent set; enumeration only ever needs to
@@ -36,7 +40,7 @@ class DegenerateClauseError(XsatError):
 
 
 class ContractError(XsatError):
-    """Operation requires a fixpoint state."""
+    """A state is not a fixpoint, or not in the order an operation needs."""
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,9 @@ def _make_state(num_vars: int, cons: list[LinearConstraint]) -> SubstitutionStat
     independent = frozenset(c.lhs for c in cons)
     dependent = frozenset(range(1, num_vars + 1)) - independent
     fixpoint = all(v not in independent for c in cons for v, _ in c.coeffs)
-    by_lhs: dict[int, list[LinearConstraint]] = {}
-    for c in cons:
-        by_lhs.setdefault(c.lhs, []).append(c)
-    inconsistent = any(
-        a.coeffs == b.coeffs and a.const != b.const
-        for group in by_lhs.values()
-        for i, a in enumerate(group)
-        for b in group[i + 1:])
+    # some two constraints share solved variable and body but not constant
+    inconsistent = (len({(c.lhs, c.coeffs, c.const) for c in cons})
+                    > len({(c.lhs, c.coeffs) for c in cons}))
     return SubstitutionState(num_vars, tuple(cons), independent, dependent,
                              fixpoint, inconsistent)
 
@@ -118,64 +117,48 @@ def initial_state(f: XsatFormula) -> SubstitutionState:
     return _make_state(f.num_vars, cons)
 
 
-def _sweep(cons: list[dict]) -> int:
-    """One full rewrite pass, highest-index source first; returns the number
-    of elementary substitutions performed."""
-    performed = 0
-    n = len(cons)
-    for i in range(n - 1, -1, -1):
-        src = cons[i]
-        for j in range(n - 1, -1, -1):
-            if j == i:
-                continue
-            tgt = cons[j]
-            g = tgt["coeffs"].get(src["lhs"], 0)
-            if g == 0:
-                continue
-            del tgt["coeffs"][src["lhs"]]
-            tgt["const"] += g * src["const"]
-            for v, c in src["coeffs"].items():
-                nv = tgt["coeffs"].get(v, 0) + g * c
-                if nv:
-                    tgt["coeffs"][v] = nv
-                else:
-                    tgt["coeffs"].pop(v, None)
-            m = tgt["expansion"].pop(src["lhs"], 0)
-            if m:
-                for v, c in src["expansion"].items():
-                    tgt["expansion"][v] = tgt["expansion"].get(v, 0) + m * c
-            performed += 1
-    return performed
-
-
 def substitute(state: SubstitutionState) -> SubstitutionState:
-    """Rewrite to a fixpoint; idempotent and solution-set preserving.
+    """Rewrite to a fixpoint in one back-substitution pass; idempotent.
 
     Every elementary step subtracts one constraint from another, so the
-    integer solution set never changes.  With constraints sorted ascending
-    by solved variable, one highest-source-first pass already reaches the
-    fixpoint; passes repeat until nothing changes, bounded by the
-    constraint count, and exceeding the bound is an internal error.
+    integer solution set never changes.  Requires constraints sorted
+    ascending by solved variable and every body variable above its
+    constraint's solved variable (``ContractError`` otherwise): then the
+    last constraint solved for a body variable sits later in the order and
+    is already rewritten when it is read, so one pass is exact.
     """
-    lhss = [c.lhs for c in state.constraints]
+    cons = state.constraints
+    lhss = [c.lhs for c in cons]
     if lhss != sorted(lhss):
         raise ContractError("constraints must be sorted ascending by solved variable")
-    cons = [
-        {"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs),
-         "expansion": dict(c.expansion)}
-        for c in state.constraints
-    ]
-    for _ in range(len(cons) + 1):
-        if _sweep(cons) == 0:
-            break
-    else:
+    if any(v <= c.lhs for c in cons for v, _ in c.coeffs):
+        raise ContractError("every body variable must lie above its solved variable")
+    last: dict[int, LinearConstraint] = {}  # solved variable -> its last constraint
+    out = list(cons)
+    for j in range(len(out) - 1, -1, -1):
+        c = out[j]
+        const, coeffs, expansion = c.const, dict(c.coeffs), dict(c.expansion)
+        for v, g in c.coeffs:
+            src = last.get(v)
+            if src is None:
+                continue
+            del coeffs[v]
+            const += g * src.const
+            for w, a in src.coeffs:
+                nw = coeffs.pop(w, 0) + g * a
+                if nw:
+                    coeffs[w] = nw
+            m = expansion.pop(v, 0)
+            if m:
+                for w, n in src.expansion:
+                    expansion[w] = expansion.get(w, 0) + m * n
+        c = out[j] = LinearConstraint(c.lhs, const, _freeze(coeffs),
+                                      _freeze(expansion))
+        last.setdefault(c.lhs, c)
+    result = _make_state(state.num_vars, out)
+    if not result.fixpoint:
         raise AssertionError("substitution failed to reach a fixpoint")
-    out = [
-        LinearConstraint(c["lhs"], c["const"], _freeze(c["coeffs"]),
-                         _freeze(c["expansion"]))
-        for c in cons
-    ]
-    return _make_state(state.num_vars, out)
+    return result
 
 
 def _require_fixpoint(state: SubstitutionState):

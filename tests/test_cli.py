@@ -130,6 +130,32 @@ def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
     assert err.startswith("usage:") and f"argument {flag}" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--r-range", "abc"], "--r-range"),
+    (["bench", "--family", "fixed-rank", "--nullity-range", "3..x"],
+     "--nullity-range"),
+    (["bench", "--kappa", "x"], "--kappa"),
+    (["bench", "--kappa", "1/0"], "--kappa"),
+    (["verify", "--r-max", "2"], "--r-max"),
+    (["verify", "--r-max", "x"], "--r-max"),
+])
+def test_malformed_sweep_arguments_rejected_by_argparse(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}" in err
+
+
+def test_non_integer_xsat_jobs_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("XSAT_JOBS", "abc")
+    assert main(["bench", "--r-range", "6..6"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "XSAT_JOBS" in captured.err
+
+
 def test_count_subcommand(six_var_file, capsys):
     assert main(["count", "--input", six_var_file]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "3"

@@ -1,8 +1,9 @@
 """Property tests over small formulas with negations and bottom.
 
 Every method and every counter must give the oracle's count through the
-reduction chain, the text format must round-trip, and the integer
-elimination must agree with a dense rational one.  Settings are fixed
+reduction chain, the text format must round-trip, the integer elimination
+must agree with a dense rational one, and the one-pass rewrite must agree
+with the repeated sweep and be idempotent.  Settings are fixed
 (derandomized, no deadline, a bounded number of examples), so the run is
 the same every time.
 """
@@ -31,8 +32,10 @@ from xsat import (
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
+from xsat.substitution import initial_state, substitute
 
 from test_linsys import dense_gauss_jordan
+from test_substitution import sweep_to_fixpoint
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=120,
                  database=None)
@@ -107,6 +110,16 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
     xsat, _ = reduce_cnf_to_xsat(f)
     positive, _ = reduce_xsat_to_positive(xsat)
     _assert_every_counter_counts(positive, naive_count_cnf(f))
+
+
+@FIXED
+@given(xsat_formulas())
+def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
+    positive, _ = reduce_xsat_to_positive(f)
+    start = initial_state(positive)
+    once = substitute(start)
+    assert once == sweep_to_fixpoint(start)
+    assert substitute(once) == once
 
 
 @FIXED

@@ -1,20 +1,101 @@
+import random
+
 import pytest
 
 from xsat import BOTTOM, EncodingError, XsatFormula, rank_of
-from xsat.generator import GenSpec, SplitMix64, gen_partition, gen_random
+from xsat.generator import (
+    GenSpec,
+    SplitMix64,
+    gen_fib_chain,
+    gen_fixed_rank,
+    gen_partition,
+    gen_random,
+)
 from xsat.oracle import naive_models
 from xsat.substitution import (
     ContractError,
     DegenerateClauseError,
     LinearConstraint,
+    SubstitutionState,
+    _freeze,
     _make_state,
-    _sweep,
     expansion_profile,
     initial_state,
     normalize_clause,
     rank_of_subst,
     substitute,
 )
+
+from test_acceptance import ensemble
+
+
+def _sweep(cons: list[dict]) -> int:
+    """One full rewrite pass, highest-index source first; returns the number
+    of elementary substitutions performed."""
+    performed = 0
+    n = len(cons)
+    for i in range(n - 1, -1, -1):
+        src = cons[i]
+        for j in range(n - 1, -1, -1):
+            if j == i:
+                continue
+            tgt = cons[j]
+            g = tgt["coeffs"].get(src["lhs"], 0)
+            if g == 0:
+                continue
+            del tgt["coeffs"][src["lhs"]]
+            tgt["const"] += g * src["const"]
+            for v, c in src["coeffs"].items():
+                nv = tgt["coeffs"].get(v, 0) + g * c
+                if nv:
+                    tgt["coeffs"][v] = nv
+                else:
+                    tgt["coeffs"].pop(v, None)
+            m = tgt["expansion"].pop(src["lhs"], 0)
+            if m:
+                for v, c in src["expansion"].items():
+                    tgt["expansion"][v] = tgt["expansion"].get(v, 0) + m * c
+            performed += 1
+    return performed
+
+
+def sweep_to_fixpoint(state: SubstitutionState) -> SubstitutionState:
+    """Reference rewrite: every constraint against every other, sweeps
+    repeated until one changes nothing (the former ``substitute``)."""
+    lhss = [c.lhs for c in state.constraints]
+    if lhss != sorted(lhss):
+        raise ContractError("constraints must be sorted ascending by solved variable")
+    cons = [
+        {"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs),
+         "expansion": dict(c.expansion)}
+        for c in state.constraints
+    ]
+    for _ in range(len(cons) + 1):
+        if _sweep(cons) == 0:
+            break
+    else:
+        raise AssertionError("substitution failed to reach a fixpoint")
+    out = [
+        LinearConstraint(c["lhs"], c["const"], _freeze(c["coeffs"]),
+                         _freeze(c["expansion"]))
+        for c in cons
+    ]
+    return _make_state(state.num_vars, out)
+
+
+def planted(r: int, k: int, rng: random.Random) -> XsatFormula:
+    """A shuffled partition into r/3 triples plus k - r/3 distinct extra
+    triples that each hold one planted-true variable; k > r is allowed."""
+    order = list(range(1, r + 1))
+    rng.shuffle(order)
+    parts = [tuple(sorted(order[i:i + 3])) for i in range(0, r, 3)]
+    true = [rng.choice(p) for p in parts]
+    false = sorted(set(order) - set(true))
+    clauses = set(parts)
+    while len(clauses) < k:
+        a, b = rng.sample(false, 2)
+        clauses.add(tuple(sorted((rng.choice(true), a, b))))
+    return XsatFormula(r, tuple(sorted(clauses)))
 
 
 def test_normalize_solves_for_lowest():
@@ -122,17 +203,42 @@ def test_fixpoint_invariant_no_solved_var_in_any_body():
         assert st.dependent == frozenset(range(1, r + 1)) - solved
 
 
-def test_sweep_is_quadratically_bounded():
-    rng = SplitMix64(9)
-    for trial in range(15):
-        r = 9 + rng.randbelow(4)
-        k = -(-r // 3) + rng.randbelow(5)
-        f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 800))
-        st = initial_state(f)
-        cons = [{"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs),
-                 "expansion": dict(c.expansion)} for c in st.constraints]
-        assert _sweep(cons) <= f.num_clauses ** 2
-        assert _sweep(cons) == 0  # second pass is a no-op
+def _assert_matches_reference(f: XsatFormula):
+    st = initial_state(f)
+    assert substitute(st) == sweep_to_fixpoint(st)
+
+
+def test_single_pass_matches_sweep_on_criterion2_ensemble():
+    for f in ensemble():
+        _assert_matches_reference(f)
+
+
+def test_single_pass_matches_sweep_on_structured_families(six_var):
+    for k in range(2, 12):
+        _assert_matches_reference(gen_fib_chain(k))
+    for r in (3, 6, 12, 30):
+        _assert_matches_reference(gen_partition(r))
+    for nullity in range(12, 23):
+        _assert_matches_reference(gen_fixed_rank(11 + nullity, 11))
+    # both of six_var's rewritten constraints are solved for variable 1
+    _assert_matches_reference(six_var)
+
+
+def test_single_pass_matches_sweep_on_planted_instances_with_k_above_r():
+    rng = random.Random(17)
+    for r, k in ((24, 30), (36, 48), (48, 64), (60, 80), (66, 66)):
+        for _ in range(3):
+            f = planted(r, k, rng)
+            assert f.num_clauses >= f.num_vars
+            _assert_matches_reference(f)
+
+
+def test_substitute_requires_body_above_solved_variable():
+    below = LinearConstraint(3, 1, ((2, -1), (4, -1)), ((2, 1), (4, 1)))
+    level = LinearConstraint(2, 1, ((2, -1), (5, -1)), ((2, 1), (5, 1)))
+    for con in (below, level):
+        with pytest.raises(ContractError):
+            substitute(_make_state(5, [con]))
 
 
 def test_substitute_requires_sorted_state(six_var):
