@@ -36,7 +36,7 @@ from .kernel import (
     size_bounds,
     solve,
 )
-from .oracle import naive_count
+from .oracle import ORACLE_CAP, naive_count, naive_models
 from .reductions import (
     ReductionTrace,
     reduce_cnf_to_xsat,
@@ -73,9 +73,8 @@ def cmd_solve(args) -> int:
     rep = solve(f, method=args.method, max_free=args.max_free,
                 want_witnesses=args.witnesses > 0, witness_cap=args.witnesses)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
-    if args.witnesses > 0 and rep.witnesses is not None:
-        for w in rep.witnesses[:args.witnesses]:
-            print("w " + "".join(str(b) for b in w))
+    for w in rep.witnesses or ():
+        print("w " + "".join(str(b) for b in w))
     if args.count:
         return EXIT_OK
     return EXIT_SAT if rep.sat else EXIT_UNSAT
@@ -161,7 +160,7 @@ def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE,
     reps = 0
     while reps < max_reps:
         t0 = time.perf_counter()
-        count, _ = count_kernel(kern, max_free=max_free)
+        count = count_kernel(kern, max_free=max_free)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
         spent += dt
@@ -307,23 +306,29 @@ def cmd_bench(args) -> int:
 def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     """Name the counts that differ, or None when every counter agrees.
 
-    Both methods are solved and checked against the oracle, and the flat
-    walk ``count_kernel`` against the block walk ``count_blocks`` on each
-    method's own kernel.
+    Both methods are solved and checked against the oracle.  On each
+    method's own consistent kernel the flat walk ``count_kernel`` is checked
+    against the block walk ``count_blocks``, and the witnesses ``solve``
+    lists against the oracle's models.
     """
-    builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
-    g, s = (solve(f, method=method, max_free=max_free, built=built).count
-            for method, built in builds.items())
     n = naive_count(f)
+    builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
+    reps = {method: solve(f, method=method, max_free=max_free, built=built,
+                          want_witnesses=True, witness_cap=n)
+            for method, built in builds.items()}
+    g, s = (rep.count for rep in reps.values())
     if not g == s == n:
         return f"gauss={g} subst={s} oracle={n}"
+    models = sorted(naive_models(f, ORACLE_CAP))
     for method, built in builds.items():
         if built.inconsistent:
             continue
-        walk = count_kernel(built.kernel, max_free=max_free)[0]
-        blocks = count_blocks(built.kernel, max_free=max_free)
+        walk = count_kernel(built.kernel, max_free=max_free)
+        blocks = count_blocks(built.kernel, max_free=max_free)[0]
         if walk != blocks:
             return f"{method} kernel: count_kernel={walk} count_blocks={blocks}"
+        if sorted(reps[method].witnesses) != models:
+            return f"{method} witnesses differ from the oracle's {n} models"
     return None
 
 
@@ -354,7 +359,7 @@ def shrink_disagreement(f: XsatFormula, max_free: int) -> XsatFormula:
 
 
 def cmd_verify(args) -> int:
-    if args.trials <= 0:
+    if args.trials == 0:
         print("c warning: 0 trials requested, nothing verified")
         return EXIT_OK
     rng = SplitMix64(args.seed)
@@ -374,7 +379,8 @@ def cmd_verify(args) -> int:
                   f"repro written to {path}")
             return EXIT_DISAGREE
     print(f"c verified: {args.trials} trials, all three counts agree, "
-          "and count_kernel = count_blocks on both kernels")
+          "count_kernel = count_blocks on both kernels, "
+          "and the witnesses are the oracle's models")
     return EXIT_OK
 
 
@@ -400,11 +406,14 @@ def _at_least(low: int):
 
 def _int_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi or lo)
+    if lo > hi:
+        raise ValueError(text)
+    return lo, hi
 
 
 _nonnegative = _at_least(0)
-_range = _checked(_int_range, "a range LO..HI")
+_range = _checked(_int_range, "a range LO..HI with LO <= HI")
 _fractions = _checked(lambda text: [Fraction(t) for t in text.split(",")],
                       "a comma-separated list of fractions")
 
@@ -424,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", action="store_true",
                     help="count mode: exit 0 instead of 10/20")
     sp.add_argument("--witnesses", type=_nonnegative, default=0, metavar="N",
-                    help="print up to N satisfying assignments")
+                    help="print every model when there are at most N")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("count", help="print the exact model count")
@@ -450,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="sweep ensembles and record measurements")
     sp.add_argument("--r-range", type=_range, default="6..15")
     sp.add_argument("--kappa", type=_fractions, default="1/3,1/2,2/3,1")
-    sp.add_argument("--per-cell", type=int, default=1)
+    sp.add_argument("--per-cell", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
@@ -460,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="row rank for the fixed-rank family")
     sp.add_argument("--nullity-range", type=_range, default="12..22",
                     help="eta-bar sweep for the fixed-rank family")
-    sp.add_argument("--jobs", type=int, default=0,
+    sp.add_argument("--jobs", type=_nonnegative, default=0,
                     help="parallel cells (default: XSAT_JOBS or 1)")
     sp.add_argument("--max-free", type=_nonnegative,
                     default=DEFAULT_MAX_FREE)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("verify", help="cross-check methods, counters and oracle")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_nonnegative, default=100)
     sp.add_argument("--r-max", type=_at_least(6), default=18)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")

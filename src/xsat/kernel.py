@@ -10,14 +10,14 @@ Kernel rows are integer: coefficients, a rhs and one positive denominator
 D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
 An RREF row is primitive, so its D is its pivot entry; a substitution row
 has D = 1.  Two counters apply the same rule to the rows as they are and
-give the same count.  ``count_kernel`` is the flat walk: it visits
-{0,1}^d in Gray-code order, one bit flip and one addition per touched row
-per step.  It alone lists witnesses and takes a ``prefix`` of fixed free
-bits (per-prefix counts add up to the full count bit for bit), and it is
-the walk that criterion 8 and ``xsat bench`` time.  ``count_blocks``
-Gray-walks only the free bits above BLOCK_BITS and accepts all
-2^BLOCK_BITS low assignments of a step at once, as bits of one Python int
-per row; ``solve`` counts with it whenever no witnesses are wanted.
+give the same count.  ``count_blocks`` Gray-walks only the free bits
+above BLOCK_BITS and accepts all 2^BLOCK_BITS low assignments of a step
+at once, as bits of one Python int per row; ``solve`` counts with it and
+reads the witnesses off its accepted bits, in the flat walk's order.
+``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
+one bit flip and one addition per touched row per step.  It only counts;
+it is the walk that criterion 8 and ``xsat bench`` time, and
+``xsat verify`` checks the two counters against each other.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ from fractions import Fraction
 
 from .formula import Assignment, CapacityError, XsatFormula, check_valid
 from .linsys import RrefResult, encode_sys, gauss_jordan
-from .substitution import SubstitutionState, initial_state, rank_of_subst, substitute
+from .substitution import (
+    SubstitutionState,
+    expansion_profile,
+    initial_state,
+    rank_of_subst,
+    substitute,
+)
 
 DEFAULT_MAX_FREE = 30
 DEFAULT_WITNESS_CAP = 1000
@@ -128,110 +134,45 @@ def _check_width(d: int, max_free: int):
             "raise the cap or sample through the bench harness")
 
 
-def count_kernel(
-    kern: KernelInstance,
-    max_free: int = DEFAULT_MAX_FREE,
-    want_witnesses: bool = False,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    prefix: tuple[int, ...] = (),
-) -> tuple[int, tuple[Assignment, ...] | None]:
-    """Count admissible free assignments; optionally collect the models.
+def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
+    """Count admissible free assignments, one Gray-code step at a time.
 
-    ``prefix`` pins the first free variables to fixed bits, which is the
-    partitioning hook: summing counts over all prefixes of a given length
-    reproduces the full count exactly.  Witnesses are returned only when
-    requested and the final count does not exceed ``witness_cap``.
+    Each step flips one free bit and updates the residual of every row that
+    reads it; ``bad`` counts the rows whose residual is neither 0 nor D.
     """
     d = kern.width
     _check_width(d, max_free)
-    if len(prefix) > d:
-        raise ValueError("prefix longer than the free variable list")
-
-    coeffs = [row.coeffs for row in kern.rows]
-    rhs = [row.rhs for row in kern.rows]
+    res = [row.rhs for row in kern.rows]
     dens = [row.den for row in kern.rows]
-    n_rows = len(kern.rows)
-
-    # rows grouped by pivot variable; groups of size > 1 are filters
-    group_of: dict[int, list[int]] = {}
+    by_pivot: dict[int, list[int]] = {}
     for i, row in enumerate(kern.rows):
-        group_of.setdefault(row.pivot_var, []).append(i)
-    multi_groups = [g for g in group_of.values() if len(g) > 1]
-
-    acc = [0] * n_rows
-    bits = 0
-    for pos, b in enumerate(prefix):
-        if b:
-            bits |= 1 << pos
-            for i in range(n_rows):
-                acc[i] += coeffs[i][pos]
-
-    # sparse per-position update lists for the Gray walk
-    tail = range(len(prefix), d)
-    flips = [[(i, coeffs[i][pos]) for i in range(n_rows) if coeffs[i][pos]]
-             for pos in tail]
-
-    ok = [0] * n_rows
-    bad = 0
-    for i in range(n_rows):
-        v = rhs[i] - acc[i]
-        ok[i] = 1 if (v == 0 or v == dens[i]) else 0
-        bad += 1 - ok[i]
+        by_pivot.setdefault(row.pivot_var, []).append(i)
+    # rows sharing a pivot are filters: all residuals 0 or all D
+    filters = [g for g in by_pivot.values() if len(g) > 1]
+    flips = [[(i, row.coeffs[pos]) for i, row in enumerate(kern.rows)
+              if row.coeffs[pos]] for pos in range(d)]
+    ok = [1 if v == 0 or v == den else 0 for v, den in zip(res, dens)]
+    bad = len(ok) - sum(ok)
 
     def consistent() -> bool:
-        for g in multi_groups:
-            first = rhs[g[0]] - acc[g[0]] != 0
-            for i in g[1:]:
-                if (rhs[i] - acc[i] != 0) != first:
-                    return False
-        return True
+        return all((res[i] != 0) == (res[g[0]] != 0)
+                   for g in filters for i in g[1:])
 
-    def witness() -> Assignment:
-        a = [0] * kern.origin_vars
-        for pos, v in enumerate(kern.free_vars):
-            a[v - 1] = (bits >> pos) & 1
-        for pivot, g in group_of.items():
-            i = g[0]
-            a[pivot - 1] = 1 if rhs[i] - acc[i] else 0
-        return tuple(a)
-
-    count = 0
-    witnesses: list[Assignment] = []
-    overflow = False
-
-    def record():
-        nonlocal count, overflow
-        count += 1
-        if want_witnesses and not overflow:
-            if len(witnesses) < witness_cap:
-                witnesses.append(witness())
-            else:
-                overflow = True
-
-    if bad == 0 and consistent():
-        record()
-    steps = 1 << (d - len(prefix))
-    for step in range(1, steps):
+    count = 1 if bad == 0 and consistent() else 0
+    bits = 0
+    for step in range(1, 1 << d):
         pos = (step & -step).bit_length() - 1
-        mask = 1 << (len(prefix) + pos)
-        bits ^= mask
-        rising = bits & mask
+        bits ^= 1 << pos
+        rising = bits >> pos & 1
         for i, delta in flips[pos]:
-            if rising:
-                acc[i] += delta
-            else:
-                acc[i] -= delta
-            v = rhs[i] - acc[i]
-            now = 1 if (v == 0 or v == dens[i]) else 0
+            v = res[i] = res[i] - delta if rising else res[i] + delta
+            now = 1 if v == 0 or v == dens[i] else 0
             if now != ok[i]:
                 bad += ok[i] - now
                 ok[i] = now
         if bad == 0 and consistent():
-            record()
-
-    if want_witnesses and not overflow and count <= witness_cap:
-        return count, tuple(witnesses)
-    return count, None
+            count += 1
+    return count
 
 
 # Free bits below BLOCK_BITS are counted together: each row's acceptance
@@ -267,8 +208,55 @@ def _low_tables(coeffs: list[tuple[int, ...]], low: int) -> tuple[int, list[dict
     return full, tables
 
 
-def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
-    """Count admissible free assignments 2^BLOCK_BITS at a time.
+def _gray_rank(g: int) -> int:
+    """The s with s ^ (s >> 1) == g: where the Gray walk visits g."""
+    s = 0
+    while g:
+        s ^= g
+        g >>= 1
+    return s
+
+
+def _models(kern: KernelInstance, low: int, listed: list[tuple]):
+    """Yield the models of the steps :func:`count_blocks` listed, in the
+    flat walk's order.
+
+    A step is (high, flip, block, res): its high free bits, the top low bit
+    on odd steps, its accepted block and the rows' residuals after the high
+    part.  The flat walk visits low assignment j of the step at position
+    ``_gray_rank(j ^ flip)``, and a pivot is 1 exactly where its first
+    row's residual, ``res`` less the row's low sum at j, is nonzero.
+    """
+    pivots = {}
+    for i, row in enumerate(kern.rows):
+        if row.pivot_var not in pivots:
+            sums = [0]  # sums[j]: sum(coeff * s) over the low bits of j
+            for c in row.coeffs[:low]:
+                sums += [s + c for s in sums]
+            pivots[row.pivot_var] = i, sums
+    for high, flip, block, res in listed:
+        lows = []
+        while block:
+            bit = block & -block
+            lows.append(bit.bit_length() - 1)
+            block ^= bit
+        for j in sorted(lows, key=lambda j: _gray_rank(j ^ flip)):
+            a = [0] * kern.origin_vars
+            bits = high << low | j
+            for pos, v in enumerate(kern.free_vars):
+                a[v - 1] = bits >> pos & 1
+            for v, (i, sums) in pivots.items():
+                a[v - 1] = 1 if res[i] - sums[j] else 0
+            yield tuple(a)
+
+
+def count_blocks(
+    kern: KernelInstance,
+    max_free: int = DEFAULT_MAX_FREE,
+    witness_cap: int | None = None,
+) -> tuple[int, tuple[Assignment, ...] | None]:
+    """Count admissible free assignments 2^BLOCK_BITS at a time; with a
+    ``witness_cap``, also list the models when there are at most that many.
 
     Same rows, acceptance rule and count as :func:`count_kernel`.
     The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated per
@@ -276,6 +264,7 @@ def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
     row's residual ``t`` after the high part.  A row accepts the block
     ``table[t]`` (residual 0) or ``table[t - D]`` (residual D); a group of
     rows sharing a pivot accepts where all of them are 0 or all are D.
+    The models come from :func:`_models`, in the flat walk's order.
     """
     d = kern.width
     _check_width(d, max_free)
@@ -292,6 +281,7 @@ def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
              for pos in range(low, d)]
 
     count = 0
+    listed = []  # the steps with models, while there are at most the cap
     high = 0
     for step in range(1 << (d - low)):
         if step:
@@ -311,7 +301,12 @@ def count_blocks(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
             if not block:
                 break
         count += block.bit_count()
-    return count
+        if block and witness_cap is not None and count <= witness_cap:
+            flip = 1 << (low - 1) if step & 1 else 0
+            listed.append((high, flip, block, res[:]))
+    if witness_cap is None or count > witness_cap:
+        return count, None
+    return count, tuple(_models(kern, low, listed))
 
 
 def repr_size(kern: KernelInstance, profile: list[int]) -> float:
@@ -402,22 +397,16 @@ def solve(
     kern = built.kernel
     t1 = time.perf_counter()
 
-    if built.inconsistent:
-        count, wit = 0, None
-    elif want_witnesses:
-        count, wit = count_kernel(kern, max_free=max_free,
-                                  want_witnesses=True,
-                                  witness_cap=witness_cap)
-    else:
-        count, wit = count_blocks(kern, max_free=max_free), None
+    cap = witness_cap if want_witnesses else None
+    count, wit = ((0, None) if built.inconsistent
+                  else count_blocks(kern, max_free, cap))
     t2 = time.perf_counter()
 
     # representation size is always measured on the substitution fixpoint
     state = built.state
     if state is None:
         state = substitute(initial_state(f))
-    profile = [c.expansion_size for c in state.constraints]
-    bits = repr_size(kern, profile)
+    bits = repr_size(kern, expansion_profile(state))
     t3 = time.perf_counter()
 
     build_s = built.encode_s + built.eliminate_s

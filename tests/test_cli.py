@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,16 @@ def test_solve_witnesses(six_var_file, capsys):
     assert ws == ["001010", "010100", "100001"]
 
 
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_solve_witnesses_golden_order(six_var_file, capsys, method):
+    # the flat walk's order, unsorted: witnesses print as the walk meets them
+    assert main(["solve", "--input", six_var_file, "--witnesses", "5",
+                 "--method", method]) == EXIT_SAT
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("w ")] == [
+        "w 010100", "w 001010", "w 100001"]
+
+
 def test_max_free_capacity_exit(six_var_file):
     assert main(["solve", "--input", six_var_file, "--method", "subst",
                  "--max-free", "2"]) == EXIT_CAPACITY
@@ -138,6 +149,13 @@ def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
     (["bench", "--kappa", "1/0"], "--kappa"),
     (["verify", "--r-max", "2"], "--r-max"),
     (["verify", "--r-max", "x"], "--r-max"),
+    (["bench", "--r-range", "9..6"], "--r-range"),
+    (["bench", "--family", "fixed-rank", "--nullity-range", "22..12"],
+     "--nullity-range"),
+    (["bench", "--per-cell", "-2"], "--per-cell"),
+    (["bench", "--per-cell", "0"], "--per-cell"),
+    (["bench", "--jobs", "-1"], "--jobs"),
+    (["verify", "--trials", "-3"], "--trials"),
 ])
 def test_malformed_sweep_arguments_rejected_by_argparse(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -241,6 +259,7 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all three counts agree" in out
     assert "count_kernel = count_blocks on both kernels" in out
+    assert "the witnesses are the oracle's models" in out
 
 
 def test_verify_zero_trials(capsys):
@@ -275,7 +294,8 @@ def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
 def test_verify_names_a_faulty_block_counter(tmp_path, monkeypatch, capsys):
     # solve stays right; only the walk comparison can see the fault
     def faulty(kern, max_free=30):
-        return count_blocks(kern, max_free) + (kern.width > 1)
+        count, _ = count_blocks(kern, max_free)
+        return count + (kern.width > 1), None
 
     monkeypatch.setattr(cli, "count_blocks", faulty)
     code = main(["verify", "--trials", "5", "--r-max", "8", "--seed", "2",
@@ -283,6 +303,27 @@ def test_verify_names_a_faulty_block_counter(tmp_path, monkeypatch, capsys):
     assert code == EXIT_DISAGREE
     line = capsys.readouterr().out.strip()
     assert "kernel: count_kernel=" in line and "count_blocks=" in line, line
+    assert "repro written to" in line
+    repro = [p for p in os.listdir(tmp_path) if p.startswith("disagreement")]
+    assert len(repro) == 1
+
+
+def test_verify_names_faulty_witnesses(tmp_path, monkeypatch, capsys):
+    # counts stay right; only the witness comparison can see the fault
+    def faulty(f, method="gauss", **kw):
+        rep = solve(f, method=method, **kw)
+        if method == "subst" and rep.witnesses:
+            first = rep.witnesses[0]
+            wrong = ((1 - first[0],) + first[1:],) + rep.witnesses[1:]
+            return dataclasses.replace(rep, witnesses=wrong)
+        return rep
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    code = main(["verify", "--trials", "5", "--r-max", "8", "--seed", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_DISAGREE
+    line = capsys.readouterr().out.strip()
+    assert "subst witnesses differ" in line and "gauss" not in line, line
     assert "repro written to" in line
     repro = [p for p in os.listdir(tmp_path) if p.startswith("disagreement")]
     assert len(repro) == 1
@@ -357,12 +398,16 @@ def test_parser_is_built_once_and_keeps_no_state(six_var_file, monkeypatch,
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
     monkeypatch.setattr(cli, "_parser", None)
+    # elapsed_ms is wall time and may differ between the two calls
+    def output() -> list[str]:
+        return re.sub(r"elapsed_ms=\d+", "elapsed_ms=*",
+                      capsys.readouterr().out).splitlines()
+
     assert main(["solve", "--witnesses", "5", "--input", six_var_file]) == EXIT_SAT
-    first = capsys.readouterr().out.splitlines()
+    first = output()
     assert sum(l.startswith("w ") for l in first) == 3
     assert main(["solve", "--input", six_var_file]) == EXIT_SAT
-    second = capsys.readouterr().out.splitlines()
-    assert second == [l for l in first if not l.startswith("w ")]
+    assert output() == [l for l in first if not l.startswith("w ")]
     assert calls == [1]
 
 

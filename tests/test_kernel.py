@@ -75,8 +75,8 @@ def test_extract_partition():
 def test_count_six_var_both_paths(six_var):
     expected = sorted(naive_models(six_var))
     for kern in (_gauss_kernel(six_var), _subst_kernel(six_var)):
-        count, wit = count_kernel(kern, want_witnesses=True)
-        assert count == 3
+        count, wit = count_blocks(kern, witness_cap=1000)
+        assert count == 3 == count_kernel(kern)
         assert sorted(wit) == expected
 
 
@@ -86,33 +86,21 @@ def test_count_zero_width_sat():
     assert naive_count(f) == 1
     kern = _gauss_kernel(f)
     assert kern.width == 0
-    count, wit = count_kernel(kern, want_witnesses=True)
-    assert count == 1
+    count, wit = count_blocks(kern, witness_cap=1000)
+    assert count == 1 == count_kernel(kern)
     assert wit == ((0, 1, 0),)
 
 
 def test_count_zero_width_unsat(dense_unsat):
     kern = _gauss_kernel(dense_unsat)
     assert kern.width == 0
-    assert count_kernel(kern)[0] == 0
+    assert count_kernel(kern) == 0
 
 
 def test_count_capacity():
     kern = _gauss_kernel(gen_partition(9))
     with pytest.raises(CapacityError):
         count_kernel(kern, max_free=5)
-
-
-def test_prefix_partition_counts_add_up(six_var):
-    for kern in (_gauss_kernel(six_var), _subst_kernel(six_var),
-                 _gauss_kernel(gen_partition(9))):
-        full = count_kernel(kern)[0]
-        for plen in (1, 2):
-            total = 0
-            for mask in range(1 << plen):
-                prefix = tuple((mask >> i) & 1 for i in range(plen))
-                total += count_kernel(kern, prefix=prefix)[0]
-            assert total == full
 
 
 def test_witnesses_satisfy_formula():
@@ -152,10 +140,80 @@ def test_count_larger_partition():
 
 def test_witness_cap_suppresses_listing():
     f = gen_partition(12)  # 81 models
-    count, wit = count_kernel(_gauss_kernel(f), want_witnesses=True,
-                              witness_cap=10)
-    assert count == 81
-    assert wit is None
+    assert count_blocks(_gauss_kernel(f), witness_cap=10) == (81, None)
+
+
+# ---------------------------------------------------------------------------
+# witness order
+
+def _residuals(row: KernelRow) -> tuple[int, dict[int, int]]:
+    """(mask, table): ``table[bits & mask]`` is the row's residual
+    ``rhs - sum(coeff * s)`` at free bits ``bits``, tabulated over the free
+    bits the row reads."""
+    mask, table = 0, {0: row.rhs}
+    for pos, c in enumerate(row.coeffs):
+        if c:
+            mask |= 1 << pos
+            table.update({bits | 1 << pos: r - c for bits, r in table.items()})
+    return mask, table
+
+
+def gray_order_models(kern: KernelInstance) -> list[tuple[int, ...]]:
+    """Reference: the models in the flat walk's order.
+
+    Visits the free bits gray(s) = s ^ (s >> 1) for s < 2^d and keeps those
+    on which every row's residual is 0 or D and the rows sharing a pivot
+    agree on which.  Each is extended by pivot = 1 exactly where the
+    residual is nonzero; a variable that is neither free nor a pivot is 0.
+    """
+    walk = [s ^ (s >> 1) for s in range(1 << kern.width)]
+    first: dict[int, tuple[int, dict[int, int]]] = {}
+    for row in kern.rows:
+        mask, table = _residuals(row)
+        accepted = {bits for bits, r in table.items() if r in (0, row.den)}
+        walk = [bits for bits in walk if bits & mask in accepted]
+        if row.pivot_var in first:
+            mask0, table0 = first[row.pivot_var]
+            walk = [bits for bits in walk
+                    if (table[bits & mask] == 0) == (table0[bits & mask0] == 0)]
+        else:
+            first[row.pivot_var] = mask, table
+    columns = [[0] * len(walk)] * kern.origin_vars  # zeros, replaced below
+    for pos, v in enumerate(kern.free_vars):
+        columns[v - 1] = [bits >> pos & 1 for bits in walk]
+    for v, (mask, table) in first.items():
+        columns[v - 1] = [1 if table[bits & mask] else 0 for bits in walk]
+    return list(zip(*columns)) if columns else [()] * len(walk)
+
+
+def _order_formulas(width: int) -> list[XsatFormula]:
+    """Formulas whose gauss kernel is ``width`` wide: the fixed-rank kernels
+    of the block-edge tests, or small full-rank systems at width 0."""
+    if width == 0:
+        return [XsatFormula(3, ((1, 2, BOTTOM), (2, 3, BOTTOM), (1, 2, 3))),
+                XsatFormula(0, ()),
+                XsatFormula(4, ((1, 2, 3), (2, 3, 4), (1, 2, 4), (1, 3, 4)))]
+    formulas = [gen_fixed_rank(width + width, width)]
+    if width <= 13:
+        rank = -(-width // 2)
+        formulas.append(gen_fixed_rank(rank + width, rank))
+    return formulas
+
+
+@pytest.mark.parametrize("width", [0, 11, 12, 13, 20])
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_solve_lists_witnesses_in_flat_walk_order(method, width):
+    for f in _order_formulas(width):
+        built = build_kernel(f, method)
+        if method == "gauss":
+            assert built.kernel.width == width
+        expected = [] if built.inconsistent else gray_order_models(built.kernel)
+        count = len(expected)
+        for cap in sorted({0, 1, count - 1, count} - {-1}):
+            rep = solve(f, method=method, want_witnesses=True, witness_cap=cap)
+            assert rep.count == count
+            listed = count <= cap and not built.inconsistent
+            assert rep.witnesses == (tuple(expected) if listed else None), cap
 
 
 def test_methods_agree_with_oracle_small():
@@ -278,10 +336,11 @@ def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, metho
 
 
 @pytest.mark.parametrize("method", ["gauss", "subst"])
-def test_solve_with_witnesses_calls_the_flat_walk_by_module_global_name(
+def test_solve_with_witnesses_calls_the_block_walk_by_module_global_name(
         six_var, monkeypatch, method):
-    names = SOLVE_STEPS[method] + ("count_kernel",)
-    called = _spy_on(monkeypatch, names + ("count_blocks",))
+    # witnesses come from the block walk too; the flat walk is never called
+    names = SOLVE_STEPS[method] + ("count_blocks",)
+    called = _spy_on(monkeypatch, names + ("count_kernel",))
     rep = solve(six_var, method=method, want_witnesses=True)
     assert rep.count == 3 and sorted(rep.witnesses) == sorted(naive_models(six_var))
     assert sorted(set(called)) == sorted(names)
@@ -349,8 +408,8 @@ def test_enumeration_cost_tracks_free_vars_not_total_vars():
 
 def _agreed_count(kern) -> int:
     """The count of both counters, which must agree."""
-    count = count_blocks(kern)
-    assert count == count_kernel(kern)[0]
+    count = count_blocks(kern)[0]
+    assert count == count_kernel(kern)
     return count
 
 
@@ -451,4 +510,4 @@ def test_count_blocks_capacity_error_matches_flat_walk():
     with pytest.raises(CapacityError) as blocks:
         count_blocks(kern, max_free=5)
     assert str(blocks.value) == str(flat.value)
-    assert count_blocks(kern, max_free=6) == 27
+    assert count_blocks(kern, max_free=6) == (27, None)

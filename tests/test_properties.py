@@ -1,7 +1,8 @@
 """Property tests over small formulas with negations and bottom.
 
 Every method and every counter must give the oracle's count through the
-reduction chain, the text format must round-trip, the integer elimination
+reduction chain, witnesses must come out in the flat walk's order, the
+text format must round-trip, the integer elimination
 must agree with a dense rational one, and the one-pass rewrite must agree
 with the repeated sweep and be idempotent.  Settings are fixed
 (derandomized, no deadline, a bounded number of examples), so the run is
@@ -29,11 +30,13 @@ from xsat import (
     reduce_cnf_to_xsat,
     reduce_xsat_to_positive,
     serialize_xsat,
+    solve,
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
 from xsat.substitution import initial_state, substitute
 
+from test_kernel import gray_order_models
 from test_linsys import dense_gauss_jordan
 from test_substitution import sweep_to_fixpoint
 
@@ -93,8 +96,8 @@ def _assert_every_counter_counts(positive: XsatFormula, expected: int):
         if built.inconsistent:
             assert expected == 0
             continue
-        assert count_kernel(built.kernel)[0] == expected, method
-        assert count_blocks(built.kernel) == expected, method
+        assert count_kernel(built.kernel) == expected, method
+        assert count_blocks(built.kernel)[0] == expected, method
 
 
 @FIXED
@@ -110,6 +113,18 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
     xsat, _ = reduce_cnf_to_xsat(f)
     positive, _ = reduce_xsat_to_positive(xsat)
     _assert_every_counter_counts(positive, naive_count_cnf(f))
+
+
+@FIXED
+@given(xsat_formulas())
+def test_ordered_witnesses_match_the_flat_walk_order(f):
+    positive, _ = reduce_xsat_to_positive(f)
+    for method in ("gauss", "subst"):
+        built = build_kernel(positive, method)
+        if built.inconsistent:
+            continue
+        rep = solve(positive, method=method, want_witnesses=True, built=built)
+        assert rep.witnesses == tuple(gray_order_models(built.kernel)), method
 
 
 @FIXED
