@@ -48,7 +48,6 @@ from .linsys import EncodingError, LinearSystem, RrefResult, encode_sys, gauss_j
 from .oracle import naive_count, naive_count_cnf, naive_models
 from .reductions import (
     ReductionTrace,
-    check_parsimony,
     reduce_cnf_to_xsat,
     reduce_xsat_to_positive,
 )

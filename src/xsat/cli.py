@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .formula import CapacityError, XsatError, XsatFormula
+from .formula import CapacityError, XsatError, XsatFormula, kappa
 from .generator import GenSpec, SpecError, SplitMix64, generate
 from .io import (
     emit_report,
@@ -58,7 +58,13 @@ def _load_positive(path: str) -> tuple[XsatFormula,
     data = Path(path).read_bytes()
     traces = []
     if sniff_format(data) == "cnf":
-        f, trace = reduce_cnf_to_xsat(parse_dimacs_cnf(data))
+        cnf = parse_dimacs_cnf(data)
+        # the reductions keep every source variable, and each must be covered
+        unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
+        if unused:
+            raise XsatError(f"{unused} of the {cnf.num_vars} declared variables "
+                            "appear in no clause")
+        f, trace = reduce_cnf_to_xsat(cnf)
         traces.append(("cnf-to-xsat", trace))
     else:
         f = parse_xsat(data)
@@ -180,7 +186,7 @@ def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
     return BenchRow(
         r=f.num_vars, k=f.num_clauses, seed=spec.seed, family=spec.family,
         eta=rep.rank, eta_bar=rep.nullity,
-        kappa=Fraction(f.num_clauses, f.num_vars),
+        kappa=kappa(f),
         kernel_width=kern.width, count=count,
         repr_size_bits=rep.repr_size_bits, bound_lo=lo, bound_hi=hi,
         t_encode_us=rep.phase_us[0], t_eliminate_us=rep.phase_us[1],
@@ -396,12 +402,13 @@ def _checked(parse, what: str):
     return convert
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
-        if int(text) < low:
+        if int(text) < low or high is not None and int(text) > high:
             raise ValueError(text)
         return int(text)
-    return _checked(parse, f"an integer >= {low}")
+    return _checked(parse, f"an integer >= {low}" if high is None
+                    else f"an integer in {low}..{high}")
 
 
 def _int_range(text: str) -> tuple[int, int]:
@@ -477,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check methods, counters and oracle")
     sp.add_argument("--trials", type=_nonnegative, default=100)
-    sp.add_argument("--r-max", type=_at_least(6), default=18)
+    sp.add_argument("--r-max", type=_at_least(6, ORACLE_CAP), default=18,
+                    help=f"largest instance, 6..{ORACLE_CAP} variables")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--max-free", type=_nonnegative,

@@ -18,6 +18,10 @@ reads the witnesses off its accepted bits, in the flat walk's order.
 one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
 ``xsat verify`` checks the two counters against each other.
+
+The reported representation size is r * log2 of the summed expansion
+sizes, which ``expansion_profile`` reads off the formula's clauses under
+either method; no kernel or rewrite is needed for it.
 """
 
 from __future__ import annotations
@@ -310,7 +314,7 @@ def count_blocks(
 
 
 def repr_size(kern: KernelInstance, profile: list[int]) -> float:
-    """Representation size in bits: r * log2(total expansion occurrences)."""
+    """Representation size in bits: r * log2(sum of the expansion sizes)."""
     total = sum(profile)
     if total <= 0:
         return 0.0
@@ -339,17 +343,14 @@ def profile_total_within_bounds(num_vars: int, total: int) -> tuple[bool, bool]:
 class KernelBuild:
     """A kernel with the rank, nullity and consistency of its system.
 
-    ``state`` is the substitution fixpoint under ``method="subst"`` and None
-    under ``"gauss"``.  ``encode_s`` is the time spent encoding the clauses
-    and ``eliminate_s`` the rest of the build: elimination or rewriting,
-    then extraction.
+    ``encode_s`` is the time spent encoding the clauses and ``eliminate_s``
+    the rest of the build: elimination or rewriting, then extraction.
     """
 
     kernel: KernelInstance
     rank: int
     nullity: int
     inconsistent: bool
-    state: SubstitutionState | None
     encode_s: float
     eliminate_s: float
 
@@ -366,14 +367,14 @@ def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
         rref = gauss_jordan(system)
         kern = extract_kernel(rref)
         return KernelBuild(kern, rref.rank, rref.nullity, rref.inconsistent,
-                           None, t1 - t0, time.perf_counter() - t1)
+                           t1 - t0, time.perf_counter() - t1)
     if method == "subst":
         start = initial_state(f)
         t1 = time.perf_counter()
         state = substitute(start)
         rank, nullity = rank_of_subst(state)
         kern = kernel_from_substitution(state)
-        return KernelBuild(kern, rank, nullity, state.inconsistent, state,
+        return KernelBuild(kern, rank, nullity, state.inconsistent,
                            t1 - t0, time.perf_counter() - t1)
     raise ValueError(f"unknown method {method!r}")
 
@@ -402,11 +403,7 @@ def solve(
                   else count_blocks(kern, max_free, cap))
     t2 = time.perf_counter()
 
-    # representation size is always measured on the substitution fixpoint
-    state = built.state
-    if state is None:
-        state = substitute(initial_state(f))
-    bits = repr_size(kern, expansion_profile(state))
+    bits = repr_size(kern, expansion_profile(f))
     t3 = time.perf_counter()
 
     build_s = built.encode_s + built.eliminate_s

@@ -89,8 +89,3 @@ def reduce_xsat_to_positive(f: XsatFormula) -> tuple[XsatFormula, ReductionTrace
         size_after=(out.num_vars, out.num_clauses),
     )
     return out, trace
-
-
-def check_parsimony(src_count: int, dst_count: int) -> bool:
-    """True iff a reduction preserved the model count exactly."""
-    return src_count == dst_count

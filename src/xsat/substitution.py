@@ -19,12 +19,12 @@ search the dependent side.  Two constraints may share a solved variable
 (the rewrite keeps both); the extra one acts as a consistency filter when
 the kernel is enumerated.
 
-Alongside the exact algebra, every constraint carries an unsigned
-occurrence multiset: substituting a variable splices in the source body's
-occurrences without sign cancellation.  Its total is the constraint's
-expansion size, the cost measure used for representation-size reporting,
-and on adversarial chains it grows like a Fibonacci sequence even though
-the signed bodies collapse.
+The expansion size of a constraint, the cost measure behind the reported
+representation size, counts the occurrences its body would hold if every
+substitution were spliced in without sign cancellation.  It depends on the
+formula alone, so :func:`expansion_profile` reads it off the clauses in
+one pass, without rewriting.  On adversarial chains it grows like a
+Fibonacci sequence even though the signed bodies collapse.
 """
 
 from __future__ import annotations
@@ -45,25 +45,19 @@ class ContractError(XsatError):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """``lhs = const + sum(coeff * var)`` with an occurrence multiset.
+    """``lhs = const + sum(coeff * var)``.
 
     ``coeffs`` maps body variables to signed integer coefficients (no zero
-    entries, lhs never among them); ``expansion`` maps body variables to
-    unsigned occurrence counts accumulated by the rewrite process.
+    entries, lhs never among them).
     """
 
     lhs: int
     const: int
     coeffs: tuple[tuple[int, int], ...]
-    expansion: tuple[tuple[int, int], ...]
 
     @property
     def body(self) -> dict[int, int]:
         return dict(self.coeffs)
-
-    @property
-    def expansion_size(self) -> int:
-        return sum(n for _, n in self.expansion)
 
     def satisfied_by(self, a: Assignment) -> bool:
         """Exact integer identity check against a full 0/1 assignment."""
@@ -95,8 +89,7 @@ def normalize_clause(t: Triple) -> LinearConstraint:
     if vs[0] < 0:
         raise EncodingError(f"negated literal in clause {t}")
     lhs, rest = vs[0], vs[1:]
-    coeffs = {v: -1 for v in rest}
-    return LinearConstraint(lhs, 1, _freeze(coeffs), _freeze({v: 1 for v in rest}))
+    return LinearConstraint(lhs, 1, tuple((v, -1) for v in rest))
 
 
 def _make_state(num_vars: int, cons: list[LinearConstraint]) -> SubstitutionState:
@@ -137,7 +130,7 @@ def substitute(state: SubstitutionState) -> SubstitutionState:
     out = list(cons)
     for j in range(len(out) - 1, -1, -1):
         c = out[j]
-        const, coeffs, expansion = c.const, dict(c.coeffs), dict(c.expansion)
+        const, coeffs = c.const, dict(c.coeffs)
         for v, g in c.coeffs:
             src = last.get(v)
             if src is None:
@@ -148,12 +141,7 @@ def substitute(state: SubstitutionState) -> SubstitutionState:
                 nw = coeffs.pop(w, 0) + g * a
                 if nw:
                     coeffs[w] = nw
-            m = expansion.pop(v, 0)
-            if m:
-                for w, n in src.expansion:
-                    expansion[w] = expansion.get(w, 0) + m * n
-        c = out[j] = LinearConstraint(c.lhs, const, _freeze(coeffs),
-                                      _freeze(expansion))
+        c = out[j] = LinearConstraint(c.lhs, const, _freeze(coeffs))
         last.setdefault(c.lhs, c)
     result = _make_state(state.num_vars, out)
     if not result.fixpoint:
@@ -161,19 +149,26 @@ def substitute(state: SubstitutionState) -> SubstitutionState:
     return result
 
 
-def _require_fixpoint(state: SubstitutionState):
-    if not state.fixpoint:
-        raise ContractError("state is not a substitution fixpoint")
-
-
 def rank_of_subst(state: SubstitutionState) -> tuple[int, int]:
     """(|independent set|, |dependent set|) of a fixpoint state."""
-    _require_fixpoint(state)
+    if not state.fixpoint:
+        raise ContractError("state is not a substitution fixpoint")
     return len(state.independent), state.num_vars - len(state.independent)
 
 
-def expansion_profile(state: SubstitutionState) -> list[int]:
-    """Per-constraint expansion sizes (occurrences counted with multiplicity),
-    in state order."""
-    _require_fixpoint(state)
-    return [c.expansion_size for c in state.constraints]
+def expansion_profile(f: XsatFormula) -> list[int]:
+    """Expansion size of each constraint of ``initial_state(f)``, in order.
+
+    One pass from the last constraint to the first: a constraint's size sums,
+    over its body variables, the size of the last constraint solved for the
+    variable, or 1 when none is.  That constraint lies later in the order,
+    so its size is already known.
+    """
+    cons = initial_state(f).constraints
+    sizes = [0] * len(cons)
+    last: dict[int, int] = {}  # solved variable -> size of its last constraint
+    for j in range(len(cons) - 1, -1, -1):
+        c = cons[j]
+        sizes[j] = sum(last.get(v, 1) for v, _ in c.coeffs)
+        last.setdefault(c.lhs, sizes[j])
+    return sizes

@@ -227,8 +227,7 @@ def test_c6_partition_family():
 def test_c7a_fibonacci_expansion_profile():
     bad = []
     for k in range(2, 9):
-        st = substitute(initial_state(gen_fib_chain(k)))
-        profile = expansion_profile(st)
+        profile = expansion_profile(gen_fib_chain(k))
         expected = [fib(k - i + 2) for i in range(k)]  # Fib(k+2) .. Fib(3)
         if profile != expected:
             bad.append((k, profile, expected))
@@ -242,8 +241,7 @@ def test_c7b_representation_size_band():
     out_of_band = []
     for k in range(2, 9):
         r = k + 2
-        st = substitute(initial_state(gen_fib_chain(k)))
-        total = sum(expansion_profile(st))
+        total = sum(expansion_profile(gen_fib_chain(k)))
         lo_ok, hi_ok = profile_total_within_bounds(r, total)
         if not (lo_ok and hi_ok):
             out_of_band.append((k, total, f"lo={lo_ok}", f"hi={hi_ok}"))

@@ -132,6 +132,26 @@ def test_invalid_instance_error_is_short(tmp_path, capsys, text):
     assert len(err.encode()) < 1024, len(err.encode())
 
 
+def test_cnf_with_unused_variables_is_refused_before_any_reduction(
+        tmp_path, monkeypatch, capsys):
+    # a header may declare far more variables than its clauses use; the
+    # refusal must not cost time in proportion to the declared count
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 100000000000 1\n1 -2 3 0\n")
+
+    def never(*args):
+        raise AssertionError("reduction called")
+
+    monkeypatch.setattr(cli, "reduce_cnf_to_xsat", never)
+    monkeypatch.setattr(cli, "reduce_xsat_to_positive", never)
+    for command in ("count", "reduce"):
+        assert main([command, "--input", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 99999999997 of the 100000000000 "
+                                "declared variables appear in no clause\n")
+
+
 @pytest.mark.parametrize("flag", ["--max-free", "--witnesses"])
 def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -156,6 +176,7 @@ def test_negative_count_flags_rejected_by_argparse(six_var_file, capsys, flag):
     (["bench", "--per-cell", "0"], "--per-cell"),
     (["bench", "--jobs", "-1"], "--jobs"),
     (["verify", "--trials", "-3"], "--trials"),
+    (["verify", "--r-max", "25"], "--r-max"),
 ])
 def test_malformed_sweep_arguments_rejected_by_argparse(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from xsat.generator import (
     gen_random,
     generate,
 )
-from xsat.substitution import expansion_profile, initial_state, substitute
+from xsat.substitution import expansion_profile
 
 
 def test_splitmix_reference_stream():
@@ -85,13 +85,9 @@ def test_fib_chain_profiles():
     # expansion sizes follow the Fibonacci recurrence: the constraint solved
     # for variable i ends with size Fib(k - i + 3), largest first in state
     # order, so k=2 gives [3, 2] and k=5 gives [13, 8, 5, 3, 2]
-    def profile(k):
-        st = substitute(initial_state(gen_fib_chain(k)))
-        return expansion_profile(st)
-
-    assert profile(2) == [3, 2]
-    assert profile(3) == [5, 3, 2]
-    assert profile(5) == [13, 8, 5, 3, 2]
+    assert expansion_profile(gen_fib_chain(2)) == [3, 2]
+    assert expansion_profile(gen_fib_chain(3)) == [5, 3, 2]
+    assert expansion_profile(gen_fib_chain(5)) == [13, 8, 5, 3, 2]
 
 
 def test_fib_chain_valid_and_chain_shaped():

@@ -252,14 +252,11 @@ def test_solve_empty_formula_counts_the_empty_assignment():
 
 def test_repr_size_values(six_var):
     f = gen_partition(6)
-    st = substitute(initial_state(f))
-    assert repr_size(_gauss_kernel(f), expansion_profile(st)) == pytest.approx(
+    assert repr_size(_gauss_kernel(f), expansion_profile(f)) == pytest.approx(
         6 * math.log2(4))
     one = XsatFormula(3, ((1, 2, 3),))
-    st1 = substitute(initial_state(one))
-    assert repr_size(_gauss_kernel(one), expansion_profile(st1)) == pytest.approx(3.0)
-    st6 = substitute(initial_state(six_var))
-    assert repr_size(_gauss_kernel(six_var), expansion_profile(st6)) == pytest.approx(
+    assert repr_size(_gauss_kernel(one), expansion_profile(one)) == pytest.approx(3.0)
+    assert repr_size(_gauss_kernel(six_var), expansion_profile(six_var)) == pytest.approx(
         6 * math.log2(10))
     assert repr_size(_gauss_kernel(one), []) == 0.0
 
@@ -268,7 +265,7 @@ def test_size_bounds_partition_sits_on_lower_edge():
     # a partition's profile total is exactly 2r/3: inclusive lower bound
     for r in (6, 9, 12):
         f = gen_partition(r)
-        total = sum(expansion_profile(substitute(initial_state(f))))
+        total = sum(expansion_profile(f))
         assert total == 2 * r // 3
         lo_ok, hi_ok = profile_total_within_bounds(r, total)
         assert lo_ok and hi_ok
@@ -290,11 +287,9 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
         assert built.kernel == extract_kernel(rref)
         assert (built.rank, built.nullity, built.inconsistent) == (
             rref.rank, rref.nullity, rref.inconsistent)
-        assert built.state is None
         state = substitute(initial_state(g))
         built = build_kernel(g, "subst")
         assert built.kernel == kernel_from_substitution(state)
-        assert built.state == state
         assert (built.rank, built.nullity) == (len(state.independent),
                                                len(state.dependent))
     with pytest.raises(ValueError, match="unknown method"):
@@ -305,10 +300,13 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
 
 SOLVE_STEPS = {
     "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
-              "initial_state", "substitute", "repr_size"),
+              "expansion_profile", "repr_size"),
     "subst": ("check_valid", "initial_state", "substitute", "rank_of_subst",
-              "kernel_from_substitution", "repr_size"),
+              "kernel_from_substitution", "expansion_profile", "repr_size"),
 }
+# every step of either method, and the flat walk, which solve never calls
+SPIED = tuple(sorted(set(SOLVE_STEPS["gauss"] + SOLVE_STEPS["subst"]))) + (
+    "count_blocks", "count_kernel")
 
 
 def _spy_on(monkeypatch, names) -> list[str]:
@@ -328,9 +326,10 @@ def _spy_on(monkeypatch, names) -> list[str]:
 @pytest.mark.parametrize("method", ["gauss", "subst"])
 def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, method):
     # tracing rebinds these names in xsat.kernel; every call must go through
-    # them, and a count-only solve counts with the block walk alone
+    # them, a count-only solve counts with the block walk alone, and a gauss
+    # solve neither builds nor rewrites a substitution state
     names = SOLVE_STEPS[method] + ("count_blocks",)
-    called = _spy_on(monkeypatch, names + ("count_kernel",))
+    called = _spy_on(monkeypatch, SPIED)
     assert solve(six_var, method=method).count == 3
     assert sorted(set(called)) == sorted(names)
 
@@ -340,21 +339,21 @@ def test_solve_with_witnesses_calls_the_block_walk_by_module_global_name(
         six_var, monkeypatch, method):
     # witnesses come from the block walk too; the flat walk is never called
     names = SOLVE_STEPS[method] + ("count_blocks",)
-    called = _spy_on(monkeypatch, names + ("count_kernel",))
+    called = _spy_on(monkeypatch, SPIED)
     rep = solve(six_var, method=method, want_witnesses=True)
     assert rep.count == 3 and sorted(rep.witnesses) == sorted(naive_models(six_var))
     assert sorted(set(called)) == sorted(names)
 
 
 def test_solve_elapsed_covers_the_repr_size_pass(six_var, monkeypatch):
-    # under gauss the substitution pass only feeds repr_size_bits
-    real = kernel_module.substitute
+    # the expansion-size pass runs after the count, outside phase_us
+    real = kernel_module.expansion_profile
 
-    def slow_substitute(state):
+    def slow_expansion_profile(f):
         time.sleep(0.05)
-        return real(state)
+        return real(f)
 
-    monkeypatch.setattr(kernel_module, "substitute", slow_substitute)
+    monkeypatch.setattr(kernel_module, "expansion_profile", slow_expansion_profile)
     rep = solve(six_var, method="gauss")
     assert rep.elapsed_ms >= 50
     assert sum(rep.phase_us) < 50_000

@@ -3,8 +3,9 @@
 Every method and every counter must give the oracle's count through the
 reduction chain, witnesses must come out in the flat walk's order, the
 text format must round-trip, the integer elimination
-must agree with a dense rational one, and the one-pass rewrite must agree
-with the repeated sweep and be idempotent.  Settings are fixed
+must agree with a dense rational one, the one-pass rewrite must agree
+with the repeated sweep and be idempotent, and the one-pass expansion sizes
+must equal the spliced occurrence multisets.  Settings are fixed
 (derandomized, no deadline, a bounded number of examples), so the run is
 the same every time.
 """
@@ -34,11 +35,11 @@ from xsat import (
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
-from xsat.substitution import initial_state, substitute
+from xsat.substitution import expansion_profile, initial_state, substitute
 
 from test_kernel import gray_order_models
 from test_linsys import dense_gauss_jordan
-from test_substitution import sweep_to_fixpoint
+from test_substitution import spliced_profile, sweep_to_fixpoint
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=120,
                  database=None)
@@ -135,6 +136,13 @@ def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
     once = substitute(start)
     assert once == sweep_to_fixpoint(start)
     assert substitute(once) == once
+
+
+@FIXED
+@given(xsat_formulas())
+def test_expansion_profile_matches_the_spliced_multisets(f):
+    positive, _ = reduce_xsat_to_positive(f)
+    assert expansion_profile(positive) == spliced_profile(positive)
 
 
 @FIXED

@@ -2,7 +2,6 @@ from xsat import (
     BOTTOM,
     CnfFormula,
     XsatFormula,
-    check_parsimony,
     naive_count,
     naive_count_cnf,
     reduce_cnf_to_xsat,
@@ -111,8 +110,7 @@ def test_chain_parsimony_random():
         mid_count = naive_count(mid)
         pos, _ = reduce_xsat_to_positive(mid)
         pos_count = naive_count(pos)
-        assert check_parsimony(src, mid_count)
-        assert check_parsimony(mid_count, pos_count)
+        assert src == mid_count == pos_count
 
 
 def test_chain_margin_identity():
@@ -155,9 +153,3 @@ def test_positivize_preserves_witness_projection():
     src_models = set(naive_models(f))
     projected = {m[:f.num_vars] for m in naive_models(pos)}
     assert projected == src_models
-
-
-def test_check_parsimony():
-    assert check_parsimony(7, 7)
-    assert check_parsimony(0, 0)
-    assert not check_parsimony(3, 2)

@@ -51,10 +51,6 @@ def _sweep(cons: list[dict]) -> int:
                     tgt["coeffs"][v] = nv
                 else:
                     tgt["coeffs"].pop(v, None)
-            m = tgt["expansion"].pop(src["lhs"], 0)
-            if m:
-                for v, c in src["expansion"].items():
-                    tgt["expansion"][v] = tgt["expansion"].get(v, 0) + m * c
             performed += 1
     return performed
 
@@ -66,8 +62,7 @@ def sweep_to_fixpoint(state: SubstitutionState) -> SubstitutionState:
     if lhss != sorted(lhss):
         raise ContractError("constraints must be sorted ascending by solved variable")
     cons = [
-        {"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs),
-         "expansion": dict(c.expansion)}
+        {"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs)}
         for c in state.constraints
     ]
     for _ in range(len(cons) + 1):
@@ -76,11 +71,38 @@ def sweep_to_fixpoint(state: SubstitutionState) -> SubstitutionState:
     else:
         raise AssertionError("substitution failed to reach a fixpoint")
     out = [
-        LinearConstraint(c["lhs"], c["const"], _freeze(c["coeffs"]),
-                         _freeze(c["expansion"]))
+        LinearConstraint(c["lhs"], c["const"], _freeze(c["coeffs"]))
         for c in cons
     ]
     return _make_state(state.num_vars, out)
+
+
+def spliced_profile(f: XsatFormula) -> list[int]:
+    """Reference expansion sizes: the occurrence multiset the rewrite used to
+    carry beside each constraint (the former ``substitute``'s splice).
+
+    Each constraint starts with one occurrence per body variable.  Visiting
+    the constraints last to first, a body variable that some constraint
+    solves for is replaced by the multiset of the last constraint solved for
+    it, without sign cancellation; a constraint's size is its total.
+    """
+    cons = initial_state(f).constraints
+    last: dict[int, tuple[tuple[int, int], ...]] = {}  # solved var -> multiset
+    out = [()] * len(cons)
+    for j in range(len(cons) - 1, -1, -1):
+        c = cons[j]
+        expansion = {v: 1 for v, _ in c.coeffs}
+        for v, _ in c.coeffs:
+            src_expansion = last.get(v)
+            if src_expansion is None:
+                continue
+            m = expansion.pop(v, 0)
+            if m:
+                for w, n in src_expansion:
+                    expansion[w] = expansion.get(w, 0) + m * n
+        out[j] = _freeze(expansion)
+        last.setdefault(c.lhs, out[j])
+    return [sum(n for _, n in e) for e in out]
 
 
 def planted(r: int, k: int, rng: random.Random) -> XsatFormula:
@@ -102,7 +124,6 @@ def test_normalize_solves_for_lowest():
     c = normalize_clause((2, 5, 6))
     assert (c.lhs, c.const) == (2, 1)
     assert c.body == {5: -1, 6: -1}
-    assert dict(c.expansion) == {5: 1, 6: 1}
 
 
 def test_normalize_drops_bottom():
@@ -126,15 +147,14 @@ def test_six_var_fixpoint_table(six_var):
     assert sorted(st.independent) == [1, 2, 4]
     assert sorted(st.dependent) == [3, 5, 6]
     assert rank_of_subst(st) == (3, 3)
-    table = [(c.lhs, c.const, c.body, dict(c.expansion))
-             for c in st.constraints]
+    table = [(c.lhs, c.const, c.body) for c in st.constraints]
     assert table == [
-        (1, 0, {3: -1, 5: 1, 6: 1}, {3: 1, 5: 1, 6: 1}),
-        (1, 0, {6: 1}, {5: 2, 6: 1}),
-        (2, 1, {5: -1, 6: -1}, {5: 1, 6: 1}),
-        (4, 1, {5: -1, 6: -1}, {5: 1, 6: 1}),
+        (1, 0, {3: -1, 5: 1, 6: 1}),
+        (1, 0, {6: 1}),
+        (2, 1, {5: -1, 6: -1}),
+        (4, 1, {5: -1, 6: -1}),
     ]
-    assert expansion_profile(st) == [3, 3, 2, 2]
+    assert expansion_profile(six_var) == [3, 3, 2, 2]
 
 
 def test_partition_needs_no_substitution():
@@ -142,7 +162,7 @@ def test_partition_needs_no_substitution():
     assert st0.fixpoint
     st1 = substitute(st0)
     assert st1 == st0
-    assert expansion_profile(st1) == [2, 2]
+    assert expansion_profile(gen_partition(6)) == [2, 2]
     assert rank_of_subst(st1) == (2, 4)
 
 
@@ -206,6 +226,7 @@ def test_fixpoint_invariant_no_solved_var_in_any_body():
 def _assert_matches_reference(f: XsatFormula):
     st = initial_state(f)
     assert substitute(st) == sweep_to_fixpoint(st)
+    assert expansion_profile(f) == spliced_profile(f)
 
 
 def test_single_pass_matches_sweep_on_criterion2_ensemble():
@@ -234,8 +255,8 @@ def test_single_pass_matches_sweep_on_planted_instances_with_k_above_r():
 
 
 def test_substitute_requires_body_above_solved_variable():
-    below = LinearConstraint(3, 1, ((2, -1), (4, -1)), ((2, 1), (4, 1)))
-    level = LinearConstraint(2, 1, ((2, -1), (5, -1)), ((2, 1), (5, 1)))
+    below = LinearConstraint(3, 1, ((2, -1), (4, -1)))
+    level = LinearConstraint(2, 1, ((2, -1), (5, -1)))
     for con in (below, level):
         with pytest.raises(ContractError):
             substitute(_make_state(5, [con]))
@@ -250,18 +271,16 @@ def test_substitute_requires_sorted_state(six_var):
         substitute(scrambled)
 
 
-def test_rank_and_profile_require_fixpoint():
+def test_rank_requires_fixpoint():
     f = XsatFormula(4, ((1, 2, 3), (2, 3, 4)))
     st = initial_state(f)
     assert not st.fixpoint
     with pytest.raises(ContractError):
         rank_of_subst(st)
-    with pytest.raises(ContractError):
-        expansion_profile(st)
 
 
 def test_conflicting_empty_bodies_flagged():
-    a = LinearConstraint(1, 1, (), ())
-    b = LinearConstraint(1, 0, (), ())
+    a = LinearConstraint(1, 1, ())
+    b = LinearConstraint(1, 0, ())
     assert _make_state(1, [a, b]).inconsistent
     assert not _make_state(1, [a, a]).inconsistent
