@@ -194,13 +194,9 @@ def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
     )
 
 
-def _bench_cell(cell) -> list[tuple]:
-    """Worker: one (r, k, seeds, family, method, max_free) cell.
-
-    Returns (ok, row-or-message) pairs so capacity skips are reported, never
-    silently dropped.
-    """
-    r, k, seeds, family, method, max_free = cell
+def _bench_cell(r, k, seeds, family, method, max_free) -> list[tuple]:
+    """One (r, k) cell as (ok, row-or-message) pairs, one per seed, so
+    capacity skips are reported, never silently dropped."""
     out = []
     for seed in seeds:
         spec = GenSpec(r=r, k=k, seed=seed, family=family)
@@ -208,9 +204,7 @@ def _bench_cell(cell) -> list[tuple]:
             f = generate(spec)
             row = bench_instance(f, spec, method, max_free)
             out.append((True, row))
-        except CapacityError as exc:
-            out.append((False, f"skip r={r} k={k} seed={seed}: {exc}"))
-        except SpecError as exc:
+        except (CapacityError, SpecError) as exc:
             out.append((False, f"skip r={r} k={k} seed={seed}: {exc}"))
     return out
 
@@ -230,10 +224,6 @@ def fit_slope(points: list[tuple[float, float]]) -> float | None:
 
 
 def cmd_bench(args) -> int:
-    try:
-        jobs = args.jobs or int(os.environ.get("XSAT_JOBS", "1"))
-    except ValueError as exc:
-        raise XsatError(f"XSAT_JOBS: {exc}") from None
     cells = []
     skipped_cells = []
     if args.family == "fixed-rank":
@@ -255,17 +245,7 @@ def cmd_bench(args) -> int:
                 cells.append((r, int(k), seeds, "random", args.method,
                               args.max_free))
 
-    results: list[tuple] = []
-    if jobs > 1:
-        # imported here: it is about a quarter of this module's cold import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_bench_cell, cells):
-                results.extend(chunk)
-    else:
-        for cell in cells:
-            results.extend(_bench_cell(cell))
+    results = [pair for cell in cells for pair in _bench_cell(*cell)]
 
     out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     rows: list[BenchRow] = []
@@ -414,15 +394,22 @@ def _at_least(low: int, high: int | None = None):
 def _int_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     lo, hi = int(lo), int(hi or lo)
-    if lo > hi:
+    if not 0 <= lo <= hi:
         raise ValueError(text)
     return lo, hi
 
 
+def _fraction_list(text: str) -> list[Fraction]:
+    values = [Fraction(t) for t in text.split(",")]
+    if any(v < 0 for v in values):
+        raise ValueError(text)
+    return values
+
+
 _nonnegative = _at_least(0)
-_range = _checked(_int_range, "a range LO..HI with LO <= HI")
-_fractions = _checked(lambda text: [Fraction(t) for t in text.split(",")],
-                      "a comma-separated list of fractions")
+_range = _checked(_int_range, "a range LO..HI with 0 <= LO <= HI")
+_fractions = _checked(_fraction_list,
+                      "a comma-separated list of nonnegative fractions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,12 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
     sp.add_argument("--family", choices=("random", "fixed-rank"),
                     default="random")
-    sp.add_argument("--rank", type=int, default=11,
+    sp.add_argument("--rank", type=_nonnegative, default=11,
                     help="row rank for the fixed-rank family")
     sp.add_argument("--nullity-range", type=_range, default="12..22",
                     help="eta-bar sweep for the fixed-rank family")
-    sp.add_argument("--jobs", type=_nonnegative, default=0,
-                    help="parallel cells (default: XSAT_JOBS or 1)")
     sp.add_argument("--max-free", type=_nonnegative,
                     default=DEFAULT_MAX_FREE)
     sp.set_defaults(func=cmd_bench)

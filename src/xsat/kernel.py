@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formula import Assignment, CapacityError, XsatFormula, check_valid
 from .linsys import RrefResult, encode_sys, gauss_jordan
@@ -93,21 +92,21 @@ class SolveReport:
 
 
 def extract_kernel(rref: RrefResult) -> KernelInstance:
-    """Free-column entries of each pivot row, rhs from the augmented column,
-    and the pivot entry as the row's denominator."""
+    """Free-column coefficients of each pivot row, rhs from the augmented
+    column, and the pivot entry as the row's denominator; column c is
+    variable c + 1."""
     free_cols = rref.free_cols
-    var_of_col = rref.matrix.var_of_col
-    n_vars = rref.matrix.num_vars
+    n_vars = rref.rank + rref.nullity
     rows = []
-    for row, pivot_col in zip(rref.matrix.rows, rref.pivot_cols):
+    for row, pivot_col in zip(rref.rows, rref.pivot_cols):
         rows.append(KernelRow(
             coeffs=tuple(row.get(c, 0) for c in free_cols),
             rhs=row.get(n_vars, 0),
-            pivot_var=var_of_col[pivot_col],
+            pivot_var=pivot_col + 1,
             den=row[pivot_col],
         ))
     return KernelInstance(
-        free_vars=tuple(var_of_col[c] for c in free_cols),
+        free_vars=tuple(c + 1 for c in free_cols),
         rows=tuple(rows),
         origin_vars=n_vars,
     )
@@ -332,10 +331,10 @@ def profile_total_within_bounds(num_vars: int, total: int) -> tuple[bool, bool]:
     """Exact band membership test, monotone form (no floating point).
 
     r*log2(total) >= r*log2(2r/3)  iff  3*total >= 2r, and
-    r*log2(total) <= r^2*log2(1.62) iff total <= (81/50)^r.
+    r*log2(total) <= r^2*log2(1.62) iff total * 50^r <= 81^r.
     """
     lo_ok = 3 * total >= 2 * num_vars
-    hi_ok = Fraction(total) <= Fraction(81, 50) ** num_vars
+    hi_ok = total * 50 ** num_vars <= 81 ** num_vars
     return lo_ok, hi_ok
 
 

@@ -7,20 +7,17 @@ row echelon form exposes how many variables are genuinely free.
 
 Nothing is ever rounded, and the route from clauses to the RREF is integer
 throughout.  Each equation is a sparse primitive integer row, a dict of its
-nonzero entries (three per clause plus fill-in), and elimination never
+nonzero coefficients (three per clause plus fill-in), and elimination never
 forms a fraction (fraction-free elimination, Bareiss, Math. Comp. 1968).
 The RREF is unique, so each kept pivot row divided by its pivot entry is
-the row a rational elimination would give; that dense ``Fraction`` matrix
-is derived only when a reader asks for ``entries``.  Columns are never
-physically permuted: pivot and free columns are reported as index lists
-instead.
+the row a rational elimination would give.  Columns are never physically
+permuted: pivot and free columns are reported as index lists instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formula import BOTTOM, XsatError, XsatFormula
 
@@ -29,93 +26,35 @@ class EncodingError(XsatError):
     """Formula cannot be encoded (negated literal in the linear encoding)."""
 
 
+@dataclass(frozen=True)
 class LinearSystem:
-    """Augmented k x (r+1) system; the last column is the right-hand side.
+    """Augmented k x (r+1) system, one sparse row per equation.
 
-    The equations come in two forms, and the one a system was not built
-    from is derived when first read.  ``rows`` gives each equation as a
-    primitive ``{col: int}`` dict of its nonzero entries, augmented column
-    included (divided by the gcd of its entries); :func:`encode_sys` builds
-    this form and elimination reads it.  ``entries`` is the dense matrix of
-    ``Fraction`` tuples, the form a system is built from by hand; from rows,
-    equation i is ``rows[i]`` divided by ``scales[i]``.
+    Row i is a ``{col: int}`` dict of equation i's nonzero coefficients.
+    Column c < ``num_vars`` is variable c + 1, and column ``num_vars`` is
+    the right-hand side.  :func:`encode_sys` builds every row primitive
+    (the gcd of its coefficients is 1); elimination makes any other row so.
     """
 
-    __slots__ = ("var_of_col", "_entries", "_rows", "_scales")
-
-    def __init__(self, entries, var_of_col):
-        self.var_of_col = tuple(var_of_col)  # column index -> 1-based variable
-        self._entries = tuple(entries)
-        self._rows = self._scales = None
-
-    @classmethod
-    def from_rows(cls, rows, var_of_col, scales=None) -> LinearSystem:
-        """A system whose equation i is ``rows[i] / scales[i]`` (default 1)."""
-        system = cls.__new__(cls)
-        system.var_of_col = tuple(var_of_col)
-        system._entries = None
-        system._rows = tuple(rows)
-        system._scales = scales
-        return system
-
-    @property
-    def rows(self) -> tuple[dict[int, int], ...]:
-        if self._rows is None:
-            rows = []
-            for row in self._entries:
-                scale = math.lcm(*(x.denominator for x in row))
-                rows.append(_primitive({c: x.numerator * (scale // x.denominator)
-                                        for c, x in enumerate(row) if x}))
-            self._rows = tuple(rows)
-        return self._rows
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._entries is None:
-            zero = Fraction(0)
-            scales = self._scales or (1,) * len(self._rows)
-            dense = []
-            for row, scale in zip(self._rows, scales):
-                line = [zero] * (self.num_vars + 1)
-                for c, v in row.items():
-                    line[c] = Fraction(v, scale)
-                dense.append(tuple(line))
-            self._entries = tuple(dense)
-        return self._entries
-
-    @property
-    def num_rows(self) -> int:
-        return len(self._rows if self._entries is None else self._entries)
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.var_of_col)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearSystem):
-            return NotImplemented
-        return (self.var_of_col, self.entries) == (other.var_of_col, other.entries)
-
-    def __hash__(self):
-        return hash((self.var_of_col, self.entries))
-
-    def __repr__(self):
-        return f"LinearSystem(entries={self.entries!r}, var_of_col={self.var_of_col!r})"
+    rows: tuple[dict[int, int], ...]
+    num_vars: int
 
 
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row echelon form with zero rows dropped.
 
-    ``pivot_cols`` and ``free_cols`` are 0-based column indices into the
-    original variable order; ``rank + nullity == num_vars`` always, and
-    ``inconsistent`` is set when elimination produced a row that is zero on
-    every variable column but nonzero in the augmented column.  Row i of
-    ``matrix.rows`` is primitive with a positive entry at ``pivot_cols[i]``,
-    so that entry is the least common denominator of the rational row.
+    ``rows`` holds the kept pivot rows in order, as ``{col: int}`` dicts
+    like :class:`LinearSystem` rows.  Row i is primitive with a positive
+    entry at ``pivot_cols[i]``; that entry is the row's D, the least common
+    denominator of the rational row.  ``pivot_cols`` and ``free_cols`` are
+    0-based column indices into the original variable order;
+    ``rank + nullity`` is the number of variables, and ``inconsistent`` is
+    set when elimination produced a row that is zero on every variable
+    column but nonzero in the augmented column.
     """
 
-    matrix: LinearSystem
+    rows: tuple[dict[int, int], ...]
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
     rank: int
@@ -142,11 +81,11 @@ def encode_sys(f: XsatFormula) -> LinearSystem:
             row[lit - 1] = row.get(lit - 1, 0) + 1
         row[n_vars] = 1
         rows.append(row)
-    return LinearSystem.from_rows(rows, range(1, n_vars + 1))
+    return LinearSystem(tuple(rows), n_vars)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
+    """The row divided by the gcd of its values."""
     common = math.gcd(*row.values())
     if common > 1:
         return {c: v // common for c, v in row.items()}
@@ -156,9 +95,9 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse fraction-free reduction: (rows, pivot columns).
 
-    Reads the system's primitive ``rows`` and never modifies them.  An
-    update is ``row = p*row - g*pivot_row``, and every row is kept
-    primitive: divided by the gcd of its entries.  A pivot row is negated
+    Reads the system's ``rows`` and never modifies them.  An update is
+    ``row = p*row - g*pivot_row``, and every row, input rows included, is
+    kept primitive: divided by the gcd of its values.  A pivot row is negated
     when its pivot entry is negative, so every pivot entry ends positive.
     The first ``len(pivot_cols)`` rows are the pivot rows in order; the rest
     are zero on every variable column.
@@ -168,7 +107,7 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
     multiple of the row a rational elimination with the same rule would
     hold, so the zero pattern, the pivots and the row order are the same.
     """
-    rows = list(system.rows)
+    rows = [_primitive(row) for row in system.rows]
     n_rows = len(rows)
     pivot_cols: list[int] = []
     cur = 0
@@ -203,19 +142,15 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
 def gauss_jordan(system: LinearSystem) -> RrefResult:
     """Reduced row echelon form, pivot rule as in :func:`integer_rref`.
 
-    Keeps the pivot rows of the integer reduction, each scaled by its pivot
-    entry, and drops the all-zero rows.  Inconsistency is a flag, never an
-    exception.
+    Keeps the pivot rows of the integer reduction and drops the all-zero
+    rows.  Inconsistency is a flag, never an exception.
     """
     rows, pivot_cols = integer_rref(system)
     n_vars = system.num_vars
     rank = len(pivot_cols)
-    kept = rows[:rank]
     pivots = set(pivot_cols)
     return RrefResult(
-        matrix=LinearSystem.from_rows(
-            kept, system.var_of_col,
-            tuple(row[col] for row, col in zip(kept, pivot_cols))),
+        rows=tuple(rows[:rank]),
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(c for c in range(n_vars) if c not in pivots),
         rank=rank,

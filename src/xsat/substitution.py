@@ -47,8 +47,8 @@ class ContractError(XsatError):
 class LinearConstraint:
     """``lhs = const + sum(coeff * var)``.
 
-    ``coeffs`` maps body variables to signed integer coefficients (no zero
-    entries, lhs never among them).
+    ``coeffs`` maps body variables to signed nonzero integer coefficients
+    (lhs never among them).
     """
 
     lhs: int

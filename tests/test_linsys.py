@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -31,10 +32,13 @@ F = Fraction
 
 
 def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
-    """Reference: dense Gauss-Jordan over Fraction, same pivot rule."""
-    rows = [list(row) for row in system.entries]
-    n_rows = len(rows)
+    """Reference: dense Gauss-Jordan over Fraction, same pivot rule.
+
+    Its ``rows`` are dense ``Fraction`` tuples, each with pivot entry 1.
+    """
     n_vars = system.num_vars
+    rows = [[F(row.get(c, 0)) for c in range(n_vars + 1)] for row in system.rows]
+    n_rows = len(rows)
     pivot_cols: list[int] = []
     cur = 0
     for col in range(n_vars):
@@ -65,13 +69,28 @@ def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
     rank = len(pivot_cols)
     free_cols = tuple(c for c in range(n_vars) if c not in set(pivot_cols))
     return RrefResult(
-        matrix=LinearSystem(kept, system.var_of_col),
+        rows=kept,
         pivot_cols=tuple(pivot_cols),
         free_cols=free_cols,
         rank=rank,
         nullity=n_vars - rank,
         inconsistent=inconsistent,
     )
+
+
+def rational_rows(res: RrefResult) -> tuple[tuple[Fraction, ...], ...]:
+    """Each kept integer row divided by its pivot entry, as dense Fractions."""
+    n_vars = res.rank + res.nullity
+    return tuple(tuple(F(row.get(c, 0), row[pivot]) for c in range(n_vars + 1))
+                 for row, pivot in zip(res.rows, res.pivot_cols))
+
+
+def assert_matches_dense(res: RrefResult, dense: RrefResult):
+    """The integer RREF is the rational one, row by row, and every kept row
+    is primitive with a positive pivot entry."""
+    assert dataclasses.replace(res, rows=rational_rows(res)) == dense
+    for row, pivot in zip(res.rows, res.pivot_cols):
+        assert row[pivot] > 0 and math.gcd(*row.values()) == 1, row
 
 
 def _random_triples(r: int, k: int, seed: int) -> XsatFormula:
@@ -86,22 +105,21 @@ def _random_triples(r: int, k: int, seed: int) -> XsatFormula:
     return XsatFormula(r, tuple(triples))
 
 
-def _random_rational_system(n_rows: int, n_vars: int, seed: int) -> LinearSystem:
-    """Entries p/q with p in -3..3 and q in 1..5, about half of them zero."""
+def _random_integer_system(n_rows: int, n_vars: int, seed: int) -> LinearSystem:
+    """Values in -6..6, about half of them zero, so that rows can share a
+    factor above 1 and lead with a negative value."""
     rng = SplitMix64(seed)
-
-    def entry():
-        if rng.randbelow(2):
-            return F(0)
-        return F(rng.randbelow(7) - 3, 1 + rng.randbelow(5))
-
-    rows = tuple(tuple(entry() for _ in range(n_vars + 1)) for _ in range(n_rows))
-    return LinearSystem(rows, tuple(range(1, n_vars + 1)))
+    rows = []
+    for _ in range(n_rows):
+        values = (0 if rng.randbelow(2) else rng.randbelow(13) - 6
+                  for _ in range(n_vars + 1))
+        rows.append({c: v for c, v in enumerate(values) if v})
+    return LinearSystem(tuple(rows), n_vars)
 
 
 def _assert_same_rref(system: LinearSystem):
     sparse = gauss_jordan(system)
-    assert sparse == dense_gauss_jordan(system)
+    assert_matches_dense(sparse, dense_gauss_jordan(system))
     rows, pivot_cols = integer_rref(system)
     assert pivot_cols == list(sparse.pivot_cols)
     for row in rows:
@@ -111,19 +129,20 @@ def _assert_same_rref(system: LinearSystem):
 
 def test_encode_single_clause():
     sys_ = encode_sys(XsatFormula(3, ((1, 2, 3),)))
-    assert sys_.entries == ((F(1), F(1), F(1), F(1)),)
-    assert sys_.var_of_col == (1, 2, 3)
+    assert sys_.rows == ({0: 1, 1: 1, 2: 1, 3: 1},)
+    assert sys_.num_vars == 3
 
 
 def test_encode_bottom_contributes_nothing():
     sys_ = encode_sys(XsatFormula(2, ((1, 2, BOTTOM),)))
-    assert sys_.entries == ((F(1), F(1), F(1)),)
+    assert sys_.rows == ({0: 1, 1: 1, 2: 1},)
 
 
 def test_encode_six_var_shape(six_var):
     sys_ = encode_sys(six_var)
-    assert sys_.num_rows == 4
-    assert len(sys_.entries[0]) == 7
+    assert len(sys_.rows) == 4
+    assert sys_.num_vars == 6
+    assert all(row[6] == 1 and max(row) == 6 for row in sys_.rows)
 
 
 def test_encode_rejects_negation():
@@ -136,7 +155,7 @@ def test_gauss_partition_already_reduced():
     sys_ = encode_sys(f)
     res = gauss_jordan(sys_)
     assert (res.rank, res.nullity) == (2, 4)
-    assert res.matrix.entries == sys_.entries
+    assert res.rows == sys_.rows
     assert res.pivot_cols == (0, 3)
     assert res.free_cols == (1, 2, 4, 5)
     assert not res.inconsistent
@@ -157,7 +176,7 @@ def test_gauss_dense_unsat_is_rationally_consistent(dense_unsat):
     assert (res.rank, res.nullity) == (4, 0)
     assert not res.inconsistent
     # unique rational solution has every entry 1/3; exact arithmetic required
-    rhs = [row[-1] for row in res.matrix.entries]
+    rhs = [row[-1] for row in rational_rows(res)]
     assert rhs == [F(1, 3)] * 4
 
 
@@ -226,7 +245,7 @@ def test_rref_pivot_columns_are_unit_vectors():
         f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 300))
         res = gauss_jordan(encode_sys(f))
         for row_idx, col in enumerate(res.pivot_cols):
-            column = [row[col] for row in res.matrix.entries]
+            column = [row[col] for row in rational_rows(res)]
             assert column[row_idx] == 1
             assert all(x == 0 for i, x in enumerate(column) if i != row_idx)
 
@@ -237,7 +256,7 @@ def test_rref_preserves_solutions():
         f = gen_random(GenSpec(r=8, k=4 + rng.randbelow(3), seed=trial + 7))
         res = gauss_jordan(encode_sys(f))
         for model in naive_models(f):
-            for row in res.matrix.entries:
+            for row in rational_rows(res):
                 lhs = sum(c * v for c, v in zip(row[:-1], model))
                 assert lhs == row[-1]
 
@@ -264,23 +283,27 @@ def test_sparse_rref_equals_dense_on_random_triples(r, k, seed):
     _assert_same_rref(encode_sys(_random_triples(r, k, seed)))
 
 
-def test_sparse_rref_equals_dense_on_rational_entries():
+def test_sparse_rref_equals_dense_on_integer_systems():
     for seed in range(40):
         n_rows = 2 + seed % 7
         n_vars = 3 + (seed * 5) % 8
-        _assert_same_rref(_random_rational_system(n_rows, n_vars, seed))
-    system = LinearSystem(((F(1, 2), F(2, 3), F(0), F(5, 7)),
-                           (F(-3, 4), F(0), F(7, 5), F(1, 3)),
-                           (F(1, 4), F(4, 3), F(7, 5), F(-1, 6))), (1, 2, 3))
+        _assert_same_rref(_random_integer_system(n_rows, n_vars, seed))
+    # a common factor of 2, and a negative leading value in every row
+    system = LinearSystem(({0: -2, 1: 4, 3: 6}, {0: -3, 2: 5, 3: 1},
+                           {0: -1, 1: 8, 2: 5, 3: -2}), 3)
     _assert_same_rref(system)
-    assert gauss_jordan(system).matrix.entries[0][0] == 1
+    assert rational_rows(gauss_jordan(system))[0][0] == 1
+    # -2x + 4y = 6 is kept divided by -2
+    single = LinearSystem(({0: -2, 1: 4, 2: 6},), 2)
+    _assert_same_rref(single)
+    assert gauss_jordan(single).rows == ({0: 1, 1: -2, 2: -3},)
 
 
 def test_sparse_rref_equals_dense_on_inconsistent_systems():
     # x = 1 and x = 2: the first row is the pivot, so the kept rhs is 1
-    system = LinearSystem(((F(1), F(1)), (F(1), F(2))), (1,))
+    system = LinearSystem(({0: 1, 1: 1}, {0: 1, 1: 2}), 1)
     res = gauss_jordan(system)
-    assert res.inconsistent and res.matrix.entries == ((F(1), F(1)),)
+    assert res.inconsistent and res.rows == ({0: 1, 1: 1},)
     _assert_same_rref(system)
     f = XsatFormula(3, ((1, 2, BOTTOM), (1, 3, BOTTOM), (2, 3, BOTTOM),
                         (1, 2, 3)))
@@ -289,6 +312,6 @@ def test_sparse_rref_equals_dense_on_inconsistent_systems():
 
 
 def test_sparse_rref_on_empty_systems():
-    for system in (LinearSystem((), ()), LinearSystem((), (1, 2)),
-                   LinearSystem(((F(0),), (F(3),)), ())):
+    for system in (LinearSystem((), 0), LinearSystem((), 2),
+                   LinearSystem(({}, {0: 3}), 0)):
         _assert_same_rref(system)
