@@ -96,7 +96,10 @@ def cmd_count(args) -> int:
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
     f, _ = _load_positive(args.input)
-    kern = build_kernel(f, args.method).kernel
+    built = build_kernel(f, args.method)
+    kern = built.kernel
+    if built.inconsistent:
+        print("c inconsistent: the equations have no rational solution")
     print(f"p ipe {kern.width} {len(kern.rows)}")
     for row in kern.rows:
         coeffs = " ".join(str(Fraction(c, row.den)) for c in row.coeffs)

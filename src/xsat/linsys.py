@@ -1,4 +1,4 @@
-"""Linear-system encoding and exact Gauss-Jordan elimination.
+"""Linear-system encoding and exact elimination to reduced row echelon form.
 
 A positive one-in-three clause {p, p', p''} becomes the equation
 p + p' + p'' = 1; bottom contributes nothing.  The 0/1 solutions of the
@@ -9,9 +9,14 @@ Nothing is ever rounded, and the route from clauses to the RREF is integer
 throughout.  Each equation is a sparse primitive integer row, a dict of its
 nonzero coefficients (three per clause plus fill-in), and elimination never
 forms a fraction (fraction-free elimination, Bareiss, Math. Comp. 1968).
-The RREF is unique, so each kept pivot row divided by its pivot entry is
-the row a rational elimination would give.  Columns are never physically
-permuted: pivot and free columns are reported as index lists instead.
+Elimination copies the input rows once and then updates the copies in
+place, in two sweeps: forward, clearing each pivot's column below it, then
+backward, from the last pivot to the second, clearing it above.  The RREF
+is unique, so this order keeps the rows any other order with the same
+pivots would, and each kept pivot row divided by its pivot entry is the
+row a rational Gauss-Jordan elimination would give.  Columns are never
+physically permuted: pivot and free columns are reported as index lists
+instead.
 """
 
 from __future__ import annotations
@@ -92,22 +97,48 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int):
+    """In place: ``row <- p*row - g*pivot``, cancelling ``row[col]``, then
+    divided by the gcd of its values.  ``pivot[col]`` must be positive."""
+    d = math.gcd(pivot[col], row[col])
+    p, g = pivot[col] // d, row[col] // d
+    if p != 1:
+        for c in row:
+            row[c] *= p
+    for c, v in pivot.items():
+        x = row.get(c, 0) - g * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+    # divided in place, where _primitive would build a new dict
+    common = math.gcd(*row.values())
+    if common > 1:
+        for c in row:
+            row[c] //= common
+
+
 def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse fraction-free reduction: (rows, pivot columns).
 
-    Reads the system's ``rows`` and never modifies them.  An update is
-    ``row = p*row - g*pivot_row``, and every row, input rows included, is
-    kept primitive: divided by the gcd of its values.  A pivot row is negated
-    when its pivot entry is negative, so every pivot entry ends positive.
-    The first ``len(pivot_cols)`` rows are the pivot rows in order; the rest
-    are zero on every variable column.
+    Reads the system's ``rows`` and never modifies them: each is copied once,
+    divided by the gcd of its values, and every update after that rewrites
+    a copy in place as ``row = p*row - g*pivot_row``, kept primitive.  The
+    first ``len(pivot_cols)`` rows are the pivot rows in order, each with a
+    positive pivot entry; the rest are zero on every variable column.
 
-    Pivot selection: leftmost column holding a nonzero entry at or below the
-    current row, smallest row index on ties.  Every row stays a nonzero
-    multiple of the row a rational elimination with the same rule would
-    hold, so the zero pattern, the pivots and the row order are the same.
+    Two sweeps.  The forward sweep places the pivots: leftmost column
+    holding a nonzero entry at or below the current row, smallest row index
+    on ties, the pivot row negated when its pivot entry is negative, and
+    the column eliminated from the rows below it only.  The backward sweep
+    goes from the last pivot to the second and eliminates each pivot's
+    column from the pivot rows above it; a pivot row is already free of
+    every later pivot column when its turn comes.  Each row below the
+    current one stays a positive multiple of the row a rational
+    elimination with the same rule would hold, so the pivots and the row
+    order are the same, and the RREF is unique, so the kept rows are too.
     """
-    rows = [_primitive(row) for row in system.rows]
+    rows = [dict(_primitive(row)) for row in system.rows]
     n_rows = len(rows)
     pivot_cols: list[int] = []
     cur = 0
@@ -117,25 +148,20 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
             continue
         pivot = rows[pivot_row]
         if pivot[col] < 0:
-            pivot = {c: -v for c, v in pivot.items()}
+            for c in pivot:
+                pivot[c] = -pivot[c]
         rows[pivot_row] = rows[cur]
         rows[cur] = pivot
-        for i in range(n_rows):
-            row = rows[i]
-            if i == cur or col not in row:
-                continue
-            d = math.gcd(pivot[col], row[col])
-            p, g = pivot[col] // d, row[col] // d
-            new = {c: p * v for c, v in row.items()}
-            for c, v in pivot.items():
-                x = new.get(c, 0) - g * v
-                if x:
-                    new[c] = x
-                else:
-                    del new[c]
-            rows[i] = _primitive(new)
+        for i in range(cur + 1, n_rows):
+            if col in rows[i]:
+                _eliminate(rows[i], pivot, col)
         pivot_cols.append(col)
         cur += 1
+    for j in range(len(pivot_cols) - 1, 0, -1):
+        col, pivot = pivot_cols[j], rows[j]
+        for i in range(j):
+            if col in rows[i]:
+                _eliminate(rows[i], pivot, col)
     return rows, pivot_cols
 
 
@@ -157,9 +183,3 @@ def gauss_jordan(system: LinearSystem) -> RrefResult:
         nullity=n_vars - rank,
         inconsistent=any(n_vars in row for row in rows[rank:]),
     )
-
-
-def rank_of(f: XsatFormula) -> tuple[int, int]:
-    """(rank, nullity) of the clause equation system."""
-    res = gauss_jordan(encode_sys(f))
-    return res.rank, res.nullity

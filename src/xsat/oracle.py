@@ -6,9 +6,9 @@ the value of bit ``i`` of ``m``.  One truth-table core backs every fast
 counter: it walks the assignments in blocks of 2^LOW_BITS, and inside a
 block each literal is a Python int whose bit j is its value under
 assignment ``first + j``, so a clause is evaluated over the whole block in
-a few big-int operations.  ``naive_count_reference`` is a plain double loop
-over assignments and clauses that shares no code with the core; the tests
-check one against the other, so the oracle itself has an oracle.
+a few big-int operations.  The tests check the core against a plain double
+loop over assignments and clauses that shares no code with it, so the
+oracle itself has an oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .formula import (
     CapacityError,
     CnfFormula,
     XsatFormula,
-    eval_xsat,
 )
 
 ORACLE_CAP = 24
@@ -73,15 +72,6 @@ def naive_count(f: XsatFormula, cap: int = ORACLE_CAP) -> int:
     _check_cap(f.num_vars, cap)
     return sum(table.bit_count() for _, table in
                _truth_tables(f.num_vars, f.clauses, _exactly_one))
-
-
-def naive_count_reference(f: XsatFormula, cap: int = 16) -> int:
-    """Straightforward double-loop counter; the check on naive_count."""
-    _check_cap(f.num_vars, cap)
-    r = f.num_vars
-    return sum(
-        1 for m in range(1 << r)
-        if eval_xsat(f, tuple((m >> i) & 1 for i in range(r))))
 
 
 def naive_models(f: XsatFormula, cap: int = 20) -> list[Assignment]:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from xsat import kappa, naive_count, rank_of, solve, validate
+from xsat import kappa, naive_count, solve, validate
 from xsat.generator import (
     GenSpec,
     SpecError,
@@ -14,6 +14,8 @@ from xsat.generator import (
     generate,
 )
 from xsat.substitution import expansion_profile
+
+from test_linsys import rank_of
 
 
 def test_splitmix_reference_stream():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from xsat import (
     encode_sys,
     gauss_jordan,
     naive_count,
-    rank_of,
 )
 from xsat.generator import (
     GenSpec,
@@ -76,6 +76,12 @@ def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
         nullity=n_vars - rank,
         inconsistent=inconsistent,
     )
+
+
+def rank_of(f: XsatFormula) -> tuple[int, int]:
+    """(rank, nullity) of the clause equation system."""
+    res = gauss_jordan(encode_sys(f))
+    return res.rank, res.nullity
 
 
 def rational_rows(res: RrefResult) -> tuple[tuple[Fraction, ...], ...]:
@@ -315,3 +321,20 @@ def test_sparse_rref_on_empty_systems():
     for system in (LinearSystem((), 0), LinearSystem((), 2),
                    LinearSystem(({}, {0: 3}), 0)):
         _assert_same_rref(system)
+
+
+def test_elimination_leaves_its_input_alone(six_var):
+    # encode_sys rows are primitive, so they would alias the working rows;
+    # the hand-built rows share a factor of 2 or lead with a negative value
+    systems = (
+        encode_sys(six_var),
+        encode_sys(_random_triples(20, 26, 2)),
+        LinearSystem(({0: -2, 1: 4, 3: 6}, {0: -3, 2: 5, 3: 1},
+                      {0: -1, 1: 8, 2: 5, 3: -2}), 3),
+    )
+    for system in systems:
+        before = copy.deepcopy(system.rows)
+        gauss_jordan(system)
+        assert system.rows == before
+        integer_rref(system)
+        assert system.rows == before

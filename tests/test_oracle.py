@@ -3,8 +3,17 @@ import pytest
 from xsat import CapacityError, CnfFormula, XsatFormula, naive_count, naive_count_cnf
 from xsat.formula import BOTTOM, eval_xsat
 from xsat.generator import GenSpec, SplitMix64, gen_random
-from xsat.oracle import LOW_BITS, naive_count_reference, naive_models
+from xsat.oracle import LOW_BITS, _check_cap, naive_models
 from xsat.reductions import reduce_cnf_to_xsat
+
+
+def naive_count_reference(f: XsatFormula, cap: int = 16) -> int:
+    """Straightforward double-loop counter; the check on naive_count."""
+    _check_cap(f.num_vars, cap)
+    r = f.num_vars
+    return sum(
+        1 for m in range(1 << r)
+        if eval_xsat(f, tuple((m >> i) & 1 for i in range(r))))
 
 
 def test_count_two_clause(two_clause_sat):

@@ -2,12 +2,12 @@
 
 Every method and every counter must give the oracle's count through the
 reduction chain, witnesses must come out in the flat walk's order, the
-text format must round-trip, the integer elimination
-must agree with a dense rational one, the one-pass rewrite must agree
-with the repeated sweep and be idempotent, and the one-pass expansion sizes
-must equal the spliced occurrence multisets.  Settings are fixed
-(derandomized, no deadline, a bounded number of examples), so the run is
-the same every time.
+text format must round-trip, the integer elimination must agree with a
+dense rational one on clause rows and on arbitrary integer rows, the
+one-pass rewrite must agree with the repeated sweep and be idempotent, and
+the one-pass expansion sizes must equal the spliced occurrence multisets.
+Settings are fixed (derandomized, no deadline, a bounded number of
+examples), so the run is the same every time.
 """
 
 import math
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from xsat import (
     BOTTOM,
     CnfFormula,
+    LinearSystem,
     XsatFormula,
     count_blocks,
     count_kernel,
@@ -81,6 +82,24 @@ def positive_systems(draw) -> XsatFormula:
     clauses = draw(st.lists(clause(n, allow_bottom=True), min_size=1,
                             max_size=11))
     return XsatFormula(n, tuple(tuple(abs(l) for l in c) for c in clauses))
+
+
+@st.composite
+def integer_systems(draw) -> LinearSystem:
+    """Integer rows over 1 to 6 variables, values in -6..6 and zero about
+    half the time, more rows than columns, with copies of earlier rows and
+    all-zero rows among them (so inconsistent systems and several zero rows
+    after the pivots occur)."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.just(0), st.integers(-6, 6))
+    row = st.lists(value, min_size=n + 1, max_size=n + 1)
+    base = draw(st.lists(row, min_size=n, max_size=n + 2))
+    extra = draw(st.lists(st.one_of(st.sampled_from(base),
+                                    st.just([0] * (n + 1))),
+                          min_size=2, max_size=4))
+    rows = draw(st.permutations(base + extra))
+    return LinearSystem(
+        tuple({c: v for c, v in enumerate(r) if v} for r in rows), n)
 
 
 @st.composite
@@ -166,3 +185,10 @@ def test_integer_elimination_matches_rational_elimination(f):
         assert [Fraction(c, row.den) for c in row.coeffs] == [
             rational[c] for c in dense.free_cols]
         assert Fraction(row.rhs, row.den) == rational[f.num_vars]
+
+
+@FIXED
+@given(integer_systems())
+def test_integer_elimination_matches_rational_elimination_on_integer_rows(
+        system):
+    assert_matches_dense(gauss_jordan(system), dense_gauss_jordan(system))

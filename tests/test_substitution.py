@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from xsat import BOTTOM, EncodingError, XsatFormula, rank_of
+from xsat import BOTTOM, EncodingError, XsatFormula
 from xsat.generator import (
     GenSpec,
     SplitMix64,
@@ -27,6 +27,7 @@ from xsat.substitution import (
 )
 
 from test_acceptance import ensemble
+from test_linsys import rank_of
 
 
 def _sweep(cons: list[dict]) -> int:
