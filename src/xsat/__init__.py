@@ -40,7 +40,6 @@ from .kernel import (
     count_blocks,
     count_kernel,
     extract_kernel,
-    kernel_from_substitution,
     repr_size,
     solve,
 )
@@ -51,15 +50,6 @@ from .reductions import (
     reduce_cnf_to_xsat,
     reduce_xsat_to_positive,
 )
-from .substitution import (
-    ContractError,
-    LinearConstraint,
-    SubstitutionState,
-    expansion_profile,
-    initial_state,
-    normalize_clause,
-    rank_of_subst,
-    substitute,
-)
+from .substitution import expansion_profile, substitute
 
 __version__ = "0.1.0"

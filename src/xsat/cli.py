@@ -36,6 +36,7 @@ from .kernel import (
     size_bounds,
     solve,
 )
+from .linsys import encode_sys, gauss_jordan
 from .oracle import ORACLE_CAP, naive_count, naive_models
 from .reductions import (
     ReductionTrace,
@@ -98,7 +99,12 @@ def cmd_kernel(args) -> int:
     f, _ = _load_positive(args.input)
     built = build_kernel(f, args.method)
     kern = built.kernel
-    if built.inconsistent:
+    inconsistent = built.inconsistent
+    if args.method == "subst":
+        # the rewrite flags only rows that contradict each other outright;
+        # elimination decides whether any rational solution exists
+        inconsistent = gauss_jordan(encode_sys(f)).inconsistent
+    if inconsistent:
         print("c inconsistent: the equations have no rational solution")
     print(f"p ipe {kern.width} {len(kern.rows)}")
     for row in kern.rows:

@@ -1,19 +1,23 @@
 """Residual 0/1 integer program: extraction, enumeration, full pipeline.
 
-After elimination (or substitution) every pivot variable is an affine
-function of the free variables.  A free assignment s extends to a model
-exactly when every row's residual lands in {0, 1}; the residual then IS
-the pivot variable's value, so counting admissible free assignments counts
-models, with no separate back-substitution pass.
+There is one route from a formula to a kernel: ``encode_sys``, then
+``gauss_jordan`` or ``substitute`` on the same rows, then
+``extract_kernel`` on the ``RrefResult`` either one returns.  Afterwards
+every pivot variable is an affine function of the free variables.  A free
+assignment s extends to a model exactly when every row's residual lands
+in {0, 1}; the residual then IS the pivot variable's value, so counting
+admissible free assignments counts models, with no separate
+back-substitution pass.
 
 Kernel rows are integer: coefficients, a rhs and one positive denominator
 D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
 An RREF row is primitive, so its D is its pivot entry; a substitution row
-has D = 1.  Two counters apply the same rule to the rows as they are and
-give the same count.  ``count_blocks`` Gray-walks only the free bits
-above BLOCK_BITS and accepts all 2^BLOCK_BITS low assignments of a step
-at once, as bits of one Python int per row; ``solve`` counts with it and
-reads the witnesses off its accepted bits, in the flat walk's order.
+has a pivot entry of 1, so D = 1.  Two counters apply the same rule to
+the rows as they are and give the same count.  ``count_blocks``
+Gray-walks only the free bits above BLOCK_BITS and accepts all
+2^BLOCK_BITS low assignments of a step at once, as bits of one Python int
+per row; ``solve`` counts with it and reads the witnesses off its
+accepted bits, in the flat walk's order.
 ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
 one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
@@ -32,13 +36,7 @@ from dataclasses import dataclass
 
 from .formula import Assignment, CapacityError, XsatFormula, check_valid
 from .linsys import RrefResult, encode_sys, gauss_jordan
-from .substitution import (
-    SubstitutionState,
-    expansion_profile,
-    initial_state,
-    rank_of_subst,
-    substitute,
-)
+from .substitution import expansion_profile, substitute
 
 DEFAULT_MAX_FREE = 30
 DEFAULT_WITNESS_CAP = 1000
@@ -59,11 +57,11 @@ class KernelRow:
 
 @dataclass(frozen=True)
 class KernelInstance:
-    """Rows over the free variables; one row per retained constraint.
+    """Rows over the free variables; one row per kept pivot row.
 
     For the elimination path pivot variables are pairwise distinct.  The
-    substitution path may repeat a pivot (two constraints solved for the
-    same variable); the duplicates act as consistency filters during
+    substitution path may repeat a pivot (two rows solved for the same
+    variable); the duplicates act as consistency filters during
     enumeration and never contribute extra variables.
     """
 
@@ -94,13 +92,19 @@ class SolveReport:
 def extract_kernel(rref: RrefResult) -> KernelInstance:
     """Free-column coefficients of each pivot row, rhs from the augmented
     column, and the pivot entry as the row's denominator; column c is
-    variable c + 1."""
+    variable c + 1.  Serves both methods: a row holds no pivot column but
+    its own, so every other variable entry is a free column."""
     free_cols = rref.free_cols
     n_vars = rref.rank + rref.nullity
+    pos = {c: i for i, c in enumerate(free_cols)}
     rows = []
     for row, pivot_col in zip(rref.rows, rref.pivot_cols):
+        coeffs = [0] * len(free_cols)
+        for c, v in row.items():
+            if c in pos:
+                coeffs[pos[c]] = v
         rows.append(KernelRow(
-            coeffs=tuple(row.get(c, 0) for c in free_cols),
+            coeffs=tuple(coeffs),
             rhs=row.get(n_vars, 0),
             pivot_var=pivot_col + 1,
             den=row[pivot_col],
@@ -110,24 +114,6 @@ def extract_kernel(rref: RrefResult) -> KernelInstance:
         rows=tuple(rows),
         origin_vars=n_vars,
     )
-
-
-def kernel_from_substitution(state: SubstitutionState) -> KernelInstance:
-    """Rewrite fixpoint constraints into kernel rows.
-
-    A constraint lhs = const + sum(c * v) becomes a row with pivot lhs,
-    coefficients -c on the free side, rhs const and denominator 1, matching
-    the residual convention above.
-    """
-    free_vars = tuple(sorted(state.dependent))
-    col_of = {v: i for i, v in enumerate(free_vars)}
-    rows = []
-    for con in state.constraints:
-        coeffs = [0] * len(free_vars)
-        for v, c in con.coeffs:
-            coeffs[col_of[v]] = -c
-        rows.append(KernelRow(tuple(coeffs), con.const, con.lhs))
-    return KernelInstance(free_vars, tuple(rows), state.num_vars)
 
 
 def _check_width(d: int, max_free: int):
@@ -355,27 +341,17 @@ class KernelBuild:
 
 
 def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
-    """Encode and eliminate (``"gauss"``) or rewrite (``"subst"``) to a kernel.
-
-    Under ``"subst"`` the encoding is the initial substitution state.
-    """
+    """Encode, then eliminate (``"gauss"``) or rewrite (``"subst"``) the
+    same rows, and extract the kernel."""
+    if method not in ("gauss", "subst"):
+        raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
-    if method == "gauss":
-        system = encode_sys(f)
-        t1 = time.perf_counter()
-        rref = gauss_jordan(system)
-        kern = extract_kernel(rref)
-        return KernelBuild(kern, rref.rank, rref.nullity, rref.inconsistent,
-                           t1 - t0, time.perf_counter() - t1)
-    if method == "subst":
-        start = initial_state(f)
-        t1 = time.perf_counter()
-        state = substitute(start)
-        rank, nullity = rank_of_subst(state)
-        kern = kernel_from_substitution(state)
-        return KernelBuild(kern, rank, nullity, state.inconsistent,
-                           t1 - t0, time.perf_counter() - t1)
-    raise ValueError(f"unknown method {method!r}")
+    system = encode_sys(f)
+    t1 = time.perf_counter()
+    rref = gauss_jordan(system) if method == "gauss" else substitute(system)
+    kern = extract_kernel(rref)
+    return KernelBuild(kern, rref.rank, rref.nullity, rref.inconsistent,
+                       t1 - t0, time.perf_counter() - t1)
 
 
 def solve(

@@ -52,11 +52,17 @@ class RrefResult:
     ``rows`` holds the kept pivot rows in order, as ``{col: int}`` dicts
     like :class:`LinearSystem` rows.  Row i is primitive with a positive
     entry at ``pivot_cols[i]``; that entry is the row's D, the least common
-    denominator of the rational row.  ``pivot_cols`` and ``free_cols`` are
-    0-based column indices into the original variable order;
-    ``rank + nullity`` is the number of variables, and ``inconsistent`` is
-    set when elimination produced a row that is zero on every variable
-    column but nonzero in the augmented column.
+    denominator of the rational row.  Besides its own pivot column, no
+    row holds a pivot column.  ``pivot_cols`` and ``free_cols`` are 0-based column indices
+    into the original variable order; ``rank + nullity`` is the number of
+    variables, and ``inconsistent`` is set when elimination produced a row
+    that is zero on every variable column but nonzero in the augmented
+    column.
+
+    :func:`xsat.substitution.substitute` returns the same type with every
+    D equal to 1, and there ``pivot_cols`` can repeat: two rows solved for
+    the same variable.  ``rank`` counts the distinct pivots, and
+    ``free_cols`` are the columns that are no pivot.
     """
 
     rows: tuple[dict[int, int], ...]

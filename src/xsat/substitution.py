@@ -1,25 +1,25 @@
-"""Constraint-rewriting preprocessor: the substitution method.
+"""Equation rewriting: the substitution method, on linear-system rows.
 
-Each positive clause is first put in normal form: solve for its lowest
-variable, so {p2, p5, p6} reads p2 = 1 - p5 - p6.  Constraints are sorted
-ascending by their solved variable, then rewritten to a fixpoint by one
-back-substitution pass from the last constraint to the first: each
-occurrence of a solved variable in a constraint's body is replaced by the
-right-hand side of the last constraint solved for it, and the result is
-normalized (like terms combined, constants folded, zero coefficients
-dropped).  Every body variable lies above its constraint's solved variable,
-so that source sits later in the order and has already been rewritten: its
-body holds no solved variable, a replacement never brings one in, and one
-pass reaches the fixpoint.  Body coefficients are signed integers; chains
-of rewrites produce coefficients other than -1, including cancellations.
+Substitution works on the same equations as elimination, the sparse
+integer rows of :func:`xsat.linsys.encode_sys`.  Each row is solved for its
+lowest variable, so the clause {p2, p5, p6} reads p2 = 1 - p5 - p6, and the
+rows are sorted ascending by that variable, ties in clause order.  One
+back-substitution pass from the last row to the first then replaces each
+occurrence of a solved variable in a row's body by the last row solved for
+it: one :func:`xsat.linsys._eliminate` step against a pivot entry of 1, so
+no row is ever scaled or divided.  Every body variable lies above its
+row's solved variable, so that source sits later in the order and has
+already been rewritten: its body holds no solved variable, a replacement
+never brings one in, and one pass reaches the fixpoint.  Chains of
+rewrites produce coefficients other than 1, including cancellations.
 
-At the fixpoint the solved variables form the independent set N and the
-remaining variables the dependent set; enumeration only ever needs to
-search the dependent side.  Two constraints may share a solved variable
-(the rewrite keeps both); the extra one acts as a consistency filter when
-the kernel is enumerated.
+The solved variables are the pivots and the rest are free; enumeration
+only ever searches the free side.  Two rows may share a solved variable
+(the rewrite keeps both), so a pivot can repeat; the extra row acts as a
+consistency filter when the kernel is enumerated.  The rank is the number
+of distinct pivots, at most the elimination rank.
 
-The expansion size of a constraint, the cost measure behind the reported
+The expansion size of a row, the cost measure behind the reported
 representation size, counts the occurrences its body would hold if every
 substitution were spliced in without sign cancellation.  It depends on the
 formula alone, so :func:`expansion_profile` reads it off the clauses in
@@ -29,146 +29,71 @@ Fibonacci sequence even though the signed bodies collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import BOTTOM, Assignment, Triple, XsatError, XsatFormula
-from .linsys import EncodingError
+from .formula import BOTTOM, XsatFormula
+from .linsys import LinearSystem, RrefResult, _eliminate
 
 
-class DegenerateClauseError(XsatError):
-    """Clause has no variable to solve for (all literals are bottom)."""
-
-
-class ContractError(XsatError):
-    """A state is not a fixpoint, or not in the order an operation needs."""
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``lhs = const + sum(coeff * var)``.
-
-    ``coeffs`` maps body variables to signed nonzero integer coefficients
-    (lhs never among them).
-    """
-
-    lhs: int
-    const: int
-    coeffs: tuple[tuple[int, int], ...]
-
-    @property
-    def body(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def satisfied_by(self, a: Assignment) -> bool:
-        """Exact integer identity check against a full 0/1 assignment."""
-        rhs = self.const + sum(c * a[v - 1] for v, c in self.coeffs)
-        return a[self.lhs - 1] == rhs
-
-
-def _freeze(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(d.items()))
-
-
-@dataclass(frozen=True)
-class SubstitutionState:
-    """Ordered constraints plus the independent/dependent variable split."""
-
-    num_vars: int
-    constraints: tuple[LinearConstraint, ...]
-    independent: frozenset[int]
-    dependent: frozenset[int]
-    fixpoint: bool
-    inconsistent: bool
-
-
-def normalize_clause(t: Triple) -> LinearConstraint:
-    """Solve a positive clause for its lowest variable; bottom is dropped."""
-    vs = sorted(l for l in t if l != BOTTOM)
-    if not vs:
-        raise DegenerateClauseError(f"clause {t} has no variable to solve for")
-    if vs[0] < 0:
-        raise EncodingError(f"negated literal in clause {t}")
-    lhs, rest = vs[0], vs[1:]
-    return LinearConstraint(lhs, 1, tuple((v, -1) for v in rest))
-
-
-def _make_state(num_vars: int, cons: list[LinearConstraint]) -> SubstitutionState:
-    independent = frozenset(c.lhs for c in cons)
-    dependent = frozenset(range(1, num_vars + 1)) - independent
-    fixpoint = all(v not in independent for c in cons for v, _ in c.coeffs)
-    # some two constraints share solved variable and body but not constant
-    inconsistent = (len({(c.lhs, c.coeffs, c.const) for c in cons})
-                    > len({(c.lhs, c.coeffs) for c in cons}))
-    return SubstitutionState(num_vars, tuple(cons), independent, dependent,
-                             fixpoint, inconsistent)
-
-
-def initial_state(f: XsatFormula) -> SubstitutionState:
-    """Normalize every clause and sort ascending by solved variable."""
-    cons = [normalize_clause(t) for t in f.clauses]
-    cons.sort(key=lambda c: c.lhs)  # stable: ties keep clause order
-    return _make_state(f.num_vars, cons)
-
-
-def substitute(state: SubstitutionState) -> SubstitutionState:
+def substitute(system: LinearSystem) -> RrefResult:
     """Rewrite to a fixpoint in one back-substitution pass; idempotent.
 
-    Every elementary step subtracts one constraint from another, so the
-    integer solution set never changes.  Requires constraints sorted
-    ascending by solved variable and every body variable above its
-    constraint's solved variable (``ContractError`` otherwise): then the
-    last constraint solved for a body variable sits later in the order and
-    is already rewritten when it is read, so one pass is exact.
+    Reads the system's rows and never modifies them.  Each row must hold an
+    entry of 1 at its lowest variable column, as every row of
+    :func:`xsat.linsys.encode_sys` and of this function's result does.
+    Every step subtracts a multiple of one row from another, so the integer
+    solution set never changes.  A row with no variable column is dropped,
+    and ``inconsistent`` is set when it has a right-hand side, as
+    :func:`xsat.linsys.gauss_jordan` does; it is also set when two rows
+    have the same variable entries but a different right-hand side.
     """
-    cons = state.constraints
-    lhss = [c.lhs for c in cons]
-    if lhss != sorted(lhss):
-        raise ContractError("constraints must be sorted ascending by solved variable")
-    if any(v <= c.lhs for c in cons for v, _ in c.coeffs):
-        raise ContractError("every body variable must lie above its solved variable")
-    last: dict[int, LinearConstraint] = {}  # solved variable -> its last constraint
-    out = list(cons)
-    for j in range(len(out) - 1, -1, -1):
-        c = out[j]
-        const, coeffs = c.const, dict(c.coeffs)
-        for v, g in c.coeffs:
-            src = last.get(v)
-            if src is None:
-                continue
-            del coeffs[v]
-            const += g * src.const
-            for w, a in src.coeffs:
-                nw = coeffs.pop(w, 0) + g * a
-                if nw:
-                    coeffs[w] = nw
-        c = out[j] = LinearConstraint(c.lhs, const, _freeze(coeffs))
-        last.setdefault(c.lhs, c)
-    result = _make_state(state.num_vars, out)
-    if not result.fixpoint:
-        raise AssertionError("substitution failed to reach a fixpoint")
-    return result
-
-
-def rank_of_subst(state: SubstitutionState) -> tuple[int, int]:
-    """(|independent set|, |dependent set|) of a fixpoint state."""
-    if not state.fixpoint:
-        raise ContractError("state is not a substitution fixpoint")
-    return len(state.independent), state.num_vars - len(state.independent)
+    n_vars = system.num_vars
+    keyed = []
+    inconsistent = False
+    for row in system.rows:
+        cols = [c for c in row if c != n_vars]
+        if cols:
+            keyed.append((min(cols), dict(row)))
+        elif row:
+            inconsistent = True
+    keyed.sort(key=lambda item: item[0])  # stable: ties keep row order
+    last: dict[int, dict[int, int]] = {}  # pivot -> the last row solved for it
+    for pivot, row in reversed(keyed):
+        for col in [c for c in row if c != pivot and c in last]:
+            _eliminate(row, last[col], col)
+        last.setdefault(pivot, row)
+    pivot_cols = tuple(pivot for pivot, _ in keyed)
+    rows = tuple(row for _, row in keyed)
+    if len(last) < len(rows):  # only rows sharing a pivot can contradict
+        rhs_of: dict[frozenset, int] = {}
+        for row in rows:
+            rhs = row.get(n_vars, 0)
+            body = frozenset((c, v) for c, v in row.items() if c != n_vars)
+            if rhs_of.setdefault(body, rhs) != rhs:
+                inconsistent = True
+    return RrefResult(
+        rows=rows,
+        pivot_cols=pivot_cols,
+        free_cols=tuple(c for c in range(n_vars) if c not in last),
+        rank=len(last),
+        nullity=n_vars - len(last),
+        inconsistent=inconsistent,
+    )
 
 
 def expansion_profile(f: XsatFormula) -> list[int]:
-    """Expansion size of each constraint of ``initial_state(f)``, in order.
+    """Expansion size of each row :func:`substitute` solves, in its order.
 
-    One pass from the last constraint to the first: a constraint's size sums,
-    over its body variables, the size of the last constraint solved for the
-    variable, or 1 when none is.  That constraint lies later in the order,
-    so its size is already known.
+    Each clause is solved for its lowest variable, sorted stably by it.
+    One pass from the last clause to the first: a clause's size sums, over
+    its other variables, the size of the last clause solved for the
+    variable, or 1 when none is.  That clause lies later in the order, so
+    its size is already known.
     """
-    cons = initial_state(f).constraints
-    sizes = [0] * len(cons)
-    last: dict[int, int] = {}  # solved variable -> size of its last constraint
-    for j in range(len(cons) - 1, -1, -1):
-        c = cons[j]
-        sizes[j] = sum(last.get(v, 1) for v, _ in c.coeffs)
-        last.setdefault(c.lhs, sizes[j])
+    clauses = sorted((sorted(l for l in t if l != BOTTOM) for t in f.clauses),
+                     key=lambda vs: vs[0])  # stable: ties keep clause order
+    sizes = [0] * len(clauses)
+    last: dict[int, int] = {}  # solved variable -> size of its last clause
+    for j in range(len(clauses) - 1, -1, -1):
+        solved, *body = clauses[j]
+        sizes[j] = sum(last.get(v, 1) for v in body)
+        last.setdefault(solved, sizes[j])
     return sizes

@@ -35,7 +35,8 @@ from xsat import (
 from xsat.cli import EXIT_UNSAT, fit_slope, main, timed_enumeration
 from xsat.generator import SplitMix64, gen_fib_chain, gen_fixed_rank, gen_partition, gen_random
 from xsat.kernel import profile_total_within_bounds
-from xsat.substitution import expansion_profile, initial_state, substitute
+from xsat.linsys import LinearSystem, encode_sys
+from xsat.substitution import expansion_profile, substitute
 
 SIX_VAR = XsatFormula(6, ((1, 2, 3), (4, 5, 6), (2, 5, 6), (1, 2, 5)))
 UNSAT4 = XsatFormula(4, ((1, 2, 3), (2, 3, 4), (1, 2, 4), (1, 3, 4)))
@@ -63,10 +64,10 @@ def test_c1_worked_example():
     t0 = time.perf_counter()
     rep = solve(SIX_VAR, method="subst")
     elapsed_ms = (time.perf_counter() - t0) * 1000
-    st = substitute(initial_state(SIX_VAR))
+    res = substitute(encode_sys(SIX_VAR))
     ok = (rep.rank == 3 and rep.nullity == 3
-          and sorted(st.independent) == [1, 2, 4]
-          and sorted(st.dependent) == [3, 5, 6]
+          and sorted({c + 1 for c in res.pivot_cols}) == [1, 2, 4]
+          and sorted(c + 1 for c in res.free_cols) == [3, 5, 6]
           and rep.count == 3
           and naive_count(SIX_VAR) == 3
           and elapsed_ms < 10)
@@ -194,8 +195,8 @@ def test_c4b_first_step_size_constants():
 def test_c5_idempotence_on_ensemble():
     bad = 0
     for f in ensemble():
-        once = substitute(initial_state(f))
-        if substitute(once) != once:
+        once = substitute(encode_sys(f))
+        if substitute(LinearSystem(once.rows, f.num_vars)) != once:
             bad += 1
     _report("criterion 5 (substitute twice = substitute once, 200 instances)",
             bad == 0, f"failures={bad}")

@@ -253,8 +253,9 @@ def test_kernel_output_half_integer_rows(tmp_path, capsys, method):
 
 INCONSISTENT = {
     # the gauss rref keeps 4 pivot rows and drops two zero rows with rhs 1,
-    # so its printed rows alone admit s = 0 and s = 1; subst does not flag
-    # it but keeps the contradiction in its rows (s2 = 0 and s2 = 1)
+    # so its printed rows alone admit s = 0 and s = 1; only elimination
+    # finds it, so `xsat kernel` asks elimination for the flag under subst
+    # too, whose rows also keep the contradiction (s2 = 0 and s2 = 1)
     "gauss-only": "p xsat+ 5 5\n1 2 B 0\n1 2 3 0\n3 4 B 0\n4 5 B 0\n3 5 B 0\n",
     "both": "p xsat+ 4 4\n1 2 B 0\n1 3 4 0\n2 3 4 0\n3 4 B 0\n",
 }
@@ -262,8 +263,8 @@ FLAG = "c inconsistent: the equations have no rational solution"
 INCONSISTENT_KERNEL = {
     ("gauss-only", "gauss"): [FLAG, "p ipe 1 4", "1 = 1", "0 = 0", "0 = 1",
                               "0 = 1"],
-    ("gauss-only", "subst"): ["p ipe 2 5", "1 -1 = 0", "1 0 = 1", "0 -1 = 0",
-                              "0 1 = 1", "0 1 = 1"],
+    ("gauss-only", "subst"): [FLAG, "p ipe 2 5", "1 -1 = 0", "1 0 = 1",
+                              "0 -1 = 0", "0 1 = 1", "0 1 = 1"],
     ("both", "gauss"): [FLAG, "p ipe 1 3", "0 = 1/2", "0 = 1/2", "1 = 1/2"],
     ("both", "subst"): [FLAG, "p ipe 1 4", "0 = 1", "0 = 0", "0 = 0",
                         "1 = 1"],

@@ -17,7 +17,6 @@ from xsat import (
     eval_xsat,
     extract_kernel,
     gauss_jordan,
-    kernel_from_substitution,
     naive_count,
     repr_size,
     solve,
@@ -33,7 +32,7 @@ from xsat.generator import (
 )
 from xsat.kernel import build_kernel, profile_total_within_bounds, size_bounds
 from xsat.oracle import naive_models
-from xsat.substitution import expansion_profile, initial_state, substitute
+from xsat.substitution import expansion_profile, substitute
 
 from test_acceptance import ensemble
 
@@ -45,7 +44,7 @@ def _gauss_kernel(f):
 
 
 def _subst_kernel(f):
-    return kernel_from_substitution(substitute(initial_state(f)))
+    return extract_kernel(substitute(encode_sys(f)))
 
 
 def test_extract_six_var_gauss(six_var):
@@ -287,11 +286,13 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
         assert built.kernel == extract_kernel(rref)
         assert (built.rank, built.nullity, built.inconsistent) == (
             rref.rank, rref.nullity, rref.inconsistent)
-        state = substitute(initial_state(g))
+        rref = substitute(encode_sys(g))
         built = build_kernel(g, "subst")
-        assert built.kernel == kernel_from_substitution(state)
-        assert (built.rank, built.nullity) == (len(state.independent),
-                                               len(state.dependent))
+        assert built.kernel == extract_kernel(rref)
+        assert (built.rank, built.nullity, built.inconsistent) == (
+            rref.rank, rref.nullity, rref.inconsistent)
+        assert (built.rank, built.nullity) == (len(set(rref.pivot_cols)),
+                                               len(rref.free_cols))
     with pytest.raises(ValueError, match="unknown method"):
         build_kernel(six_var, "simplex")
     with pytest.raises(ValueError, match="unknown method"):
@@ -301,8 +302,8 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
 SOLVE_STEPS = {
     "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
               "expansion_profile", "repr_size"),
-    "subst": ("check_valid", "initial_state", "substitute", "rank_of_subst",
-              "kernel_from_substitution", "expansion_profile", "repr_size"),
+    "subst": ("check_valid", "encode_sys", "substitute", "extract_kernel",
+              "expansion_profile", "repr_size"),
 }
 # every step of either method, and the flat walk, which solve never calls
 SPIED = tuple(sorted(set(SOLVE_STEPS["gauss"] + SOLVE_STEPS["subst"]))) + (
@@ -326,8 +327,8 @@ def _spy_on(monkeypatch, names) -> list[str]:
 @pytest.mark.parametrize("method", ["gauss", "subst"])
 def test_solve_calls_each_step_by_module_global_name(six_var, monkeypatch, method):
     # tracing rebinds these names in xsat.kernel; every call must go through
-    # them, a count-only solve counts with the block walk alone, and a gauss
-    # solve neither builds nor rewrites a substitution state
+    # them, a count-only solve counts with the block walk alone, a gauss
+    # solve never rewrites and a subst solve never eliminates
     names = SOLVE_STEPS[method] + ("count_blocks",)
     called = _spy_on(monkeypatch, SPIED)
     assert solve(six_var, method=method).count == 3

@@ -36,11 +36,11 @@ from xsat import (
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
-from xsat.substitution import expansion_profile, initial_state, substitute
+from xsat.substitution import expansion_profile, substitute
 
 from test_kernel import gray_order_models
 from test_linsys import assert_matches_dense, dense_gauss_jordan
-from test_substitution import spliced_profile, sweep_to_fixpoint
+from test_substitution import as_split, spliced_profile, sweep_to_fixpoint
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=120,
                  database=None)
@@ -151,10 +151,9 @@ def test_ordered_witnesses_match_the_flat_walk_order(f):
 @given(xsat_formulas())
 def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
     positive, _ = reduce_xsat_to_positive(f)
-    start = initial_state(positive)
-    once = substitute(start)
-    assert once == sweep_to_fixpoint(start)
-    assert substitute(once) == once
+    once = substitute(encode_sys(positive))
+    assert as_split(once) == sweep_to_fixpoint(positive)
+    assert substitute(LinearSystem(once.rows, positive.num_vars)) == once
 
 
 @FIXED

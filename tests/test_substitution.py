@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from xsat import BOTTOM, EncodingError, XsatFormula
+from xsat import (
+    BOTTOM,
+    EncodingError,
+    LinearSystem,
+    XsatFormula,
+    encode_sys,
+    gauss_jordan,
+    solve,
+)
 from xsat.generator import (
     GenSpec,
     SplitMix64,
@@ -11,23 +19,23 @@ from xsat.generator import (
     gen_partition,
     gen_random,
 )
-from xsat.oracle import naive_models
-from xsat.substitution import (
-    ContractError,
-    DegenerateClauseError,
-    LinearConstraint,
-    SubstitutionState,
-    _freeze,
-    _make_state,
-    expansion_profile,
-    initial_state,
-    normalize_clause,
-    rank_of_subst,
-    substitute,
-)
+from xsat.kernel import KernelInstance, KernelRow, build_kernel, extract_kernel
+from xsat.oracle import naive_count, naive_models
+from xsat.substitution import expansion_profile, substitute
 
 from test_acceptance import ensemble
 from test_linsys import rank_of
+
+
+def _initial(f: XsatFormula) -> list[dict]:
+    """Each clause solved for its lowest variable, ``lhs = 1 - rest``,
+    sorted stably by that variable: the rewrite's starting constraints."""
+    cons = []
+    for t in f.clauses:
+        lhs, *rest = sorted(l for l in t if l != BOTTOM)
+        cons.append({"lhs": lhs, "const": 1, "coeffs": {v: -1 for v in rest}})
+    cons.sort(key=lambda c: c["lhs"])
+    return cons
 
 
 def _sweep(cons: list[dict]) -> int:
@@ -56,26 +64,61 @@ def _sweep(cons: list[dict]) -> int:
     return performed
 
 
-def sweep_to_fixpoint(state: SubstitutionState) -> SubstitutionState:
+def _split(cons: list[tuple], num_vars: int) -> tuple:
+    """(constraints, independent set, dependent set, inconsistent) of
+    ``(lhs, const, body)`` constraints: the solved variables are the
+    independent set, and two constraints with the same lhs and body but
+    another constant are inconsistent."""
+    independent = frozenset(lhs for lhs, _, _ in cons)
+    keyed = {(lhs, tuple(sorted(body.items()))) for lhs, _, body in cons}
+    full = {(lhs, tuple(sorted(body.items())), const) for lhs, const, body in cons}
+    return (cons, independent, frozenset(range(1, num_vars + 1)) - independent,
+            len(full) > len(keyed))
+
+
+def sweep_to_fixpoint(f: XsatFormula) -> tuple:
     """Reference rewrite: every constraint against every other, sweeps
-    repeated until one changes nothing (the former ``substitute``)."""
-    lhss = [c.lhs for c in state.constraints]
-    if lhss != sorted(lhss):
-        raise ContractError("constraints must be sorted ascending by solved variable")
-    cons = [
-        {"lhs": c.lhs, "const": c.const, "coeffs": dict(c.coeffs)}
-        for c in state.constraints
-    ]
+    repeated until one changes nothing (the former ``substitute``); the
+    result as :func:`_split` gives it."""
+    cons = _initial(f)
     for _ in range(len(cons) + 1):
         if _sweep(cons) == 0:
             break
     else:
         raise AssertionError("substitution failed to reach a fixpoint")
-    out = [
-        LinearConstraint(c["lhs"], c["const"], _freeze(c["coeffs"]))
-        for c in cons
-    ]
-    return _make_state(state.num_vars, out)
+    return _split([(c["lhs"], c["const"], c["coeffs"]) for c in cons],
+                  f.num_vars)
+
+
+def constraints(rref) -> list[tuple]:
+    """``substitute``'s rows as ``(lhs, const, body)`` constraints: a row
+    solved for column p reads ``x_{p+1} = rhs - sum(coef * x)``."""
+    n_vars = rref.rank + rref.nullity
+    return [(p + 1, row.get(n_vars, 0),
+             {c + 1: -v for c, v in row.items() if c not in (p, n_vars)})
+            for row, p in zip(rref.rows, rref.pivot_cols)]
+
+
+def as_split(rref) -> tuple:
+    """``substitute``'s result in the reference's terms."""
+    return (constraints(rref), frozenset(p + 1 for p in rref.pivot_cols),
+            frozenset(c + 1 for c in rref.free_cols), rref.inconsistent)
+
+
+def kernel_from_constraints(cons: list[tuple], num_vars: int) -> KernelInstance:
+    """Reference extraction (the former ``kernel_from_substitution``): the
+    constraint lhs = const + sum(c * v) becomes a row with pivot lhs,
+    coefficients -c on the free side, rhs const and denominator 1."""
+    _, _, dependent, _ = _split(cons, num_vars)
+    free_vars = tuple(sorted(dependent))
+    col_of = {v: i for i, v in enumerate(free_vars)}
+    rows = []
+    for lhs, const, body in cons:
+        coeffs = [0] * len(free_vars)
+        for v, c in body.items():
+            coeffs[col_of[v]] = -c
+        rows.append(KernelRow(tuple(coeffs), const, lhs))
+    return KernelInstance(free_vars, tuple(rows), num_vars)
 
 
 def spliced_profile(f: XsatFormula) -> list[int]:
@@ -87,23 +130,27 @@ def spliced_profile(f: XsatFormula) -> list[int]:
     solves for is replaced by the multiset of the last constraint solved for
     it, without sign cancellation; a constraint's size is its total.
     """
-    cons = initial_state(f).constraints
-    last: dict[int, tuple[tuple[int, int], ...]] = {}  # solved var -> multiset
-    out = [()] * len(cons)
+    cons = _initial(f)
+    last: dict[int, dict[int, int]] = {}  # solved var -> multiset
+    out = [{}] * len(cons)
     for j in range(len(cons) - 1, -1, -1):
         c = cons[j]
-        expansion = {v: 1 for v, _ in c.coeffs}
-        for v, _ in c.coeffs:
+        expansion = dict.fromkeys(c["coeffs"], 1)
+        for v in c["coeffs"]:
             src_expansion = last.get(v)
             if src_expansion is None:
                 continue
             m = expansion.pop(v, 0)
             if m:
-                for w, n in src_expansion:
+                for w, n in src_expansion.items():
                     expansion[w] = expansion.get(w, 0) + m * n
-        out[j] = _freeze(expansion)
-        last.setdefault(c.lhs, out[j])
-    return [sum(n for _, n in e) for e in out]
+        out[j] = expansion
+        last.setdefault(c["lhs"], out[j])
+    return [sum(e.values()) for e in out]
+
+
+def _subst(f: XsatFormula):
+    return substitute(encode_sys(f))
 
 
 def planted(r: int, k: int, rng: random.Random) -> XsatFormula:
@@ -122,34 +169,38 @@ def planted(r: int, k: int, rng: random.Random) -> XsatFormula:
 
 
 def test_normalize_solves_for_lowest():
-    c = normalize_clause((2, 5, 6))
-    assert (c.lhs, c.const) == (2, 1)
-    assert c.body == {5: -1, 6: -1}
+    assert constraints(_subst(XsatFormula(6, ((2, 5, 6),)))) == [
+        (2, 1, {5: -1, 6: -1})]
 
 
 def test_normalize_drops_bottom():
-    c = normalize_clause((1, 2, BOTTOM))
-    assert (c.lhs, c.const, c.body) == (1, 1, {2: -1})
-
-
-def test_normalize_degenerate():
-    with pytest.raises(DegenerateClauseError):
-        normalize_clause((BOTTOM, BOTTOM, BOTTOM))
+    assert constraints(_subst(XsatFormula(2, ((1, 2, BOTTOM),)))) == [
+        (1, 1, {2: -1})]
 
 
 def test_normalize_rejects_negation():
     with pytest.raises(EncodingError):
-        normalize_clause((-1, 2, 3))
+        _subst(XsatFormula(3, ((-1, 2, 3),), positive=False))
+
+
+def test_row_without_a_variable_is_inconsistent_as_under_elimination():
+    # an all-bottom clause is the row 0 = 1; substitute drops it and flags
+    # the system, and drops an all-zero row without flagging it
+    system = LinearSystem(({0: 1, 1: 1, 2: 1, 3: 1}, {3: 1}), 3)
+    res = substitute(system)
+    assert res.inconsistent and gauss_jordan(system).inconsistent
+    assert res.rows == ({0: 1, 1: 1, 2: 1, 3: 1},)
+    assert (res.pivot_cols, res.free_cols) == ((0,), (1, 2))
+    assert not substitute(LinearSystem(({0: 1, 3: 1}, {}), 3)).inconsistent
 
 
 def test_six_var_fixpoint_table(six_var):
-    st = substitute(initial_state(six_var))
-    assert st.fixpoint and not st.inconsistent
-    assert sorted(st.independent) == [1, 2, 4]
-    assert sorted(st.dependent) == [3, 5, 6]
-    assert rank_of_subst(st) == (3, 3)
-    table = [(c.lhs, c.const, c.body) for c in st.constraints]
-    assert table == [
+    res = _subst(six_var)
+    assert not res.inconsistent
+    assert sorted(set(res.pivot_cols)) == [0, 1, 3]
+    assert res.free_cols == (2, 4, 5)
+    assert (res.rank, res.nullity) == (3, 3)
+    assert constraints(res) == [
         (1, 0, {3: -1, 5: 1, 6: 1}),
         (1, 0, {6: 1}),
         (2, 1, {5: -1, 6: -1}),
@@ -159,17 +210,23 @@ def test_six_var_fixpoint_table(six_var):
 
 
 def test_partition_needs_no_substitution():
-    st0 = initial_state(gen_partition(6))
-    assert st0.fixpoint
-    st1 = substitute(st0)
-    assert st1 == st0
+    system = encode_sys(gen_partition(6))
+    res = substitute(system)
+    assert res.rows == system.rows
     assert expansion_profile(gen_partition(6)) == [2, 2]
-    assert rank_of_subst(st1) == (2, 4)
+    assert (res.rank, res.nullity) == (2, 4)
 
 
 def test_single_clause():
-    st = substitute(initial_state(XsatFormula(3, ((1, 2, 3),))))
-    assert rank_of_subst(st) == (1, 2)
+    res = _subst(XsatFormula(3, ((1, 2, 3),)))
+    assert (res.rank, res.nullity) == (1, 2)
+
+
+def test_substitute_never_writes_into_the_system():
+    system = encode_sys(gen_fib_chain(8))
+    before = [dict(row) for row in system.rows]
+    substitute(system)
+    assert list(system.rows) == before
 
 
 def test_idempotence_random():
@@ -179,8 +236,8 @@ def test_idempotence_random():
         k_lo = -(-r // 3)
         k = k_lo + rng.randbelow(r - k_lo + 1)
         f = gen_random(GenSpec(r=r, k=k, seed=trial * 13 + 1))
-        once = substitute(initial_state(f))
-        assert substitute(once) == once
+        once = _subst(f)
+        assert substitute(LinearSystem(once.rows, r)) == once
 
 
 def test_solutions_satisfy_fixpoint_constraints():
@@ -189,10 +246,11 @@ def test_solutions_satisfy_fixpoint_constraints():
         r = 6 + rng.randbelow(4)
         k = -(-r // 3) + rng.randbelow(3)
         f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 400))
-        st = substitute(initial_state(f))
+        cons = constraints(_subst(f))
         for model in naive_models(f):
-            for con in st.constraints:
-                assert con.satisfied_by(model)
+            for lhs, const, body in cons:
+                rhs = const + sum(c * model[v - 1] for v, c in body.items())
+                assert model[lhs - 1] == rhs
 
 
 def test_independent_count_never_exceeds_elimination_rank(six_var):
@@ -201,13 +259,12 @@ def test_independent_count_never_exceeds_elimination_rank(six_var):
         r = 6 + rng.randbelow(7)
         k = -(-r // 3) + rng.randbelow(4)
         f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 900))
-        subst_rank, _ = rank_of_subst(substitute(initial_state(f)))
+        subst_rank = _subst(f).rank
         gauss_rank, _ = rank_of(f)
         assert subst_rank <= gauss_rank
     # the two ranks genuinely disagree on this instance: the rewrite keeps
-    # two constraints solved for variable 1, so it reports 3 against 4
-    st = substitute(initial_state(six_var))
-    assert rank_of_subst(st)[0] == 3
+    # two rows solved for variable 1, so it reports 3 against 4
+    assert _subst(six_var).rank == 3
     assert rank_of(six_var)[0] == 4
 
 
@@ -217,16 +274,19 @@ def test_fixpoint_invariant_no_solved_var_in_any_body():
         r = 6 + rng.randbelow(6)
         k = -(-r // 3) + rng.randbelow(4)
         f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 50))
-        st = substitute(initial_state(f))
-        solved = st.independent
-        for con in st.constraints:
-            assert all(v not in solved for v, _ in con.coeffs)
-        assert st.dependent == frozenset(range(1, r + 1)) - solved
+        res = _subst(f)
+        solved = set(res.pivot_cols)
+        for row, p in zip(res.rows, res.pivot_cols):
+            assert all(c not in solved for c in row if c != p)
+        assert set(res.free_cols) == set(range(r)) - solved
+        assert res.rank == len(solved)
 
 
 def _assert_matches_reference(f: XsatFormula):
-    st = initial_state(f)
-    assert substitute(st) == sweep_to_fixpoint(st)
+    res = _subst(f)
+    ref = sweep_to_fixpoint(f)
+    assert as_split(res) == ref
+    assert extract_kernel(res) == kernel_from_constraints(ref[0], f.num_vars)
     assert expansion_profile(f) == spliced_profile(f)
 
 
@@ -242,7 +302,7 @@ def test_single_pass_matches_sweep_on_structured_families(six_var):
         _assert_matches_reference(gen_partition(r))
     for nullity in range(12, 23):
         _assert_matches_reference(gen_fixed_rank(11 + nullity, 11))
-    # both of six_var's rewritten constraints are solved for variable 1
+    # both of six_var's rewritten rows are solved for variable 1
     _assert_matches_reference(six_var)
 
 
@@ -255,33 +315,21 @@ def test_single_pass_matches_sweep_on_planted_instances_with_k_above_r():
             _assert_matches_reference(f)
 
 
-def test_substitute_requires_body_above_solved_variable():
-    below = LinearConstraint(3, 1, ((2, -1), (4, -1)))
-    level = LinearConstraint(2, 1, ((2, -1), (5, -1)))
-    for con in (below, level):
-        with pytest.raises(ContractError):
-            substitute(_make_state(5, [con]))
-
-
-def test_substitute_requires_sorted_state(six_var):
-    st = initial_state(six_var)
-    scrambled = type(st)(st.num_vars, tuple(reversed(st.constraints)),
-                         st.independent, st.dependent, st.fixpoint,
-                         st.inconsistent)
-    with pytest.raises(ContractError):
-        substitute(scrambled)
-
-
-def test_rank_requires_fixpoint():
-    f = XsatFormula(4, ((1, 2, 3), (2, 3, 4)))
-    st = initial_state(f)
-    assert not st.fixpoint
-    with pytest.raises(ContractError):
-        rank_of_subst(st)
-
-
 def test_conflicting_empty_bodies_flagged():
-    a = LinearConstraint(1, 1, ())
-    b = LinearConstraint(1, 0, ())
-    assert _make_state(1, [a, b]).inconsistent
-    assert not _make_state(1, [a, a]).inconsistent
+    a = {0: 1, 1: 1}  # x1 = 1
+    b = {0: 1}  # x1 = 0
+    assert substitute(LinearSystem((a, b), 1)).inconsistent
+    assert not substitute(LinearSystem((a, a), 1)).inconsistent
+
+
+def test_star_subst_kernel_is_wider_than_two_thirds_of_the_variables():
+    # a reported fact, not the paper's bound: every clause of the star is
+    # solved for variable 1, so the rewrite keeps 6 of the 7 variables
+    # free, above 2/3 * 7; elimination keeps 4 free; both count 9
+    star = XsatFormula(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7)))
+    subst, gauss = build_kernel(star, "subst"), build_kernel(star, "gauss")
+    assert (subst.kernel.width, subst.rank) == (6, 1)
+    assert (gauss.kernel.width, gauss.rank) == (4, 3)
+    assert 3 * subst.kernel.width > 2 * star.num_vars
+    assert solve(star, "subst").count == solve(star, "gauss").count == 9
+    assert naive_count(star) == 9
