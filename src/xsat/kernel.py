@@ -14,10 +14,12 @@ D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
 An RREF row is primitive, so its D is its pivot entry; a substitution row
 has a pivot entry of 1, so D = 1.  Two counters apply the same rule to
 the rows as they are and give the same count.  ``count_blocks``
-Gray-walks only the free bits above BLOCK_BITS and accepts all
-2^BLOCK_BITS low assignments of a step at once, as bits of one Python int
-per row; ``solve`` counts with it and reads the witnesses off its
-accepted bits, in the flat walk's order.
+accepts all 2^BLOCK_BITS assignments of the low free bits at once, as bits
+of one Python int per row, and walks the free bits above BLOCK_BITS depth
+first: each group of rows is checked as soon as the bits it reads are
+set, and a subtree whose block is empty is cut.  ``solve`` counts with it
+and reads the witnesses off its accepted bits, sorted back into the flat
+walk's order.
 ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
 one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
@@ -207,14 +209,17 @@ def _gray_rank(g: int) -> int:
 
 
 def _models(kern: KernelInstance, low: int, listed: list[tuple]):
-    """Yield the models of the steps :func:`count_blocks` listed, in the
+    """Yield the models of the leaves :func:`count_blocks` listed, in the
     flat walk's order.
 
-    A step is (high, flip, block, res): its high free bits, the top low bit
-    on odd steps, its accepted block and the rows' residuals after the high
-    part.  The flat walk visits low assignment j of the step at position
-    ``_gray_rank(j ^ flip)``, and a pivot is 1 exactly where its first
-    row's residual, ``res`` less the row's low sum at j, is nonzero.
+    A leaf is (high, block, res): its high free bits, its accepted block
+    and the rows' residuals after the high part.  The flat walk visits the
+    high bits at step ``_gray_rank(high)``, so the leaves are taken in that
+    order.  On odd steps the walk enters the block with the top low bit
+    set, so it visits low assignment j at position ``_gray_rank(j ^ flip)``,
+    where flip is that bit on odd steps and 0 on even ones.  A pivot is 1
+    exactly where its first row's residual, ``res`` less the row's low sum
+    at j, is nonzero.
     """
     pivots = {}
     for i, row in enumerate(kern.rows):
@@ -223,7 +228,9 @@ def _models(kern: KernelInstance, low: int, listed: list[tuple]):
             for c in row.coeffs[:low]:
                 sums += [s + c for s in sums]
             pivots[row.pivot_var] = i, sums
-    for high, flip, block, res in listed:
+    ranked = sorted((_gray_rank(leaf[0]), leaf) for leaf in listed)
+    for step, (high, block, res) in ranked:
+        flip = 1 << (low - 1) if step & 1 else 0
         lows = []
         while block:
             bit = block & -block
@@ -249,11 +256,18 @@ def count_blocks(
 
     Same rows, acceptance rule and count as :func:`count_kernel`.
     The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated per
-    row by :func:`_low_tables`; the high bits are Gray-walked, keeping each
-    row's residual ``t`` after the high part.  A row accepts the block
-    ``table[t]`` (residual 0) or ``table[t - D]`` (residual D); a group of
-    rows sharing a pivot accepts where all of them are 0 or all are D.
-    The models come from :func:`_models`, in the flat walk's order.
+    row by :func:`_low_tables`.  A row with residual ``t`` after the high
+    part accepts the block ``table[t]`` (residual 0) or ``table[t - D]``
+    (residual D); a group of rows sharing a pivot accepts where all of them
+    are 0 or all are D.
+
+    The high bits are walked depth first, top bit first, keeping each
+    row's residual.  A group is checked once, at the node that sets the
+    last high bit its rows read (at the root when they read none), and
+    the node ANDs its acceptance into the block inherited from its parent.
+    A node whose block is 0 is cut with its subtree; each leaf that is
+    left adds its block's size.  The models come from :func:`_models`,
+    which restores the flat walk's order.
     """
     d = kern.width
     _check_width(d, max_free)
@@ -265,34 +279,60 @@ def count_blocks(
     by_pivot: dict[int, list[int]] = {}
     for i, row in enumerate(kern.rows):
         by_pivot.setdefault(row.pivot_var, []).append(i)
-    groups = list(by_pivot.values())
     flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
              for pos in range(low, d)]
+    # done[k]: the groups whose lowest high bit is low + k; the flip lists
+    # are scanned lowest bit first, so a group lands where it is first seen,
+    # and the groups left over read no high bit
+    done: list[list[list[int]]] = [[] for _ in flips]
+    for k, flip in enumerate(flips):
+        for i, _ in flip:
+            g = by_pivot.pop(kern.rows[i].pivot_var, None)
+            if g is not None:
+                done[k].append(g)
+    root = list(by_pivot.values())
 
-    count = 0
-    listed = []  # the steps with models, while there are at most the cap
-    high = 0
-    for step in range(1 << (d - low)):
-        if step:
-            pos = (step & -step).bit_length() - 1
-            high ^= 1 << pos
-            rising = high >> pos & 1
-            for i, delta in flips[pos]:
-                res[i] += -delta if rising else delta
-        block = full
-        for g in groups:
-            zero = one = full
+    def accept(block: int, checked: list[list[int]]) -> int:
+        for g in checked:
+            zero = one = block
             for i in g:
                 table = tables[i]
                 zero &= table.get(res[i], 0)
                 one &= table.get(res[i] - dens[i], 0)
-            block &= zero | one
+            block = zero | one
             if not block:
                 break
-        count += block.bit_count()
-        if block and witness_cap is not None and count <= witness_cap:
-            flip = 1 << (low - 1) if step & 1 else 0
-            listed.append((high, flip, block, res[:]))
+        return block
+
+    count = 0
+    listed = []  # the leaves with models, while there are at most the cap
+
+    def walk(k: int, high: int, block: int) -> None:
+        nonlocal count
+        if k < 0:
+            count += block.bit_count()
+            if witness_cap is not None and count <= witness_cap:
+                listed.append((high, block, res[:]))
+            return
+        checked = done[k]
+        below = accept(block, checked) if checked else block
+        if below:
+            walk(k - 1, high, below)
+        flip = flips[k]
+        for i, delta in flip:
+            res[i] -= delta
+        below = accept(block, checked) if checked else block
+        if below:
+            walk(k - 1, high | 1 << k, below)
+        for i, delta in flip:
+            res[i] += delta
+
+    block = accept(full, root)
+    if block:
+        walk(d - low - 1, 0, block)
+    # walk refers to itself through its closure; breaking that cycle frees
+    # the tables on return rather than at the next garbage collection
+    del walk
     if witness_cap is None or count > witness_cap:
         return count, None
     return count, tuple(_models(kern, low, listed))

@@ -452,10 +452,11 @@ def test_count_blocks_matches_flat_walk_on_subst_filter_groups():
 RATIONALS = (F(1, 3), F(-2, 3), F(1, 2), F(-3, 2), F(5, 6), F(-1), F(2))
 
 
-def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int) -> KernelInstance:
+def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int,
+                    first: int = 0) -> KernelInstance:
     """Sparse rational rows, some sharing a pivot, that admit a planted
     assignment; each is scaled to an integer row by the lcm D of its
-    denominators.
+    denominators.  The rows read only the free bits at or above ``first``.
 
     Each row's rhs is its planted partial sum plus its pivot's planted
     value, so at the planted assignment every row's residual is its
@@ -466,8 +467,9 @@ def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int) -> KernelInstan
     rows = []
     for i in range(n_rows):
         coeffs = [F(0)] * width
-        for _ in range(min(width, 1 + rng.randbelow(4))):
-            coeffs[rng.randbelow(width)] = RATIONALS[rng.randbelow(len(RATIONALS))]
+        for _ in range(min(width - first, 1 + rng.randbelow(4))):
+            coeffs[first + rng.randbelow(width - first)] = \
+                RATIONALS[rng.randbelow(len(RATIONALS))]
         pivot = rng.randbelow(n_pivots)
         rhs = sum(c * s for c, s in zip(coeffs, planted)) + pivot_value[pivot]
         den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
@@ -511,3 +513,85 @@ def test_count_blocks_capacity_error_matches_flat_walk():
         count_blocks(kern, max_free=5)
     assert str(blocks.value) == str(flat.value)
     assert count_blocks(kern, max_free=6) == (27, None)
+
+
+# ---------------------------------------------------------------------------
+# pruning: rows that read only the free bits above the block
+
+BLOCK_BITS = kernel_module.BLOCK_BITS
+
+
+def _high_part(kern: KernelInstance) -> KernelInstance:
+    """The same rows over the free bits at or above BLOCK_BITS only."""
+    rows = tuple(KernelRow(row.coeffs[BLOCK_BITS:], row.rhs, row.pivot_var, row.den)
+                 for row in kern.rows)
+    return KernelInstance(kern.free_vars[BLOCK_BITS:], rows, kern.origin_vars)
+
+
+def _contradicted(kern: KernelInstance) -> KernelInstance:
+    """``kern`` plus a copy of its first row with the rhs raised by D: the
+    copy's residual is the first row's plus D, so the two are never both 0
+    or both D, and the count is 0."""
+    row = kern.rows[0]
+    twin = KernelRow(row.coeffs, row.rhs + row.den, row.pivot_var, row.den)
+    return KernelInstance(kern.free_vars, kern.rows + (twin,), kern.origin_vars)
+
+
+@pytest.mark.parametrize("width", [13, 16, 20, 22])
+def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
+    """Every group is complete above the leaves, so the walk checks it at
+    an inner node and cuts the subtrees it rejects.  The low bits are read
+    by no row, so the count is the high part's count times 2^BLOCK_BITS."""
+    rng = SplitMix64(300 + width)
+    kernels = []
+    for _ in range(4):
+        kern = _planted_kernel(rng, width, n_rows=2 + rng.randbelow(6),
+                               n_pivots=1 + rng.randbelow(3), first=BLOCK_BITS)
+        kernels += [kern, _contradicted(kern)]
+    assert any(_has_filter_group(kern) for kern in kernels[::2])
+    assert max(row.den for kern in kernels for row in kern.rows) > 1
+    counts = []
+    for kern in kernels:
+        count = count_blocks(kern)[0]
+        counts.append(count)
+        assert count == count_kernel(_high_part(kern)) << BLOCK_BITS
+        if width <= 16:
+            assert count == count_kernel(kern)
+            expected = gray_order_models(kern)
+            for cap in sorted({0, 1, count}):
+                listed = tuple(expected) if count <= cap else None
+                assert count_blocks(kern, witness_cap=cap) == (count, listed), cap
+    assert all(counts[::2]) and counts[1::2] == [0] * 4, counts
+
+
+def _planted_formula(r: int, k: int, rng: SplitMix64) -> XsatFormula:
+    """k clauses over r variables (3 | r) with a planted model: a shuffled
+    partition into triples, one planted-true variable per triple, and extra
+    triples of one true and two false variables."""
+    order = list(range(1, r + 1))
+    rng.shuffle(order)
+    parts = [tuple(sorted(order[i:i + 3])) for i in range(0, r, 3)]
+    true = [p[rng.randbelow(3)] for p in parts]
+    false = sorted(set(order) - set(true))
+    clauses = set(parts)
+    while len(clauses) < k:
+        a = false[rng.randbelow(len(false))]
+        b = false[rng.randbelow(len(false))]
+        if a != b:
+            clauses.add(tuple(sorted((true[rng.randbelow(len(true))], a, b))))
+    return XsatFormula(r, tuple(sorted(clauses)))
+
+
+def test_count_blocks_counts_wide_kernels_alike_under_both_methods():
+    """Planted r = 48 and 51 at k = r/2: kernels 24 to 30 wide, which the
+    walk counts in well under a second each once it prunes."""
+    widths = set()
+    for r, seed in ((48, 2), (51, 2), (51, 3)):
+        f = _planted_formula(r, r // 2, SplitMix64(seed))
+        counts = set()
+        for method in ("gauss", "subst"):
+            kern = build_kernel(f, method).kernel
+            widths.add(kern.width)
+            counts.add(count_blocks(kern)[0])
+        assert len(counts) == 1 and min(counts) >= 1, (r, seed, counts)
+    assert min(widths) >= 24 and max(widths) == 30, widths
