@@ -37,7 +37,7 @@ from .kernel import (
     solve,
 )
 from .linsys import encode_sys, gauss_jordan
-from .oracle import ORACLE_CAP, naive_count, naive_models
+from .oracle import ORACLE_CAP, naive_models
 from .reductions import (
     ReductionTrace,
     reduce_cnf_to_xsat,
@@ -76,9 +76,11 @@ def _load_positive(path: str) -> tuple[XsatFormula,
 
 
 def cmd_solve(args) -> int:
-    f, _ = _load_positive(args.input)
+    f, traces = _load_positive(args.input)
+    # parse_xsat has validated f unless a reduction replaced it
     rep = solve(f, method=args.method, max_free=args.max_free,
-                want_witnesses=args.witnesses > 0, witness_cap=args.witnesses)
+                want_witnesses=args.witnesses > 0, witness_cap=args.witnesses,
+                checked=not traces)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
     for w in rep.witnesses or ():
         print("w " + "".join(str(b) for b in w))
@@ -88,8 +90,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    f, _ = _load_positive(args.input)
-    rep = solve(f, method=args.method, max_free=args.max_free)
+    f, traces = _load_positive(args.input)
+    rep = solve(f, method=args.method, max_free=args.max_free,
+                checked=not traces)
     print(rep.count)
     return EXIT_OK
 
@@ -306,7 +309,8 @@ def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     against the block walk ``count_blocks``, and the witnesses ``solve``
     lists against the oracle's models.
     """
-    n = naive_count(f)
+    models = naive_models(f, ORACLE_CAP)
+    n = len(models)
     builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
     reps = {method: solve(f, method=method, max_free=max_free, built=built,
                           want_witnesses=True, witness_cap=n)
@@ -314,7 +318,7 @@ def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     g, s = (rep.count for rep in reps.values())
     if not g == s == n:
         return f"gauss={g} subst={s} oracle={n}"
-    models = sorted(naive_models(f, ORACLE_CAP))
+    models.sort()
     for method, built in builds.items():
         if built.inconsistent:
             continue

@@ -401,13 +401,17 @@ def solve(
     want_witnesses: bool = False,
     witness_cap: int = DEFAULT_WITNESS_CAP,
     built: KernelBuild | None = None,
+    checked: bool = False,
 ) -> SolveReport:
     """Full pipeline: encode, eliminate (or substitute), extract, count.
 
     ``built``, when given, is ``build_kernel(f, method)`` already done; its
-    recorded build times stand in for building again.
+    recorded build times stand in for building again.  ``checked=True``
+    says ``f`` has already passed ``validate``, so it is not checked again;
+    otherwise a malformed ``f`` raises ``ValidationError``.
     """
-    check_valid(f)
+    if not checked:
+        check_valid(f)
     if built is None:
         built = build_kernel(f, method)
     kern = built.kernel

@@ -217,6 +217,36 @@ def test_negation_bearing_xsat_positivized_automatically(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == str(naive_count(f))
 
 
+@pytest.mark.parametrize("command", ["solve", "count"])
+@pytest.mark.parametrize("text, validated", [
+    (SIX_VAR, ["parsed"]),
+    ("p xsat 3 2\n-1 2 3 0\n1 2 3 0\n", ["parsed", "solved"]),
+    (ONE_CNF, ["solved"]),
+], ids=["xsat+", "xsat", "cnf"])
+def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
+                                        command, text, validated):
+    # parse_xsat validates what it reads and solve what a reduction made;
+    # a formula parsed and solved unchanged is not validated twice
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    seen = []
+    real_validate, real_check = xsat.io.validate, kernel_module.check_valid
+
+    def validate(f):
+        seen.append("parsed")
+        return real_validate(f)
+
+    def check_valid(f):
+        seen.append("solved")
+        return real_check(f)
+
+    monkeypatch.setattr(xsat.io, "validate", validate)
+    monkeypatch.setattr(kernel_module, "check_valid", check_valid)
+    flags = ["--count"] if command == "solve" else []
+    assert main([command, "--input", str(path), *flags]) == EXIT_OK
+    assert seen == validated
+
+
 def test_kernel_output_gauss(six_var_file, capsys):
     assert main(["kernel", "--input", six_var_file]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -384,6 +414,24 @@ def test_verify_names_faulty_witnesses(tmp_path, monkeypatch, capsys):
     assert "repro written to" in line
     repro = [p for p in os.listdir(tmp_path) if p.startswith("disagreement")]
     assert len(repro) == 1
+
+
+def test_verify_walks_the_oracle_once_per_trial(tmp_path, monkeypatch,
+                                                capsys):
+    # the count is the number of models, so one oracle walk serves both
+    calls = []
+    real = cli.naive_models
+
+    def spy(f, cap):
+        calls.append(f)
+        return real(f, cap)
+
+    monkeypatch.setattr(cli, "naive_models", spy)
+    assert not hasattr(cli, "naive_count")
+    assert main(["verify", "--trials", "4", "--r-max", "8", "--seed", "2",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 4
+    assert capsys.readouterr().out.startswith("c verified: 4 trials")
 
 
 def test_bench_random_sweep(tmp_path):

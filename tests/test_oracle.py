@@ -3,7 +3,14 @@ import pytest
 from xsat import CapacityError, CnfFormula, XsatFormula, naive_count, naive_count_cnf
 from xsat.formula import BOTTOM, eval_xsat
 from xsat.generator import GenSpec, SplitMix64, gen_random
-from xsat.oracle import LOW_BITS, _check_cap, naive_models
+from xsat.oracle import (
+    LOW_BITS,
+    _any_of,
+    _check_cap,
+    _exactly_one,
+    _truth_tables,
+    naive_models,
+)
 from xsat.reductions import reduce_cnf_to_xsat
 
 
@@ -152,3 +159,102 @@ def test_cnf_count_matches_double_loop():
             clauses += [(n, -(n - 1), 1), (-n, n - 1, 2)]
         f = CnfFormula(n, tuple(clauses))
         assert naive_count_cnf(f) == _cnf_count_reference(f), f
+
+
+def _counting(clause_table):
+    """``clause_table`` that also counts its calls, in ``calls[0]``."""
+    calls = [0]
+
+    def counted(x, y, z):
+        calls[0] += 1
+        return clause_table(x, y, z)
+    return counted, calls
+
+
+def _models_per_block(f: XsatFormula) -> dict[int, int]:
+    """``{first: models}`` for every block holding a model, by the double
+    loop, in ascending ``first``."""
+    out: dict[int, int] = {}
+    for m, a in enumerate(_assignments(f.num_vars)):
+        if eval_xsat(f, a):
+            first = m >> LOW_BITS << LOW_BITS
+            out[first] = out.get(first, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("r", [15, 16])
+def test_walk_cuts_a_subtree_at_each_depth(r):
+    # x1 != x2 and x3 != x4 at the root force top = 1 at depth 1 and
+    # top - 1 = 0 at depth 2; then the clause over three variables above the
+    # block forces top - 2 = 0 at depth 3.  At r = 16 variable 13 is free.
+    top = r
+    f = XsatFormula(r, (
+        (1, 2, BOTTOM), (3, 4, BOTTOM), (-top, 1, 2), (top - 1, 3, 4),
+        (-top, -(top - 1), top - 2),
+    ), positive=False)
+    counted, calls = _counting(_exactly_one)
+    blocks = {first: t.bit_count()
+              for first, t in _truth_tables(r, f.clauses, counted)}
+    assert list(blocks.items()) == list(_models_per_block(f).items())
+    assert list(blocks) == [1 << (top - 1) | low << LOW_BITS
+                            for low in range(1 << (r - LOW_BITS - 3))]
+    # the two root clauses, then one clause at each of the two children of
+    # the root, of top = 1 and of (top, top - 1) = (1, 0); nothing below
+    assert calls[0] == 2 + 2 + 2 + 2
+
+
+@pytest.mark.parametrize("r", [13, 14])
+def test_empty_root_table_yields_nothing(r):
+    # x1 != x2 and x1 != ~x2 contradict before any variable above the block
+    # is set, so no clause over those variables is ever evaluated
+    f = XsatFormula(r, (
+        (1, 2, BOTTOM), (1, -2, BOTTOM), (r, 3, 4), (-13, 5, 6),
+    ), positive=False)
+    counted, calls = _counting(_exactly_one)
+    assert list(_truth_tables(r, f.clauses, counted)) == []
+    assert calls[0] == 2
+    assert naive_models(f) == []
+    assert naive_count(f) == 0 == naive_count_reference(f)
+
+
+def test_conflicting_top_clauses_yield_nothing_at_the_cap():
+    # x1 = ~x24 and x1 = x24 empty both children of the root, so none of
+    # the 2^12 blocks at r = 24 is built.  Each child stops at the second of
+    # its three clauses (they are ANDed in canonical order), and the lower
+    # clauses are never reached.
+    r = 24
+    f = XsatFormula(r, (
+        (1, 2, 3), (r, 1, BOTTOM), (-r, 1, BOTTOM), (2, 3, r), (13, 14, 15),
+        (-20, 2, 3),
+    ), positive=False)
+    counted, calls = _counting(_exactly_one)
+    assert list(_truth_tables(r, f.clauses, counted)) == []
+    assert calls[0] == 1 + 2 * 2
+    assert naive_count(f) == 0
+    assert naive_models(f, r) == []
+
+
+def test_models_ascend_across_skipped_blocks():
+    # x13 = x14 cuts the blocks 1 and 2 of the four at r = 14
+    r = 14
+    f = XsatFormula(r, (
+        (1, 2, 3), (-13, 14, BOTTOM), (13, 4, 5), (-14, -6, 7),
+    ), positive=False)
+    firsts = [first for first, _ in _truth_tables(r, f.clauses, _exactly_one)]
+    assert firsts == list(_models_per_block(f)) == [0, 3 << LOW_BITS]
+    expect = [a for a in _assignments(r) if eval_xsat(f, a)]
+    assert naive_models(f) == expect
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_cnf_clauses_only_above_the_block(n):
+    # ~x13 and x13 or x14, written with repeats, leave x13 = 0 and x14 = 1
+    f = CnfFormula(n, (
+        (-13, -13, -13), (13, 14, 14), (1, -2, 3), (-1, 2, n),
+    ))
+    blocks = list(_truth_tables(n, f.clauses, _any_of))
+    assert [first >> LOW_BITS & 3 for first, _ in blocks] == [2] * len(blocks)
+    assert len(blocks) == 1 << (n - 14)
+    expect = _cnf_count_reference(f)
+    assert sum(t.bit_count() for _, t in blocks) == expect
+    assert naive_count_cnf(f) == expect

@@ -4,10 +4,11 @@ Every method and every counter must give the oracle's count through the
 reduction chain, witnesses must come out in the flat walk's order, the
 text format must round-trip, the integer elimination must agree with a
 dense rational one on clause rows and on arbitrary integer rows, the
-one-pass rewrite must agree with the repeated sweep and be idempotent, and
-the one-pass expansion sizes must equal the spliced occurrence multisets.
-Settings are fixed (derandomized, no deadline, a bounded number of
-examples), so the run is the same every time.
+one-pass rewrite must agree with the repeated sweep and be idempotent, the
+one-pass expansion sizes must equal the spliced occurrence multisets, and
+the pruned oracle must equal the double loop on formulas with variables
+above its block.  Settings are fixed (derandomized, no deadline, a bounded
+number of examples), so the run is the same every time.
 """
 
 import math
@@ -36,10 +37,12 @@ from xsat import (
 )
 from xsat.formula import canonical_triple
 from xsat.kernel import build_kernel
+from xsat.oracle import LOW_BITS
 from xsat.substitution import expansion_profile, substitute
 
 from test_kernel import gray_order_models
 from test_linsys import assert_matches_dense, dense_gauss_jordan
+from test_oracle import naive_count_reference
 from test_substitution import as_split, spliced_profile, sweep_to_fixpoint
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=120,
@@ -72,6 +75,17 @@ def xsat_formulas(draw) -> XsatFormula:
     n, clauses = _compact(clauses)
     distinct = dict.fromkeys(canonical_triple(c) for c in clauses)
     return XsatFormula(n, tuple(distinct), positive=False)
+
+
+@st.composite
+def formulas_above_block(draw) -> XsatFormula:
+    """Up to 8 clauses over r = 13 to 16 variables, not renumbered, so 1 to
+    4 variables lie above the oracle's block."""
+    r = draw(st.integers(LOW_BITS + 1, LOW_BITS + 4))
+    clauses = draw(st.lists(clause(r, allow_bottom=True), min_size=1,
+                            max_size=8))
+    distinct = dict.fromkeys(canonical_triple(c) for c in clauses)
+    return XsatFormula(r, tuple(distinct), positive=False)
 
 
 @st.composite
@@ -125,6 +139,12 @@ def _assert_every_counter_counts(positive: XsatFormula, expected: int):
 def test_every_method_and_counter_matches_oracle_through_positivize(f):
     positive, _ = reduce_xsat_to_positive(f)
     _assert_every_counter_counts(positive, naive_count(f))
+
+
+@settings(FIXED, max_examples=10)
+@given(formulas_above_block())
+def test_pruned_oracle_matches_the_double_loop_above_the_block(f):
+    assert naive_count(f) == naive_count_reference(f)
 
 
 @FIXED
