@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 BOTTOM = 0
 
@@ -93,7 +94,10 @@ class XsatFormula:
     Clauses are canonicalized (literal order within each triple, then triple
     order across the formula) at construction, so structural equality is
     content equality and duplicate detection is syntactic.  Instances are
-    immutable and safe to share across workers.
+    immutable and safe to share across workers.  When every literal is a
+    plain variable (an int above 0, as in every generated instance), the
+    :func:`literal_sort_key` order is the int order, so the triples are
+    sorted as plain int tuples; any other clause set takes the keyed sort.
     """
 
     num_vars: int
@@ -101,9 +105,14 @@ class XsatFormula:
     positive: bool = True
 
     def __post_init__(self):
-        canon = tuple(sorted((canonical_triple(c) for c in self.clauses),
-                             key=lambda t: tuple(literal_sort_key(l) for l in t)))
-        object.__setattr__(self, "clauses", canon)
+        triples = sorted(map(tuple, map(sorted, self.clauses)))
+        # the smallest literal leads the first triple; when it is a
+        # variable, every literal is, and their int order is the canonical
+        if not (set(map(len, triples)) == {3} and triples[0][0] > 0
+                and set(map(type, chain.from_iterable(triples))) == {int}):
+            triples = sorted(map(canonical_triple, triples),
+                             key=lambda t: tuple(literal_sort_key(l) for l in t))
+        object.__setattr__(self, "clauses", tuple(triples))
         object.__setattr__(self, "num_vars", int(self.num_vars))
 
     @property
@@ -161,14 +170,39 @@ def kappa(f: XsatFormula) -> Fraction:
     return Fraction(f.num_clauses, f.num_vars)
 
 
+def _well_formed(f: XsatFormula) -> bool:
+    """True when no literal is negated and :func:`validate` finds nothing,
+    decided on whole sets; False when some check may fail.
+
+    A canonical triple of variables and bottom holds no repeated literal
+    exactly when its variables strictly increase and bottom, if present,
+    comes once and last.  k triples cover at most 3k variables, so a
+    formula that covers all of its variables meets the density bound.
+    """
+    clauses = f.clauses
+    if not all(0 < a < b and (b < c or c == BOTTOM) for a, b, c in clauses):
+        return False
+    variables = set(chain.from_iterable(clauses))
+    variables.discard(BOTTOM)
+    n = f.num_vars
+    return (len(variables) == n and (n == 0 or max(variables) == n)
+            and len(set(clauses)) == len(clauses))
+
+
 def validate(f: XsatFormula) -> list[str]:
     """Return all invariant violations, empty when the formula is well formed.
 
     Checked: literal index range, no repeated literal inside a clause, no
     complementary pair inside a clause, positivity when flagged, pairwise
     distinct clauses, every variable covered by some clause, and for positive
-    formulas the minimum clause count ceil(r/3).
+    formulas the minimum clause count ceil(r/3).  A formula without negated
+    literals is accepted on set-level checks: range, strictly increasing
+    triples, distinct clauses, and coverage, which implies the density.
+    The clauses are walked one by one only when a check fails or a literal
+    is negated, to word each violation in clause order.
     """
+    if _well_formed(f):
+        return []
     out: list[str] = []
     seen: dict[Triple, int] = {}
     for i, c in enumerate(f.clauses):

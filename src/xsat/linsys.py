@@ -11,12 +11,16 @@ nonzero coefficients (three per clause plus fill-in), and elimination never
 forms a fraction (fraction-free elimination, Bareiss, Math. Comp. 1968).
 Elimination copies the input rows once and then updates the copies in
 place, in two sweeps: forward, clearing each pivot's column below it, then
-backward, from the last pivot to the second, clearing it above.  The RREF
-is unique, so this order keeps the rows any other order with the same
-pivots would, and each kept pivot row divided by its pivot entry is the
-row a rational Gauss-Jordan elimination would give.  Columns are never
-physically permuted: pivot and free columns are reported as index lists
-instead.
+backward, from the last pivot to the second, clearing it above.  The
+columns are taken left to right, and of the rows that hold a column the
+one with the fewest entries is its pivot row, which keeps fill-in low.
+The RREF of a consistent system is unique, so this order keeps the rows
+any other order with the same pivots would, and each kept pivot row
+divided by its pivot entry is the row a rational Gauss-Jordan elimination
+would give.  An inconsistent system's right-hand sides depend on the
+pivot rows, so it is reduced again with the first row holding each column
+as the pivot row.  Columns are never physically permuted: pivot and free
+columns are reported as index lists instead.
 """
 
 from __future__ import annotations
@@ -124,6 +128,38 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int):
             row[c] //= common
 
 
+def _reduce(system: LinearSystem,
+            sparsest: bool) -> tuple[list[dict[int, int]], list[int]]:
+    """Both sweeps of :func:`integer_rref`, with the sparsest holder of each
+    column as its pivot row when ``sparsest`` is set, else the first."""
+    rows = [dict(_primitive(row)) for row in system.rows]
+    n_rows = len(rows)
+    pivot_cols: list[int] = []
+    cur = 0
+    for col in range(system.num_vars):
+        holders = [i for i in range(cur, n_rows) if col in rows[i]]
+        if not holders:
+            continue
+        p = min(holders, key=lambda i: len(rows[i])) if sparsest else holders[0]
+        pivot = rows[p]
+        others = [rows[i] for i in holders if i != p]
+        if pivot[col] < 0:
+            for c in pivot:
+                pivot[c] = -pivot[c]
+        rows[p] = rows[cur]
+        rows[cur] = pivot
+        for row in others:
+            _eliminate(row, pivot, col)
+        pivot_cols.append(col)
+        cur += 1
+    for j in range(len(pivot_cols) - 1, 0, -1):
+        col, pivot = pivot_cols[j], rows[j]
+        for i in range(j):
+            if col in rows[i]:
+                _eliminate(rows[i], pivot, col)
+    return rows, pivot_cols
+
+
 def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse fraction-free reduction: (rows, pivot columns).
 
@@ -133,41 +169,28 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
     first ``len(pivot_cols)`` rows are the pivot rows in order, each with a
     positive pivot entry; the rest are zero on every variable column.
 
-    Two sweeps.  The forward sweep places the pivots: leftmost column
-    holding a nonzero entry at or below the current row, smallest row index
-    on ties, the pivot row negated when its pivot entry is negative, and
-    the column eliminated from the rows below it only.  The backward sweep
-    goes from the last pivot to the second and eliminates each pivot's
-    column from the pivot rows above it; a pivot row is already free of
-    every later pivot column when its turn comes.  Each row below the
-    current one stays a positive multiple of the row a rational
-    elimination with the same rule would hold, so the pivots and the row
-    order are the same, and the RREF is unique, so the kept rows are too.
+    Two sweeps.  The forward sweep takes the columns left to right.  It
+    finds the rows at or below the current one that hold the column, makes
+    the one with the fewest entries the pivot row (smallest row index on
+    ties; Markowitz, Management Science 1957, applied to the row choice
+    only), negates it when its pivot entry is negative, moves it to the
+    current row and eliminates the column from the other holders only.
+    The backward sweep goes from the last pivot to the second and
+    eliminates each pivot's column from the pivot rows above it; a pivot
+    row is already free of every later pivot column when its turn comes.
+
+    The choice of pivot row changes neither the pivot columns, which the
+    leftmost-column order fixes, nor the rows of a consistent system: its
+    RREF is unique, and a primitive integer row with a positive pivot entry
+    is the only one with that rational row.  The zero rows are then empty.
+    The augmented column of an inconsistent system is not unique, since
+    a zero row with a right-hand side can be added to any row; so when the
+    result has one, the reduction runs again with the first holder as each
+    pivot row, the rule the printed kernels and the rational reference use.
     """
-    rows = [dict(_primitive(row)) for row in system.rows]
-    n_rows = len(rows)
-    pivot_cols: list[int] = []
-    cur = 0
-    for col in range(system.num_vars):
-        pivot_row = next((i for i in range(cur, n_rows) if col in rows[i]), None)
-        if pivot_row is None:
-            continue
-        pivot = rows[pivot_row]
-        if pivot[col] < 0:
-            for c in pivot:
-                pivot[c] = -pivot[c]
-        rows[pivot_row] = rows[cur]
-        rows[cur] = pivot
-        for i in range(cur + 1, n_rows):
-            if col in rows[i]:
-                _eliminate(rows[i], pivot, col)
-        pivot_cols.append(col)
-        cur += 1
-    for j in range(len(pivot_cols) - 1, 0, -1):
-        col, pivot = pivot_cols[j], rows[j]
-        for i in range(j):
-            if col in rows[i]:
-                _eliminate(rows[i], pivot, col)
+    rows, pivot_cols = _reduce(system, sparsest=True)
+    if any(rows[i] for i in range(len(pivot_cols), len(rows))):
+        rows, pivot_cols = _reduce(system, sparsest=False)
     return rows, pivot_cols
 
 

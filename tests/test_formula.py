@@ -1,6 +1,10 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsat import (
     BOTTOM,
@@ -12,8 +16,24 @@ from xsat import (
     kappa,
     validate,
 )
-from xsat.formula import VIOLATIONS_SHOWN, canonical_triple, check_valid, literal_value
-from xsat.generator import SplitMix64, gen_random, GenSpec
+from xsat.formula import (
+    VIOLATIONS_SHOWN,
+    canonical_triple,
+    check_valid,
+    literal_value,
+)
+from xsat.generator import (
+    GenSpec,
+    SplitMix64,
+    gen_fib_chain,
+    gen_fixed_rank,
+    gen_partition,
+    gen_random,
+)
+from xsat.io import serialize_xsat
+from xsat.reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
+
+from test_acceptance import _random_covering_cnf, ensemble
 
 
 def test_eval_satisfying_assignment(two_clause_sat):
@@ -146,3 +166,129 @@ def test_canonical_triple_orders_bottom_last():
     assert canonical_triple((BOTTOM, 2, 1)) == (1, 2, BOTTOM)
     with pytest.raises(ValueError):
         canonical_triple((1, 2))
+
+
+def _canonical_corpus():
+    """The criterion-2 ensemble, both reduction steps on the criterion-4a
+    CNFs (negated literals and bottom), and members of the fixed families."""
+    yield from ensemble()
+    rng = SplitMix64(20240)
+    for _ in range(50):
+        mid, _ = reduce_cnf_to_xsat(_random_covering_cnf(rng))
+        yield mid
+        yield reduce_xsat_to_positive(mid)[0]
+    for r, k in ((12, 6), (20, 11), (31, 11)):
+        yield gen_fixed_rank(r, k)
+    for r in (3, 12, 30):
+        yield gen_partition(r)
+    for k in (2, 7, 20):
+        yield gen_fib_chain(k)
+
+
+# sha256 of the concatenated serialized corpus, pinning clause order,
+# literal order and the generators' draws
+CANONICAL_SHA256 = "eb63c153d6130127d215054102f8ffb0284ff0fc7f9f602bcd5ba443db2e697b"
+
+
+def test_canonical_form_is_pinned():
+    digest = hashlib.sha256()
+    for f in _canonical_corpus():
+        digest.update(serialize_xsat(f))
+    assert digest.hexdigest() == CANONICAL_SHA256
+
+
+def reference_validate(f: XsatFormula) -> list[str]:
+    """Reference: the clause-by-clause walk ``validate`` was before it
+    accepted well-formed formulas on set-level checks."""
+    out: list[str] = []
+    seen: dict = {}
+    for i, c in enumerate(f.clauses):
+        names = [abs(l) for l in c if l != BOTTOM]
+        if any(v < 1 or v > f.num_vars for v in names):
+            out.append(f"index-out-of-range: clause {i} {c}")
+        if len(set(c)) != 3:
+            out.append(f"repeated-literal: clause {i} {c}")
+        elif len(names) != len(set(names)):
+            out.append(f"complementary-literals: clause {i} {c}")
+        if f.positive and any(l < 0 for l in c):
+            out.append(f"negative-in-positive: clause {i} {c}")
+        if c in seen:
+            out.append(f"duplicate-clause: clauses {seen[c]} and {i} {c}")
+        else:
+            seen[c] = i
+    covered = f.variables_used()
+    for v in range(1, f.num_vars + 1):
+        if v not in covered:
+            out.append(f"uncovered-variable: {v}")
+    if f.positive and 3 * f.num_clauses < f.num_vars:
+        need = math.ceil(f.num_vars / 3)
+        out.append(
+            f"density-below-one-third: {f.num_clauses} clauses < minimum {need}")
+    return out
+
+
+VIOLATION_KINDS = ("none", "out-of-range", "repeated", "complementary",
+                   "negative", "duplicate", "uncovered", "density")
+
+
+@st.composite
+def formulas_with_a_violation(draw):
+    """A well-formed formula, with bottom in some clauses, negated literals
+    when not flagged positive, then one violation kind injected (or none)."""
+    n = draw(st.integers(3, 10))
+    order = draw(st.permutations(range(1, n + 1)))
+    with_bottom = draw(st.booleans())
+    clauses = []
+    for i in range(0, n, 3):
+        chunk = list(order[i:i + 3])
+        if len(chunk) == 2 and with_bottom:
+            chunk.append(BOTTOM)
+        while len(chunk) < 3:
+            chunk.append(draw(st.sampled_from(
+                [v for v in range(1, n + 1) if v not in chunk])))
+        clauses.append(chunk)
+    for _ in range(draw(st.integers(0, 4))):
+        vs = draw(st.lists(st.integers(1, n), min_size=3, max_size=3,
+                           unique=True))
+        if with_bottom and draw(st.booleans()):
+            vs[2] = BOTTOM
+        clauses.append(vs)
+    kind = draw(st.sampled_from(VIOLATION_KINDS))
+    positive = kind == "negative" or draw(st.booleans())
+    if not positive:
+        clauses = [[-l if l and draw(st.booleans()) else l for l in c]
+                   for c in clauses]
+    a = draw(st.integers(1, n))
+    if kind == "out-of-range":
+        clauses.append([a, n + draw(st.integers(1, 3)), BOTTOM])
+    elif kind == "repeated":
+        clauses.append([a, a, draw(st.sampled_from([a, BOTTOM, n + 1]))])
+    elif kind == "complementary":
+        clauses.append([a, -a, BOTTOM])
+    elif kind == "negative":
+        c = draw(st.sampled_from(clauses))
+        j = draw(st.sampled_from([j for j, l in enumerate(c) if l]))
+        c[j] = -c[j]
+    elif kind == "duplicate":
+        clauses.append(list(reversed(draw(st.sampled_from(clauses)))))
+    elif kind == "uncovered":
+        n += draw(st.integers(1, 3))
+    elif kind == "density":
+        n = 3 * len(clauses) + draw(st.integers(1, 3))
+    # dedupe unless duplicates are the point, keeping the kind's violation
+    if kind != "duplicate":
+        unique = {canonical_triple(c): c for c in clauses}
+        clauses = list(unique.values())
+    return kind, XsatFormula(n, tuple(map(tuple, clauses)), positive=positive)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(formulas_with_a_violation())
+def test_validate_equals_clause_walk(drawn):
+    kind, f = drawn
+    found = validate(f)
+    assert found == reference_validate(f)
+    if kind == "none":
+        assert found == []
+    else:
+        assert found

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from xsat.generator import (
     gen_partition,
     gen_random,
 )
+from xsat import linsys
 from xsat.linsys import integer_rref
 from xsat.oracle import naive_models
 
@@ -76,6 +78,38 @@ def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
         nullity=n_vars - rank,
         inconsistent=inconsistent,
     )
+
+
+def first_holder_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
+    """Reference: :func:`integer_rref` with the first row holding each column
+    at or below the current one as its pivot row, the rule of
+    :func:`dense_gauss_jordan`.  Calls ``linsys._eliminate`` through the
+    module, so a test can count its row updates."""
+    rows = [dict(linsys._primitive(row)) for row in system.rows]
+    n_rows = len(rows)
+    pivot_cols: list[int] = []
+    cur = 0
+    for col in range(system.num_vars):
+        pivot_row = next((i for i in range(cur, n_rows) if col in rows[i]), None)
+        if pivot_row is None:
+            continue
+        pivot = rows[pivot_row]
+        if pivot[col] < 0:
+            for c in pivot:
+                pivot[c] = -pivot[c]
+        rows[pivot_row] = rows[cur]
+        rows[cur] = pivot
+        for i in range(cur + 1, n_rows):
+            if col in rows[i]:
+                linsys._eliminate(rows[i], pivot, col)
+        pivot_cols.append(col)
+        cur += 1
+    for j in range(len(pivot_cols) - 1, 0, -1):
+        col, pivot = pivot_cols[j], rows[j]
+        for i in range(j):
+            if col in rows[i]:
+                linsys._eliminate(rows[i], pivot, col)
+    return rows, pivot_cols
 
 
 def rank_of(f: XsatFormula) -> tuple[int, int]:
@@ -338,3 +372,74 @@ def test_elimination_leaves_its_input_alone(six_var):
         assert system.rows == before
         integer_rref(system)
         assert system.rows == before
+
+
+def _holders(system: LinearSystem, col: int) -> list[int]:
+    return [i for i, row in enumerate(system.rows) if col in row]
+
+
+# systems whose first holder of column 0 is not its sparsest holder
+CONSISTENT_PIVOT_SYSTEMS = (
+    # x + y + z = 1 above x + z = 1 and y = 0
+    LinearSystem(({0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 2: 1, 3: 1}, {1: 1}), 3),
+    # a shared factor of 2 and negative entries, solved by x = 2, y = 1
+    # and z = -1; x = 2 is the sparsest
+    LinearSystem(({0: 2, 1: -2, 2: 4, 3: -2}, {0: -1, 1: 3, 3: 1},
+                  {0: 1, 3: 2}, {1: 1, 2: 1}), 3),
+    # two rank-deficient copies of the same equation below a dense row
+    LinearSystem(({0: 1, 1: 1, 2: 1, 3: 1, 4: 1}, {0: 1, 3: 1, 4: 1},
+                  {0: 2, 3: 2, 4: 2}, {1: 1, 2: 1}), 4),
+)
+
+
+@pytest.mark.parametrize("system", CONSISTENT_PIVOT_SYSTEMS)
+def test_sparsest_pivot_keeps_a_consistent_rref(system):
+    holders = _holders(system, 0)
+    sparsest = min(holders, key=lambda i: len(system.rows[i]))
+    assert sparsest != holders[0]
+    res = gauss_jordan(system)
+    assert not res.inconsistent
+    _assert_same_rref(system)
+    assert integer_rref(system) == first_holder_rref(system)
+
+
+# inconsistent systems whose right-hand sides differ between the two rules
+INCONSISTENT_PIVOT_SYSTEMS = (
+    # x = 1, y = 1 and -y = 0: y = 1 is kept, where -y = 0 is the sparsest
+    LinearSystem(({0: 1, 2: 1}, {1: 1, 2: 1}, {1: -1}), 2),
+    # 2y = 1, 2y = 0 and -y = 0: the kept row is 2y = 1
+    LinearSystem(({1: 2, 2: 1}, {1: 2}, {1: -1}), 2),
+    # the `xsat kernel` golden whose `0 = 1` row the sparsest rule turns
+    # into `0 = 0`
+    encode_sys(XsatFormula(5, ((1, 2, BOTTOM), (1, 2, 3), (3, 4, BOTTOM),
+                               (4, 5, BOTTOM), (3, 5, BOTTOM)))),
+)
+
+
+@pytest.mark.parametrize("system", INCONSISTENT_PIVOT_SYSTEMS)
+def test_inconsistent_systems_keep_the_first_holder_rhs(system):
+    reference = first_holder_rref(system)
+    assert linsys._reduce(system, sparsest=True) != reference
+    assert integer_rref(system) == reference
+    assert gauss_jordan(system).inconsistent
+    _assert_same_rref(system)
+
+
+def test_sparsest_pivot_eliminates_less(monkeypatch):
+    from test_substitution import planted  # test_substitution imports this module
+
+    system = encode_sys(planted(60, 80, random.Random("sparsest-pivot")))
+    calls = 0
+    update = linsys._eliminate
+
+    def counted(row, pivot, col):
+        nonlocal calls
+        calls += 1
+        update(row, pivot, col)
+
+    monkeypatch.setattr(linsys, "_eliminate", counted)
+    result = integer_rref(system)
+    sparsest_calls, calls = calls, 0
+    assert result == first_holder_rref(system)
+    assert not gauss_jordan(system).inconsistent
+    assert 0 < sparsest_calls < calls
