@@ -15,11 +15,14 @@ An RREF row is primitive, so its D is its pivot entry; a substitution row
 has a pivot entry of 1, so D = 1.  Two counters apply the same rule to
 the rows as they are and give the same count.  ``count_blocks``
 accepts all 2^BLOCK_BITS assignments of the low free bits at once, as bits
-of one Python int per row, and walks the free bits above BLOCK_BITS depth
-first: each group of rows is checked as soon as the bits it reads are
-set, and a subtree whose block is empty is cut.  ``solve`` counts with it
-and reads the witnesses off its accepted bits, sorted back into the flat
-walk's order.
+of one Python int per row, built on the column masks the oracle caches and
+tabulated once per distinct low part.  It walks the free bits above
+BLOCK_BITS depth first, the bit most rows read first: each group of rows
+is checked as soon as the bits it reads are set, a lone row with one
+lookup in a merged map shared by the rows with the same table and D, and
+a subtree whose block is empty is cut.  ``solve`` counts with it and reads
+the witnesses off its accepted bits, sorted back into the flat walk's
+order.
 ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
 one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 
 from .formula import Assignment, CapacityError, XsatFormula, check_valid
 from .linsys import RrefResult, encode_sys, gauss_jordan
+from .oracle import _columns
 from .substitution import expansion_profile, substitute
 
 DEFAULT_MAX_FREE = 30
@@ -169,6 +173,9 @@ def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
 # Free bits below BLOCK_BITS are counted together: each row's acceptance
 # over all 2^BLOCK_BITS low assignments is one Python int of 512 bytes.
 BLOCK_BITS = 12
+# count_blocks recurses once per free bit above the block; the ceiling
+# keeps that well under Python's default recursion limit of 1000.
+MAX_WALK_DEPTH = 512
 
 
 def _low_tables(coeffs: list[tuple[int, ...]], low: int) -> tuple[int, list[dict[int, int]]]:
@@ -176,25 +183,29 @@ def _low_tables(coeffs: list[tuple[int, ...]], low: int) -> tuple[int, list[dict
 
     Bit j of a block stands for the low assignment whose bit p is free bit
     p; it is set in ``table[s]`` iff that assignment's partial sum is s.
+    The column masks are the oracle's cached ``_columns(low)``, and rows
+    with the same first ``low`` coefficients share one table object.
     """
-    full = (1 << (1 << low)) - 1
-    # free bit p alternates runs of 2^p zeros and 2^p ones over the block
-    cols = [(((1 << (1 << p)) - 1) << (1 << p))
-            * (full // ((1 << (2 << p)) - 1)) for p in range(low)]
+    full, cols, _ = _columns(low)
+    by_low: dict[tuple[int, ...], dict[int, int]] = {}
     tables = []
     for row in coeffs:
-        table = {0: full}
-        for c, col in zip(row, cols):
-            if not c:
-                continue
-            split: dict[int, int] = {}
-            for s, block in table.items():
-                on = block & col
-                if block ^ on:
-                    split[s] = split.get(s, 0) | (block ^ on)
-                if on:
-                    split[s + c] = split.get(s + c, 0) | on
-            table = split
+        part = row[:low]
+        table = by_low.get(part)
+        if table is None:
+            table = {0: full}
+            for c, col in zip(part, cols):
+                if not c:
+                    continue
+                split: dict[int, int] = {}
+                for s, block in table.items():
+                    on = block & col
+                    if block ^ on:
+                        split[s] = split.get(s, 0) | (block ^ on)
+                    if on:
+                        split[s + c] = split.get(s + c, 0) | on
+                table = split
+            by_low[part] = table
         tables.append(table)
     return full, tables
 
@@ -255,35 +266,51 @@ def count_blocks(
     ``witness_cap``, also list the models when there are at most that many.
 
     Same rows, acceptance rule and count as :func:`count_kernel`.
-    The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated per
-    row by :func:`_low_tables`.  A row with residual ``t`` after the high
-    part accepts the block ``table[t]`` (residual 0) or ``table[t - D]``
-    (residual D); a group of rows sharing a pivot accepts where all of them
-    are 0 or all are D.
+    The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated by
+    :func:`_low_tables`, one table per distinct low part.  A row with
+    residual ``t`` after the high part accepts the block ``table[t]``
+    (residual 0) or ``table[t - D]`` (residual D); a group of rows sharing
+    a pivot accepts where all of them are 0 or all are D.
 
-    The high bits are walked depth first, top bit first, keeping each
-    row's residual.  A group is checked once, at the node that sets the
-    last high bit its rows read (at the root when they read none), and
-    the node ANDs its acceptance into the block inherited from its parent.
-    A node whose block is 0 is cut with its subtree; each leaf that is
-    left adds its block's size.  The models come from :func:`_models`,
-    which restores the flat walk's order.
+    The high bits are walked depth first, densest first: the bit that the
+    most rows read is set at the root, so groups complete, and prune,
+    near it; ties keep the top bit first.  The walk keeps each row's
+    residual.  A group is checked once, at the node that sets the last
+    high bit its rows read (at the root when they read none), and the node
+    ANDs its acceptance into the block inherited from its parent.  Below
+    the root a lone row is checked with one lookup in its merged map
+    ``t -> table[t] | table[t - D]``, shared by the rows with the same
+    table and D.  A node whose block is 0 is cut with its subtree; each
+    leaf that is left adds its block's size.  A leaf keeps its high bits
+    in their own positions, so :func:`_models` restores the flat walk's
+    order of the models.
+
+    The walk recurses once per high bit, so a kernel more than
+    ``MAX_WALK_DEPTH`` bits wider than the block raises ``CapacityError``.
     """
     d = kern.width
     _check_width(d, max_free)
+    low = min(d, BLOCK_BITS)
+    if d - low > MAX_WALK_DEPTH:
+        raise CapacityError(
+            f"kernel has {d} free variables, the block walk takes at most "
+            f"{BLOCK_BITS + MAX_WALK_DEPTH} (a {BLOCK_BITS}-bit block and "
+            f"{MAX_WALK_DEPTH} levels of recursion)")
     coeffs = [row.coeffs for row in kern.rows]
     res = [row.rhs for row in kern.rows]
     dens = [row.den for row in kern.rows]
-    low = min(d, BLOCK_BITS)
     full, tables = _low_tables(coeffs, low)
     by_pivot: dict[int, list[int]] = {}
     for i, row in enumerate(kern.rows):
         by_pivot.setdefault(row.pivot_var, []).append(i)
     flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
              for pos in range(low, d)]
-    # done[k]: the groups whose lowest high bit is low + k; the flip lists
-    # are scanned lowest bit first, so a group lands where it is first seen,
-    # and the groups left over read no high bit
+    # the walk sets flips[order[-1]] first, the most-read high bit
+    order = sorted(range(d - low), key=lambda k: len(flips[k]))
+    flips = [flips[k] for k in order]
+    # done[k]: the groups whose last-set high bit is order[k]; the flip
+    # lists are scanned last-set first, so a group lands where it is first
+    # seen, and the groups left over read no high bit
     done: list[list[list[int]]] = [[] for _ in flips]
     for k, flip in enumerate(flips):
         for i, _ in flip:
@@ -291,8 +318,29 @@ def count_blocks(
             if g is not None:
                 done[k].append(g)
     root = list(by_pivot.values())
+    # merged maps only below the root: a root row is checked once, so a
+    # map of its own would cost more than the lookup it saves
+    merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
 
-    def accept(block: int, checked: list[list[int]]) -> int:
+    def merge(i: int) -> dict[int, int]:
+        key = coeffs[i][:low], dens[i]
+        m = merged.get(key)
+        if m is None:
+            table, den = tables[i], dens[i]
+            m = merged[key] = dict(table)
+            for s, block in table.items():
+                m[s + den] = m.get(s + den, 0) | block
+        return m
+
+    lone = [[(g[0], merge(g[0])) for g in gs if len(g) == 1] for gs in done]
+    groups = [[g for g in gs if len(g) > 1] for gs in done]
+
+    def accept(block: int, lone_rows: list[tuple[int, dict[int, int]]],
+               checked: list[list[int]]) -> int:
+        for i, m in lone_rows:
+            block &= m.get(res[i], 0)
+            if not block:
+                return 0
         for g in checked:
             zero = one = block
             for i in g:
@@ -314,20 +362,20 @@ def count_blocks(
             if witness_cap is not None and count <= witness_cap:
                 listed.append((high, block, res[:]))
             return
-        checked = done[k]
-        below = accept(block, checked) if checked else block
+        lone_rows, checked = lone[k], groups[k]
+        below = accept(block, lone_rows, checked) if lone_rows or checked else block
         if below:
             walk(k - 1, high, below)
         flip = flips[k]
         for i, delta in flip:
             res[i] -= delta
-        below = accept(block, checked) if checked else block
+        below = accept(block, lone_rows, checked) if lone_rows or checked else block
         if below:
-            walk(k - 1, high | 1 << k, below)
+            walk(k - 1, high | 1 << order[k], below)
         for i, delta in flip:
             res[i] += delta
 
-    block = accept(full, root)
+    block = accept(full, [], root)
     if block:
         walk(d - low - 1, 0, block)
     # walk refers to itself through its closure; breaking that cycle frees

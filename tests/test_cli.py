@@ -92,6 +92,25 @@ def test_max_free_capacity_exit(six_var_file):
                  "--max-free", "2"]) == EXIT_CAPACITY
 
 
+def test_kernel_too_deep_for_the_block_walk_exits_capacity(tmp_path, capsys):
+    """A raised --max-free still ends in one capacity line, not a
+    RecursionError, when the walk above the block would pass its depth
+    ceiling; bench reports such a cell as a skip."""
+    path = tmp_path / "wide.xsat"
+    assert main(["gen", "--family", "partition", "--r", "3300"]) == EXIT_OK
+    path.write_text(capsys.readouterr().out)
+    assert main(["solve", "--count", "--max-free", "5000",
+                 "--input", str(path)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: kernel has 2200 free variables")
+    assert len(captured.err.splitlines()) == 1
+    assert main(["bench", "--family", "fixed-rank", "--rank", "300",
+                 "--nullity-range", "600..600", "--max-free", "5000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("c skip r=900 k=300 seed=0: kernel has 600 free variables")
+
+
 def test_parse_error_exit(tmp_path):
     bad = tmp_path / "bad.xsat"
     bad.write_text("p xsat+ 3 1\n1 2 0\n")

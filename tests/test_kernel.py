@@ -7,6 +7,7 @@ import pytest
 from xsat import (
     BOTTOM,
     CapacityError,
+    CnfFormula,
     ValidationError,
     KernelInstance,
     KernelRow,
@@ -18,6 +19,7 @@ from xsat import (
     extract_kernel,
     gauss_jordan,
     naive_count,
+    naive_count_cnf,
     repr_size,
     solve,
 )
@@ -32,6 +34,7 @@ from xsat.generator import (
 )
 from xsat.kernel import build_kernel, profile_total_within_bounds, size_bounds
 from xsat.oracle import naive_models
+from xsat.reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
 from xsat.substitution import expansion_profile, substitute
 
 from test_acceptance import ensemble
@@ -595,3 +598,112 @@ def test_count_blocks_counts_wide_kernels_alike_under_both_methods():
             counts.add(count_blocks(kern)[0])
         assert len(counts) == 1 and min(counts) >= 1, (r, seed, counts)
     assert min(widths) >= 24 and max(widths) == 30, widths
+
+
+# ---------------------------------------------------------------------------
+# the walk's order of the high bits, shared tables, and its depth ceiling
+
+def _random_cnf(rng: SplitMix64, n: int, m: int) -> CnfFormula:
+    """m distinct 3-clauses over n variables, every variable used."""
+    while True:
+        clauses = set()
+        while len(clauses) < m:
+            vs = set()
+            while len(vs) < 3:
+                vs.add(1 + rng.randbelow(n))
+            clauses.add(tuple(v if rng.randbelow(2) else -v for v in sorted(vs)))
+        if len({abs(l) for c in clauses for l in c}) == n:
+            return CnfFormula(n, tuple(sorted(clauses)))
+
+
+def _free_bits(kern: KernelInstance, model) -> int:
+    return sum(model[v - 1] << pos for pos, v in enumerate(kern.free_vars))
+
+
+def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
+    """Random 3-CNF, n = 6 and m = 7-10, through both reductions.  The
+    gauss kernels are 13-16 wide, and their high columns are read by
+    different numbers of rows, so the walk sets them densest first rather
+    than top bit first.  The subst kernels of the same formulas are 32-47
+    wide, past the flat walk; those of m = 7 and 8 are counted against
+    the CNF, and their witnesses are the gauss models in the flat walk's
+    order of their own free bits."""
+    rng = SplitMix64(61)
+    uneven = 0
+    for trial in range(8):
+        m = 7 + trial % 4
+        cnf = _random_cnf(rng, 6, m)
+        expected = naive_count_cnf(cnf)
+        f = reduce_xsat_to_positive(reduce_cnf_to_xsat(cnf)[0])[0]
+        built = build_kernel(f, "gauss")
+        kern = built.kernel
+        assert not built.inconsistent and 13 <= kern.width <= 16
+        reads = {sum(1 for row in kern.rows if row.coeffs[pos])
+                 for pos in range(BLOCK_BITS, kern.width)}
+        uneven += len(reads) > 1
+        models = gray_order_models(kern)
+        assert count_kernel(kern) == len(models) == expected
+        assert count_blocks(kern, witness_cap=expected) == (expected, tuple(models))
+        if m > 8:
+            continue
+        subst = build_kernel(f, "subst").kernel
+        count, listed = count_blocks(subst, max_free=40, witness_cap=expected)
+        assert count == expected and sorted(listed) == sorted(models)
+        walked = [_free_bits(subst, w) for w in listed]
+        steps = [kernel_module._gray_rank(g) for g in walked]
+        assert [s ^ (s >> 1) for s in steps] == walked
+        assert steps == sorted(steps)
+    assert uneven >= 4, uneven
+
+
+def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:
+    """Rows over one coefficient tuple that differ in rhs or D: three lone
+    rows and one filter group of two.  Every row reads the same free bits,
+    so they share one low table, and the lone rows with the same D share
+    one merged map once they read a high bit, which the top bit is above
+    the block.  The rhs are set from a planted assignment, at which every
+    row's residual is 0 or D and the group's two are both D."""
+    coeffs = [0] * width
+    for pos in [rng.randbelow(width) for _ in range(3)] + [width - 1]:
+        coeffs[pos] = (-2, -1, 1, 2)[rng.randbelow(4)]
+    coeffs = tuple(coeffs)
+    planted = sum(c * rng.randbelow(2) for c in coeffs)
+    pivot = width + 1
+    rows = (KernelRow(coeffs, planted, pivot, 1),          # residual 0
+            KernelRow(coeffs, planted + 1, pivot + 1, 1),  # residual D = 1
+            KernelRow(coeffs, planted + 2, pivot + 2, 2),  # residual D = 2
+            # the group accepts where the first row's residual is 1, the
+            # one place where both rows are D
+            KernelRow(coeffs, planted + 1, pivot + 3, 1),
+            KernelRow(coeffs, planted + 2, pivot + 3, 2))
+    return KernelInstance(tuple(range(1, width + 1)), rows, width + 4)
+
+
+@pytest.mark.parametrize("width", [5, 13, 16])
+def test_rows_sharing_a_table_keep_their_own_acceptance(width):
+    rng = SplitMix64(700 + width)
+    for _ in range(3):
+        kern = _shared_rows(rng, width)
+        low = min(width, BLOCK_BITS)
+        _, tables = kernel_module._low_tables([row.coeffs for row in kern.rows], low)
+        assert all(table is tables[0] for table in tables)
+        assert _agreed_count(kern) > 0
+
+
+def _one_path(depth: int, extra: int = 0) -> KernelInstance:
+    """A kernel ``depth`` bits wider than the block, with one row per high
+    bit that accepts it at 0 only: the walk follows one path ``depth``
+    levels down.  ``extra`` more free bits are read by no row."""
+    d = BLOCK_BITS + depth + extra
+    rows = tuple(KernelRow(tuple(int(p == pos) for p in range(d)), 0, d + 1 + pos)
+                 for pos in range(BLOCK_BITS, BLOCK_BITS + depth))
+    return KernelInstance(tuple(range(1, d + 1)), rows, d + depth)
+
+
+def test_count_blocks_walks_to_its_depth_ceiling_and_refuses_beyond():
+    depth = kernel_module.MAX_WALK_DEPTH
+    kern = _one_path(depth)
+    assert count_blocks(kern, max_free=kern.width) == (1 << BLOCK_BITS, None)
+    wider = _one_path(depth, extra=1)
+    with pytest.raises(CapacityError, match=f"{wider.width} free variables"):
+        count_blocks(wider, max_free=wider.width)
