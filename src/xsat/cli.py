@@ -168,24 +168,25 @@ class BenchRow:
                 f"t_enumerate_us={self.t_enumerate_us}")
 
 
-def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE,
-                      floor_s: float = 0.05, max_reps: int = 32) -> tuple[int, float]:
-    """(count, seconds) for one enumeration pass, repeated to a timing floor
-    for small kernels; the minimum single-pass time is reported."""
-    best = None
-    count = 0
+ENUM_FLOOR_S = 0.05
+ENUM_MAX_REPS = 32
+
+
+def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE) -> tuple[int, float]:
+    """(count, seconds) for one enumeration pass, repeated until the passes
+    add up to ``ENUM_FLOOR_S``, at most ``ENUM_MAX_REPS`` times; the minimum
+    single-pass time is reported."""
+    best = math.inf
     spent = 0.0
-    reps = 0
-    while reps < max_reps:
+    for _ in range(ENUM_MAX_REPS):
         t0 = time.perf_counter()
         count = count_kernel(kern, max_free=max_free)
         dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
+        best = min(best, dt)
         spent += dt
-        reps += 1
-        if spent >= floor_s:
+        if spent >= ENUM_FLOOR_S:
             break
-    return count, best or 0.0
+    return count, best
 
 
 def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
@@ -206,21 +207,6 @@ def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
     )
 
 
-def _bench_cell(r, k, seeds, family, method, max_free) -> list[tuple]:
-    """One (r, k) cell as (ok, row-or-message) pairs, one per seed, so
-    capacity skips are reported, never silently dropped."""
-    out = []
-    for seed in seeds:
-        spec = GenSpec(r=r, k=k, seed=seed, family=family)
-        try:
-            f = generate(spec)
-            row = bench_instance(f, spec, method, max_free)
-            out.append((True, row))
-        except (CapacityError, SpecError) as exc:
-            out.append((False, f"skip r={r} k={k} seed={seed}: {exc}"))
-    return out
-
-
 def fit_slope(points: list[tuple[float, float]]) -> float | None:
     """Least-squares slope of y against x; None when x has no spread."""
     n = len(points)
@@ -236,40 +222,41 @@ def fit_slope(points: list[tuple[float, float]]) -> float | None:
 
 
 def cmd_bench(args) -> int:
-    cells = []
-    skipped_cells = []
+    skips = []
+    specs = []
     if args.family == "fixed-rank":
         lo, hi = args.nullity_range
-        for eta_bar in range(lo, hi + 1):
-            cells.append((args.rank + eta_bar, args.rank, (args.seed,),
-                          "fixed-rank", args.method, args.max_free))
+        specs = [GenSpec(r=args.rank + eta_bar, k=args.rank, seed=args.seed,
+                         family="fixed-rank") for eta_bar in range(lo, hi + 1)]
     else:
         r_lo, r_hi = args.r_range
         for r in range(r_lo, r_hi + 1):
             for kap in args.kappa:
                 k = kap * r
                 if k.denominator != 1:
-                    skipped_cells.append(
-                        f"skip r={r} kappa={kap}: k = {k} not integral")
+                    skips.append(f"skip r={r} kappa={kap}: k = {k} not integral")
                     continue
-                seeds = tuple(args.seed ^ (r * 1009 + int(k) * 9176 + i)
-                              for i in range(args.per_cell))
-                cells.append((r, int(k), seeds, "random", args.method,
-                              args.max_free))
-
-    results = [pair for cell in cells for pair in _bench_cell(*cell)]
+                specs += [GenSpec(r=r, k=int(k), family="random",
+                                  seed=args.seed ^ (r * 1009 + int(k) * 9176 + i))
+                          for i in range(args.per_cell)]
 
     out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     rows: list[BenchRow] = []
     try:
-        for msg in skipped_cells:
+        for msg in skips:
             print(f"c {msg}", file=out)
-        for ok, payload in results:
-            if ok:
-                rows.append(payload)
-                print(payload.line(), file=out)
-            else:
-                print(f"c {payload}", file=out)
+        # each line is written as soon as it is measured; capacity and spec
+        # failures are reported as skips, never silently dropped
+        for spec in specs:
+            try:
+                row = bench_instance(generate(spec), spec, args.method,
+                                     args.max_free)
+            except (CapacityError, SpecError) as exc:
+                print(f"c skip r={spec.r} k={spec.k} seed={spec.seed}: {exc}",
+                      file=out, flush=True)
+                continue
+            rows.append(row)
+            print(row.line(), file=out, flush=True)
         points = [(row.eta_bar, math.log2(row.t_enumerate_us))
                   for row in rows if row.t_enumerate_us > 0]
         slope = fit_slope(points)
@@ -432,11 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--input", required=True)
         sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
+
+    def add_max_free(sp):
         sp.add_argument("--max-free", type=_nonnegative,
                         default=DEFAULT_MAX_FREE)
 
     sp = sub.add_parser("solve", help="solve and print a report record")
     add_common(sp)
+    add_max_free(sp)
     sp.add_argument("--count", action="store_true",
                     help="count mode: exit 0 instead of 10/20")
     sp.add_argument("--witnesses", type=_nonnegative, default=0, metavar="N",
@@ -445,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", help="print the exact model count")
     add_common(sp)
+    add_max_free(sp)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("kernel", help="print the residual 0/1 program")
@@ -476,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="row rank for the fixed-rank family")
     sp.add_argument("--nullity-range", type=_range, default="12..22",
                     help="eta-bar sweep for the fixed-rank family")
-    sp.add_argument("--max-free", type=_nonnegative,
-                    default=DEFAULT_MAX_FREE)
+    add_max_free(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("verify", help="cross-check methods, counters and oracle")
@@ -486,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"largest instance, 6..{ORACLE_CAP} variables")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--max-free", type=_nonnegative,
-                    default=DEFAULT_MAX_FREE)
+    add_max_free(sp)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -10,17 +10,18 @@ throughout.  Each equation is a sparse primitive integer row, a dict of its
 nonzero coefficients (three per clause plus fill-in), and elimination never
 forms a fraction (fraction-free elimination, Bareiss, Math. Comp. 1968).
 Elimination copies the input rows once and then updates the copies in
-place, in two sweeps: forward, clearing each pivot's column below it, then
-backward, from the last pivot to the second, clearing it above.  The
-columns are taken left to right, and of the rows that hold a column the
-one with the fewest entries is its pivot row, which keeps fill-in low.
-The RREF of a consistent system is unique, so this order keeps the rows
-any other order with the same pivots would, and each kept pivot row
-divided by its pivot entry is the row a rational Gauss-Jordan elimination
-would give.  An inconsistent system's right-hand sides depend on the
-pivot rows, so it is reduced again with the first row holding each column
-as the pivot row.  Columns are never physically permuted: pivot and free
-columns are reported as index lists instead.
+place.  A forward sweep takes the columns left to right and clears each
+pivot's column below it; of the rows that hold a column, the one with the
+fewest entries is its pivot row, which keeps fill-in low.  Then
+:func:`back_substitute`, the pass the substitution method runs too, clears
+every pivot column above its pivot row, last row first.  The RREF of a
+consistent system is unique, so this order keeps the rows any other order
+with the same pivots would, and each kept pivot row divided by its pivot
+entry is the row a rational Gauss-Jordan elimination would give.  An
+inconsistent system's right-hand sides depend on the pivot rows, so it is
+reduced again with the first row holding each column as the pivot row.
+Columns are never physically permuted: pivot and free columns are reported
+as index lists instead.
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ class RrefResult:
     nullity: int
     inconsistent: bool
 
+    @classmethod
+    def of(cls, rows: list[dict[int, int]], pivot_cols: list[int],
+           num_vars: int, inconsistent: bool) -> RrefResult:
+        """The result for these rows and their pivots: the rank counts the
+        distinct pivots, and every other variable column is free."""
+        pivots = set(pivot_cols)
+        return cls(
+            rows=tuple(rows),
+            pivot_cols=tuple(pivot_cols),
+            free_cols=tuple(c for c in range(num_vars) if c not in pivots),
+            rank=len(pivots),
+            nullity=num_vars - len(pivots),
+            inconsistent=inconsistent,
+        )
+
 
 def encode_sys(f: XsatFormula) -> LinearSystem:
     """One equation per clause: sum of the clause's variables equals 1.
@@ -128,10 +144,35 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int):
             row[c] //= common
 
 
+def back_substitute(rows: list[dict[int, int]],
+                    pivot_cols: list[int]) -> dict[int, dict[int, int]]:
+    """In place: clear from each row every pivot column but its own, and
+    return each pivot column's last row solved for it.
+
+    ``rows[i]`` is solved for ``pivot_cols[i]`` and has a positive entry
+    there; rows past the pivots are left alone, and pivots may repeat.  No
+    row may hold the pivot column of a row above it, unless that column is
+    its own pivot.  The rows are taken last first, and each pivot column a
+    row holds is eliminated with the last row solved for that column, one
+    :func:`_eliminate` step.  That row lies below, so it already holds no
+    pivot column but its own, and the step brings none in: one pass reaches
+    the fixpoint.  A step scales the row by a positive factor only, so its
+    pivot entry keeps its sign.
+    """
+    last: dict[int, dict[int, int]] = {}
+    for i in range(len(pivot_cols) - 1, -1, -1):
+        row, pivot = rows[i], pivot_cols[i]
+        for col in [c for c in row if c != pivot and c in last]:
+            _eliminate(row, last[col], col)
+        last.setdefault(pivot, row)
+    return last
+
+
 def _reduce(system: LinearSystem,
             sparsest: bool) -> tuple[list[dict[int, int]], list[int]]:
-    """Both sweeps of :func:`integer_rref`, with the sparsest holder of each
-    column as its pivot row when ``sparsest`` is set, else the first."""
+    """The forward sweep of :func:`integer_rref`, with the sparsest holder of
+    each column as its pivot row when ``sparsest`` is set, else the first,
+    then :func:`back_substitute`."""
     rows = [dict(_primitive(row)) for row in system.rows]
     n_rows = len(rows)
     pivot_cols: list[int] = []
@@ -152,11 +193,7 @@ def _reduce(system: LinearSystem,
             _eliminate(row, pivot, col)
         pivot_cols.append(col)
         cur += 1
-    for j in range(len(pivot_cols) - 1, 0, -1):
-        col, pivot = pivot_cols[j], rows[j]
-        for i in range(j):
-            if col in rows[i]:
-                _eliminate(rows[i], pivot, col)
+    back_substitute(rows, pivot_cols)
     return rows, pivot_cols
 
 
@@ -169,15 +206,15 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
     first ``len(pivot_cols)`` rows are the pivot rows in order, each with a
     positive pivot entry; the rest are zero on every variable column.
 
-    Two sweeps.  The forward sweep takes the columns left to right.  It
-    finds the rows at or below the current one that hold the column, makes
-    the one with the fewest entries the pivot row (smallest row index on
-    ties; Markowitz, Management Science 1957, applied to the row choice
-    only), negates it when its pivot entry is negative, moves it to the
-    current row and eliminates the column from the other holders only.
-    The backward sweep goes from the last pivot to the second and
-    eliminates each pivot's column from the pivot rows above it; a pivot
-    row is already free of every later pivot column when its turn comes.
+    A forward sweep, then :func:`back_substitute`.  The forward sweep takes
+    the columns left to right.  It finds the rows at or below the current
+    one that hold the column, makes the one with the fewest entries the
+    pivot row (smallest row index on ties; Markowitz, Management Science
+    1957, applied to the row choice only), negates it when its pivot entry
+    is negative, moves it to the current row and eliminates the column from
+    the other holders only.  No pivot row then holds an earlier pivot
+    column, so one back-substitution pass over the pivot rows, last first,
+    clears every pivot column above its pivot.
 
     The choice of pivot row changes neither the pivot columns, which the
     leftmost-column order fixes, nor the rows of a consistent system: its
@@ -201,14 +238,6 @@ def gauss_jordan(system: LinearSystem) -> RrefResult:
     rows.  Inconsistency is a flag, never an exception.
     """
     rows, pivot_cols = integer_rref(system)
-    n_vars = system.num_vars
     rank = len(pivot_cols)
-    pivots = set(pivot_cols)
-    return RrefResult(
-        rows=tuple(rows[:rank]),
-        pivot_cols=tuple(pivot_cols),
-        free_cols=tuple(c for c in range(n_vars) if c not in pivots),
-        rank=rank,
-        nullity=n_vars - rank,
-        inconsistent=any(n_vars in row for row in rows[rank:]),
-    )
+    return RrefResult.of(rows[:rank], pivot_cols, system.num_vars,
+                         inconsistent=any(rows[rank:]))

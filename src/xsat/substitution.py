@@ -3,15 +3,15 @@
 Substitution works on the same equations as elimination, the sparse
 integer rows of :func:`xsat.linsys.encode_sys`.  Each row is solved for its
 lowest variable, so the clause {p2, p5, p6} reads p2 = 1 - p5 - p6, and the
-rows are sorted ascending by that variable, ties in clause order.  One
-back-substitution pass from the last row to the first then replaces each
-occurrence of a solved variable in a row's body by the last row solved for
-it: one :func:`xsat.linsys._eliminate` step against a pivot entry of 1, so
-no row is ever scaled or divided.  Every body variable lies above its
-row's solved variable, so that source sits later in the order and has
-already been rewritten: its body holds no solved variable, a replacement
-never brings one in, and one pass reaches the fixpoint.  Chains of
-rewrites produce coefficients other than 1, including cancellations.
+rows are sorted ascending by that variable, ties in clause order.  Every
+body variable then lies above its row's solved variable, so no row holds
+the solved variable of a row above it, and
+:func:`xsat.linsys.back_substitute`, the pass elimination ends with, takes
+the rows last first and replaces each occurrence of a solved variable in a
+row's body by the last row solved for it.  Each step is against a pivot
+entry of 1, so no row is ever scaled or divided, and one pass reaches the
+fixpoint.  Chains of rewrites produce coefficients other than 1, including
+cancellations.
 
 The solved variables are the pivots and the rest are free; enumeration
 only ever searches the free side.  Two rows may share a solved variable
@@ -30,7 +30,7 @@ Fibonacci sequence even though the signed bodies collapse.
 from __future__ import annotations
 
 from .formula import BOTTOM, XsatFormula
-from .linsys import LinearSystem, RrefResult, _eliminate
+from .linsys import LinearSystem, RrefResult, back_substitute
 
 
 def substitute(system: LinearSystem) -> RrefResult:
@@ -46,37 +46,24 @@ def substitute(system: LinearSystem) -> RrefResult:
     have the same variable entries but a different right-hand side.
     """
     n_vars = system.num_vars
-    keyed = []
+    rows: list[dict[int, int]] = []
     inconsistent = False
     for row in system.rows:
-        cols = [c for c in row if c != n_vars]
-        if cols:
-            keyed.append((min(cols), dict(row)))
+        if min(row, default=n_vars) < n_vars:
+            rows.append(dict(row))
         elif row:
             inconsistent = True
-    keyed.sort(key=lambda item: item[0])  # stable: ties keep row order
-    last: dict[int, dict[int, int]] = {}  # pivot -> the last row solved for it
-    for pivot, row in reversed(keyed):
-        for col in [c for c in row if c != pivot and c in last]:
-            _eliminate(row, last[col], col)
-        last.setdefault(pivot, row)
-    pivot_cols = tuple(pivot for pivot, _ in keyed)
-    rows = tuple(row for _, row in keyed)
-    if len(last) < len(rows):  # only rows sharing a pivot can contradict
+    rows.sort(key=min)  # by the lowest variable; stable: ties keep row order
+    pivot_cols = [min(row) for row in rows]
+    solved = back_substitute(rows, pivot_cols)
+    if len(solved) < len(rows):  # only rows sharing a pivot can contradict
         rhs_of: dict[frozenset, int] = {}
         for row in rows:
             rhs = row.get(n_vars, 0)
             body = frozenset((c, v) for c, v in row.items() if c != n_vars)
             if rhs_of.setdefault(body, rhs) != rhs:
                 inconsistent = True
-    return RrefResult(
-        rows=rows,
-        pivot_cols=pivot_cols,
-        free_cols=tuple(c for c in range(n_vars) if c not in last),
-        rank=len(last),
-        nullity=n_vars - len(last),
-        inconsistent=inconsistent,
-    )
+    return RrefResult.of(rows, pivot_cols, n_vars, inconsistent)
 
 
 def expansion_profile(f: XsatFormula) -> list[int]:

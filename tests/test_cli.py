@@ -218,6 +218,15 @@ def test_bench_has_no_jobs_option(capsys):
     assert err.startswith("usage:") and "unrecognized arguments: --jobs 2" in err
 
 
+def test_kernel_has_no_max_free_option(six_var_file, capsys):
+    # the kernel is printed, never enumerated, so no cap applies
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--input", six_var_file, "--max-free", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --max-free 3" in err
+
+
 def test_count_subcommand(six_var_file, capsys):
     assert main(["count", "--input", six_var_file]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "3"

@@ -24,9 +24,11 @@ from xsat.generator import (
     gen_partition,
     gen_random,
 )
-from xsat import linsys
+from xsat import linsys, substitution
+from xsat.formula import CnfFormula
 from xsat.linsys import integer_rref
 from xsat.oracle import naive_models
+from xsat.reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
 
 from test_acceptance import ensemble
 
@@ -443,3 +445,33 @@ def test_sparsest_pivot_eliminates_less(monkeypatch):
     assert result == first_holder_rref(system)
     assert not gauss_jordan(system).inconsistent
     assert 0 < sparsest_calls < calls
+
+
+def test_both_methods_share_one_back_substitution(monkeypatch, six_var):
+    calls = []
+    real = linsys.back_substitute
+
+    def spy(rows, pivot_cols):
+        calls.append(len(pivot_cols))
+        return real(rows, pivot_cols)
+
+    # substitution imports the pass by name, so both bindings are replaced
+    monkeypatch.setattr(linsys, "back_substitute", spy)
+    monkeypatch.setattr(substitution, "back_substitute", spy)
+    system = encode_sys(six_var)
+    assert not gauss_jordan(system).inconsistent
+    assert calls == [4]
+    assert not substitution.substitute(system).inconsistent
+    assert calls == [4, 4]
+
+
+def test_back_substitution_matches_the_column_sweep_on_repeated_clauses():
+    """40 copies of one 3-CNF clause, through both reductions: many rows
+    share their pivots' columns, and the row-driven pass gives the rows of
+    the column-driven reference."""
+    f, _ = reduce_cnf_to_xsat(CnfFormula(3, ((1, 2, 3),) * 40))
+    f, _ = reduce_xsat_to_positive(f)
+    system = encode_sys(f)
+    rows, pivot_cols = integer_rref(system)
+    assert (rows, pivot_cols) == first_holder_rref(system)
+    assert len(pivot_cols) == len(system.rows)  # full row rank
