@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .formula import CapacityError, XsatError, XsatFormula, kappa
-from .generator import GenSpec, SpecError, SplitMix64, generate
+from .generator import FAMILIES, GenSpec, SpecError, SplitMix64, generate
 from .io import (
     emit_report,
     parse_dimacs_cnf,
@@ -79,7 +79,7 @@ def cmd_solve(args) -> int:
     f, traces = _load_positive(args.input)
     # parse_xsat has validated f unless a reduction replaced it
     rep = solve(f, method=args.method, max_free=args.max_free,
-                want_witnesses=args.witnesses > 0, witness_cap=args.witnesses,
+                witness_cap=args.witnesses or None,
                 checked=not traces)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
     for w in rep.witnesses or ():
@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
+def _counts_disagree(f: XsatFormula) -> str | None:
     """Name the counts that differ, or None when every counter agrees.
 
     Both methods are solved and checked against the oracle.  On each
@@ -299,8 +299,7 @@ def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     models = naive_models(f, ORACLE_CAP)
     n = len(models)
     builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
-    reps = {method: solve(f, method=method, max_free=max_free, built=built,
-                          want_witnesses=True, witness_cap=n)
+    reps = {method: solve(f, method=method, built=built, witness_cap=n)
             for method, built in builds.items()}
     g, s = (rep.count for rep in reps.values())
     if not g == s == n:
@@ -309,8 +308,8 @@ def _counts_disagree(f: XsatFormula, max_free: int) -> str | None:
     for method, built in builds.items():
         if built.inconsistent:
             continue
-        walk = count_kernel(built.kernel, max_free=max_free)
-        blocks = count_blocks(built.kernel, max_free=max_free)[0]
+        walk = count_kernel(built.kernel)
+        blocks = count_blocks(built.kernel)[0]
         if walk != blocks:
             return f"{method} kernel: count_kernel={walk} count_blocks={blocks}"
         if sorted(reps[method].witnesses) != models:
@@ -327,7 +326,7 @@ def _compact(f: XsatFormula, drop: int) -> XsatFormula:
     return XsatFormula(len(used), new, positive=f.positive)
 
 
-def shrink_disagreement(f: XsatFormula, max_free: int) -> XsatFormula:
+def shrink_disagreement(f: XsatFormula) -> XsatFormula:
     """Greedy delta debugging: drop clauses while the disagreement persists."""
     changed = True
     while changed:
@@ -335,7 +334,7 @@ def shrink_disagreement(f: XsatFormula, max_free: int) -> XsatFormula:
         for i in range(f.num_clauses):
             candidate = _compact(f, i)
             try:
-                if candidate.num_clauses and _counts_disagree(candidate, max_free):
+                if candidate.num_clauses and _counts_disagree(candidate):
                     f = candidate
                     changed = True
                     break
@@ -355,9 +354,9 @@ def cmd_verify(args) -> int:
         k = k_lo + rng.randbelow(r - k_lo + 1)
         spec = GenSpec(r=r, k=k, seed=args.seed ^ trial, family="random")
         f = generate(spec)
-        disagreement = _counts_disagree(f, args.max_free)
+        disagreement = _counts_disagree(f)
         if disagreement:
-            small = shrink_disagreement(f, args.max_free)
+            small = shrink_disagreement(f)
             path = os.path.join(args.out_dir, f"disagreement_{trial}.xsat")
             with open(path, "wb") as fh:
                 fh.write(serialize_xsat(small))
@@ -447,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("gen", help="generate an instance")
-    sp.add_argument("--family", choices=("random", "partition", "fib-chain",
-                                         "fixed-rank"), default="random")
+    sp.add_argument("--family", choices=FAMILIES, default="random")
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"largest instance, 6..{ORACLE_CAP} variables")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default=".")
-    add_max_free(sp)
     sp.set_defaults(func=cmd_verify)
     return p
 

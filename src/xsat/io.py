@@ -1,14 +1,19 @@
 """Bit-exact parsing and serialization of instances and solve reports.
 
-Two line-oriented text formats are supported.
+Two line-oriented text formats are supported, read by one line reader and
+written by one writer.  The line rules are shared: blank lines and lines
+starting with ``c`` are skipped; the header ``p <tag> <vars> <clauses>``
+has two nonnegative integer counts and comes before any clause; every
+other line is one clause of exactly three tokens followed by the token
+``0``; and the body holds as many clauses as the header promises.
 
-DIMACS CNF (input of the reduction chain)::
+DIMACS CNF (input of the reduction chain), tag ``cnf``::
 
     c comment
     p cnf <vars> <clauses>
     1 -2 3 0
 
-Every clause must have exactly 3 literals.
+A CNF token is a nonzero integer whose absolute value is at most <vars>.
 
 XSAT (native format)::
 
@@ -18,9 +23,11 @@ XSAT (native format)::
     1 2 3 0
     2 5 B 0
 
-Clause tokens are variable indices, negated indices (xsat only), or the
-letter ``B`` for the constant-false literal; ``0`` terminates the clause
-(which is why bottom could not be spelled ``0``).
+An XSAT token is a variable index, a negated index (xsat only), or the
+letter ``B`` for the constant-false literal; ``0`` is refused since it
+terminates the clause (which is why bottom could not be spelled ``0``).
+The header may declare at most three variables per clause, and the parsed
+instance must pass ``validate``.
 """
 
 from __future__ import annotations
@@ -61,127 +68,113 @@ def _content_lines(text: str):
         yield lineno, line
 
 
-def _header_counts(parts: list[str], line: str, lineno: int) -> tuple[int, int]:
-    """The variable and clause counts of a header line, both nonnegative."""
-    try:
-        counts = int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError(f"non-integer counts in header {line!r}", lineno)
-    if min(counts) < 0:
-        raise ParseError(f"negative count in header {line!r}", lineno)
-    return counts
+def _read(data, tags: tuple[str, ...], clause):
+    """The header's tag, variable count and line, and the clauses.
 
-
-def parse_dimacs_cnf(data) -> CnfFormula:
-    """Parse DIMACS CNF, enforcing exactly 3 literals per clause."""
-    num_vars = None
-    num_clauses = None
+    Applies the shared line rules; ``clause(toks, line, tag, num_vars)``
+    turns the three tokens of a clause line into a triple, or raises
+    ``ValueError`` with the message to report at that line.
+    """
+    tag = None
     clauses: list[Triple] = []
     for lineno, line in _content_lines(_as_text(data)):
+        toks = line.split()
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(toks) != 4 or toks[1] not in tags:
                 raise ParseError(f"malformed header {line!r}", lineno)
-            num_vars, num_clauses = _header_counts(parts, line, lineno)
+            try:
+                num_vars, num_clauses = int(toks[2]), int(toks[3])
+            except ValueError:
+                raise ParseError(f"non-integer counts in header {line!r}", lineno)
+            if min(num_vars, num_clauses) < 0:
+                raise ParseError(f"negative count in header {line!r}", lineno)
+            tag, header_line = toks[1], lineno
             continue
-        if num_vars is None:
+        if tag is None:
             raise ParseError("clause before header", lineno)
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"non-integer token in clause {line!r}", lineno)
-        if not lits or lits[-1] != 0:
+        if toks[-1] != "0":
             raise ParseError("clause not terminated by 0", lineno)
-        lits = lits[:-1]
-        if len(lits) != 3:
-            raise ParseError(f"clause width {len(lits)}, expected 3", lineno)
-        for l in lits:
-            if l == 0 or abs(l) > num_vars:
-                raise ParseError(f"index {l} out of range 1..{num_vars}", lineno)
-        clauses.append(tuple(lits))  # type: ignore[arg-type]
-    if num_vars is None:
+        if len(toks) != 4:
+            raise ParseError(f"clause width {len(toks) - 1}, expected 3", lineno)
+        try:
+            clauses.append(clause(toks[:3], line, tag, num_vars))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    if tag is None:
         raise ParseError("missing header")
     if len(clauses) != num_clauses:
         raise ParseError(
             f"header promises {num_clauses} clauses, body has {len(clauses)}")
+    return tag, num_vars, header_line, clauses
+
+
+def _cnf_clause(toks, line, tag, num_vars) -> Triple:
+    try:
+        lits = [int(tok) for tok in toks]
+    except ValueError:
+        raise ValueError(f"non-integer token in clause {line!r}") from None
+    for l in lits:
+        if l == 0 or abs(l) > num_vars:
+            raise ValueError(f"index {l} out of range 1..{num_vars}")
+    return tuple(lits)  # type: ignore[return-value]
+
+
+def _xsat_clause(toks, line, tag, r) -> Triple:
+    lits = []
+    for tok in toks:
+        if tok == "B":
+            lits.append(BOTTOM)
+            continue
+        try:
+            l = int(tok)
+        except ValueError:
+            raise ValueError(f"bad literal token {tok!r}") from None
+        if l == 0:
+            raise ValueError("0 is the clause terminator, use B for bottom")
+        if l < 0 and tag == "xsat+":
+            raise ValueError(f"negated literal {l} in xsat+ input")
+        if abs(l) > r:
+            raise ValueError(f"index {l} out of range 1..{r}")
+        lits.append(l)
+    return tuple(lits)  # type: ignore[return-value]
+
+
+def parse_dimacs_cnf(data) -> CnfFormula:
+    """Parse DIMACS CNF, enforcing exactly 3 literals per clause."""
+    _, num_vars, _, clauses = _read(data, ("cnf",), _cnf_clause)
     return CnfFormula(num_vars, tuple(clauses))
 
 
 def parse_xsat(data) -> XsatFormula:
     """Parse the XSAT format and reject anything ``validate`` rejects."""
-    header = None
-    clauses: list[Triple] = []
-    positive = False
-    r = k = header_line = 0
-    for lineno, line in _content_lines(_as_text(data)):
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] not in ("xsat", "xsat+"):
-                raise ParseError(f"malformed header {line!r}", lineno)
-            r, k = _header_counts(parts, line, lineno)
-            positive = parts[1] == "xsat+"
-            header = parts[1]
-            header_line = lineno
-            continue
-        if header is None:
-            raise ParseError("clause before header", lineno)
-        toks = line.split()
-        if not toks or toks[-1] != "0":
-            raise ParseError("clause not terminated by 0", lineno)
-        toks = toks[:-1]
-        if len(toks) != 3:
-            raise ParseError(f"clause width {len(toks)}, expected 3", lineno)
-        lits = []
-        for tok in toks:
-            if tok == "B":
-                lits.append(BOTTOM)
-                continue
-            try:
-                l = int(tok)
-            except ValueError:
-                raise ParseError(f"bad literal token {tok!r}", lineno)
-            if l == 0:
-                raise ParseError("0 is the clause terminator, use B for bottom",
-                                 lineno)
-            if l < 0 and positive:
-                raise ParseError(f"negated literal {l} in xsat+ input", lineno)
-            if abs(l) > r:
-                raise ParseError(f"index {l} out of range 1..{r}", lineno)
-            lits.append(l)
-        clauses.append(tuple(lits))  # type: ignore[arg-type]
-    if header is None:
-        raise ParseError("missing header")
-    if len(clauses) != k:
-        raise ParseError(f"header promises {k} clauses, body has {len(clauses)}")
+    tag, r, header_line, clauses = _read(data, ("xsat", "xsat+"), _xsat_clause)
+    k = len(clauses)
     if r > 3 * k:
         # every variable must be covered, and a clause covers at most 3
         raise ParseError(f"header declares {r} variables but {k} clauses can "
                          f"cover at most {3 * k}", header_line)
-    f = XsatFormula(r, tuple(clauses), positive=positive)
+    f = XsatFormula(r, tuple(clauses), positive=tag == "xsat+")
     violations = validate(f)
     if violations:
         raise ParseError("invalid instance: " + describe_violations(violations))
     return f
 
 
-def _lit_token(lit: int) -> str:
-    return "B" if lit == BOTTOM else str(lit)
+def _write(tag: str, f) -> bytes:
+    lines = [f"p {tag} {f.num_vars} {f.num_clauses}"]
+    for clause in f.clauses:
+        lines.append(" ".join("B" if l == BOTTOM else str(l) for l in clause)
+                     + " 0")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def serialize_xsat(f: XsatFormula) -> bytes:
     """Emit the canonical text form; parse(serialize(f)) == f."""
-    tag = "xsat+" if f.positive else "xsat"
-    lines = [f"p {tag} {f.num_vars} {f.num_clauses}"]
-    for clause in f.clauses:
-        lines.append(" ".join(_lit_token(l) for l in clause) + " 0")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _write("xsat+" if f.positive else "xsat", f)
 
 
 def serialize_cnf(f: CnfFormula) -> bytes:
-    lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
-    for clause in f.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _write("cnf", f)
 
 
 def sniff_format(data) -> str:

@@ -45,7 +45,6 @@ from .oracle import _columns
 from .substitution import expansion_profile, substitute
 
 DEFAULT_MAX_FREE = 30
-DEFAULT_WITNESS_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -446,13 +445,13 @@ def solve(
     f: XsatFormula,
     method: str = "gauss",
     max_free: int = DEFAULT_MAX_FREE,
-    want_witnesses: bool = False,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
+    witness_cap: int | None = None,
     built: KernelBuild | None = None,
     checked: bool = False,
 ) -> SolveReport:
     """Full pipeline: encode, eliminate (or substitute), extract, count.
 
+    ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing.
     ``built``, when given, is ``build_kernel(f, method)`` already done; its
     recorded build times stand in for building again.  ``checked=True``
     says ``f`` has already passed ``validate``, so it is not checked again;
@@ -465,9 +464,8 @@ def solve(
     kern = built.kernel
     t1 = time.perf_counter()
 
-    cap = witness_cap if want_witnesses else None
     count, wit = ((0, None) if built.inconsistent
-                  else count_blocks(kern, max_free, cap))
+                  else count_blocks(kern, max_free, witness_cap))
     t2 = time.perf_counter()
 
     bits = repr_size(kern, expansion_profile(f))

@@ -227,6 +227,15 @@ def test_kernel_has_no_max_free_option(six_var_file, capsys):
     assert err.startswith("usage:") and "unrecognized arguments: --max-free 3" in err
 
 
+def test_verify_has_no_max_free_option(capsys):
+    # verify draws at most ORACLE_CAP variables, so its kernels fit the cap
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "1", "--max-free", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --max-free 3" in err
+
+
 def test_count_subcommand(six_var_file, capsys):
     assert main(["count", "--input", six_var_file]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "3"

@@ -81,6 +81,30 @@ def test_negative_header_count_rejected(text):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("1 2 3 0\np {tag} 3 1\n", "clause before header", 1),
+    ("c no header\n", "missing header", None),
+    ("p {tag} 3\n1 2 3 0\n", "malformed header 'p {tag} 3'", 1),
+    ("p {tag} 3 x\n1 2 3 0\n", "non-integer counts in header 'p {tag} 3 x'", 1),
+    ("c\np {tag} 3 -1\n", "negative count in header 'p {tag} 3 -1'", 2),
+    ("p {tag} 3 1\n1 2 3\n", "clause not terminated by 0", 2),
+    ("p {tag} 3 1\n1 2 0\n", "clause width 2, expected 3", 2),
+    ("p {tag} 4 1\n\n1 2 3 4 0\n", "clause width 4, expected 3", 3),
+    ("p {tag} 3 2\n1 2 3 0\n", "header promises 2 clauses, body has 1", None),
+    ("p {tag} 3 1\n1 2 3 00\n", "clause not terminated by 0", 2),
+    ("p {tag} 3 1\n1 2 3 -0\n", "clause not terminated by 0", 2),
+], ids=["clause-before-header", "missing-header", "malformed-header",
+        "non-integer-count", "negative-count", "unterminated", "width-2",
+        "width-4", "count-mismatch", "terminator-00", "terminator-minus-0"])
+def test_both_parsers_report_line_faults_alike(text, message, line):
+    for tag, parse in (("cnf", parse_dimacs_cnf), ("xsat", parse_xsat)):
+        with pytest.raises(ParseError) as err:
+            parse(text.format(tag=tag))
+        where = f"line {line}: " if line is not None else ""
+        assert str(err.value) == where + message.format(tag=tag), tag
+        assert err.value.line == line, tag
+
+
 def test_parse_xsat_rejects_more_variables_than_clauses_cover():
     with pytest.raises(ParseError, match="2 clauses can cover at most 6") as err:
         parse_xsat("c big\np xsat 7 2\n1 2 3 0\n4 5 6 0\n")

@@ -111,7 +111,7 @@ def test_witnesses_satisfy_formula():
         r = 6 + rng.randbelow(5)
         k = -(-r // 3) + rng.randbelow(3)
         f = gen_random(GenSpec(r=r, k=min(k, r), seed=trial + 60))
-        rep = solve(f, method="gauss", want_witnesses=True)
+        rep = solve(f, method="gauss", witness_cap=1000)
         if rep.witnesses is None:
             continue
         assert len(rep.witnesses) == rep.count
@@ -128,7 +128,7 @@ def test_witness_sets_match_oracle_models_both_methods():
         f = gen_random(GenSpec(r=r, k=k, seed=trial + 7100))
         expected = sorted(naive_models(f))
         for method in ("gauss", "subst"):
-            rep = solve(f, method=method, want_witnesses=True)
+            rep = solve(f, method=method, witness_cap=1000)
             assert sorted(rep.witnesses) == expected
 
 
@@ -212,7 +212,7 @@ def test_solve_lists_witnesses_in_flat_walk_order(method, width):
         expected = [] if built.inconsistent else gray_order_models(built.kernel)
         count = len(expected)
         for cap in sorted({0, 1, count - 1, count} - {-1}):
-            rep = solve(f, method=method, want_witnesses=True, witness_cap=cap)
+            rep = solve(f, method=method, witness_cap=cap)
             assert rep.count == count
             listed = count <= cap and not built.inconsistent
             assert rep.witnesses == (tuple(expected) if listed else None), cap
@@ -344,7 +344,7 @@ def test_solve_with_witnesses_calls_the_block_walk_by_module_global_name(
     # witnesses come from the block walk too; the flat walk is never called
     names = SOLVE_STEPS[method] + ("count_blocks",)
     called = _spy_on(monkeypatch, SPIED)
-    rep = solve(six_var, method=method, want_witnesses=True)
+    rep = solve(six_var, method=method, witness_cap=1000)
     assert rep.count == 3 and sorted(rep.witnesses) == sorted(naive_models(six_var))
     assert sorted(set(called)) == sorted(names)
 
@@ -384,7 +384,8 @@ def test_solve_constructs_no_fraction(six_var, dense_unsat, monkeypatch,
         real_coprime = Fraction._from_coprime_ints.__func__
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
             lambda cls, n, d: made.append((n, d)) or real_coprime(cls, n, d)))
-    counts = [solve(f, method=method, want_witnesses=witnesses).count
+    counts = [solve(f, method=method,
+                    witness_cap=1000 if witnesses else None).count
               for f in formulas]
     monkeypatch.undo()
     assert counts == expected
