@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .io import (
 )
 from .kernel import (
     DEFAULT_MAX_FREE,
+    METHODS,
     build_kernel,
     count_blocks,
     count_kernel,
@@ -137,37 +137,6 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One instance's measurements, emitted as a single key=value line."""
-
-    r: int
-    k: int
-    seed: int
-    family: str
-    eta: int
-    eta_bar: int
-    kappa: Fraction
-    kernel_width: int
-    count: int
-    repr_size_bits: float
-    bound_lo: float
-    bound_hi: float
-    t_encode_us: int
-    t_eliminate_us: int
-    t_enumerate_us: int
-
-    def line(self) -> str:
-        return (f"r={self.r} k={self.k} seed={self.seed} family={self.family} "
-                f"eta={self.eta} eta_bar={self.eta_bar} kappa={self.kappa} "
-                f"width={self.kernel_width} count={self.count} "
-                f"repr_bits={self.repr_size_bits:.4f} "
-                f"lo={self.bound_lo:.4f} hi={self.bound_hi:.4f} "
-                f"t_encode_us={self.t_encode_us} "
-                f"t_eliminate_us={self.t_eliminate_us} "
-                f"t_enumerate_us={self.t_enumerate_us}")
-
-
 ENUM_FLOOR_S = 0.05
 ENUM_MAX_REPS = 32
 
@@ -190,21 +159,24 @@ def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE) -> tuple[int, floa
 
 
 def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
-                   max_free: int) -> BenchRow:
+                   max_free: int) -> dict:
+    """One instance's measurements, keyed by the names a bench line prints."""
     built = build_kernel(f, method)
     rep = solve(f, method=method, max_free=max_free, built=built)
-    kern = built.kernel
-    count, enum_s = timed_enumeration(kern, max_free=max_free)
+    count, enum_s = timed_enumeration(built.kernel, max_free=max_free)
     lo, hi = size_bounds(f.num_vars)
-    return BenchRow(
-        r=f.num_vars, k=f.num_clauses, seed=spec.seed, family=spec.family,
-        eta=rep.rank, eta_bar=rep.nullity,
-        kappa=kappa(f),
-        kernel_width=kern.width, count=count,
-        repr_size_bits=rep.repr_size_bits, bound_lo=lo, bound_hi=hi,
-        t_encode_us=rep.phase_us[0], t_eliminate_us=rep.phase_us[1],
-        t_enumerate_us=round(enum_s * 1e6),
-    )
+    return {"r": f.num_vars, "k": f.num_clauses, "seed": spec.seed,
+            "family": spec.family, "eta": rep.rank, "eta_bar": rep.nullity,
+            "kappa": kappa(f), "width": built.kernel.width, "count": count,
+            "repr_bits": rep.repr_size_bits, "lo": lo, "hi": hi,
+            "t_encode_us": rep.phase_us[0], "t_eliminate_us": rep.phase_us[1],
+            "t_enumerate_us": round(enum_s * 1e6)}
+
+
+def bench_line(rec: dict) -> str:
+    """The record as ``key=value`` pairs in its order, floats to 4 places."""
+    return " ".join(f"{key}={value:.4f}" if isinstance(value, float)
+                    else f"{key}={value}" for key, value in rec.items())
 
 
 def fit_slope(points: list[tuple[float, float]]) -> float | None:
@@ -241,7 +213,7 @@ def cmd_bench(args) -> int:
                           for i in range(args.per_cell)]
 
     out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
-    rows: list[BenchRow] = []
+    recs: list[dict] = []
     try:
         for msg in skips:
             print(f"c {msg}", file=out)
@@ -249,36 +221,36 @@ def cmd_bench(args) -> int:
         # failures are reported as skips, never silently dropped
         for spec in specs:
             try:
-                row = bench_instance(generate(spec), spec, args.method,
+                rec = bench_instance(generate(spec), spec, args.method,
                                      args.max_free)
             except (CapacityError, SpecError) as exc:
                 print(f"c skip r={spec.r} k={spec.k} seed={spec.seed}: {exc}",
                       file=out, flush=True)
                 continue
-            rows.append(row)
-            print(row.line(), file=out, flush=True)
-        points = [(row.eta_bar, math.log2(row.t_enumerate_us))
-                  for row in rows if row.t_enumerate_us > 0]
+            recs.append(rec)
+            print(bench_line(rec), file=out, flush=True)
+        points = [(rec["eta_bar"], math.log2(rec["t_enumerate_us"]))
+                  for rec in recs if rec["t_enumerate_us"] > 0]
         slope = fit_slope(points)
         if slope is not None:
             in_band = 0.7 <= slope <= 1.3
             print(f"c slope log2(t_enumerate) vs eta_bar = {slope:.3f} "
                   f"({'within' if in_band else 'OUTSIDE'} [0.7, 1.3])", file=out)
-        by_kappa: dict[Fraction, list[BenchRow]] = {}
-        for row in rows:
-            by_kappa.setdefault(row.kappa, []).append(row)
+        by_kappa: dict[Fraction, list[dict]] = {}
+        for rec in recs:
+            by_kappa.setdefault(rec["kappa"], []).append(rec)
         for kap in sorted(by_kappa):
             group = by_kappa[kap]
-            mean_nullity = sum(r.eta_bar for r in group) / len(group)
-            mean_enum = sum(r.t_enumerate_us for r in group) / len(group)
+            mean_nullity = sum(rec["eta_bar"] for rec in group) / len(group)
+            mean_enum = sum(rec["t_enumerate_us"] for rec in group) / len(group)
             print(f"c kappa={kap} cells={len(group)} "
                   f"mean_eta_bar={mean_nullity:.2f} "
                   f"mean_t_enumerate_us={mean_enum:.0f}", file=out)
-        for row in rows:
-            if not (row.bound_lo <= row.repr_size_bits <= row.bound_hi + 1e-9):
-                print(f"c size-bound violation: r={row.r} k={row.k} "
-                      f"seed={row.seed} repr_bits={row.repr_size_bits:.4f} "
-                      f"band=[{row.bound_lo:.4f}, {row.bound_hi:.4f}]", file=out)
+        for rec in recs:
+            if not rec["lo"] <= rec["repr_bits"] <= rec["hi"] + 1e-9:
+                print(f"c size-bound violation: r={rec['r']} k={rec['k']} "
+                      f"seed={rec['seed']} repr_bits={rec['repr_bits']:.4f} "
+                      f"band=[{rec['lo']:.4f}, {rec['hi']:.4f}]", file=out)
     finally:
         if args.out:
             out.close()
@@ -298,7 +270,7 @@ def _counts_disagree(f: XsatFormula) -> str | None:
     """
     models = naive_models(f, ORACLE_CAP)
     n = len(models)
-    builds = {method: build_kernel(f, method) for method in ("gauss", "subst")}
+    builds = {method: build_kernel(f, method) for method in METHODS}
     reps = {method: solve(f, method=method, built=built, witness_cap=n)
             for method, built in builds.items()}
     g, s = (rep.count for rep in reps.values())
@@ -417,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--input", required=True)
-        sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
+        sp.add_argument("--method", choices=METHODS, default="gauss")
 
     def add_max_free(sp):
         sp.add_argument("--max-free", type=_nonnegative,
@@ -458,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-cell", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--method", choices=("gauss", "subst"), default="gauss")
+    sp.add_argument("--method", choices=METHODS, default="gauss")
     sp.add_argument("--family", choices=("random", "fixed-rank"),
                     default="random")
     sp.add_argument("--rank", type=_nonnegative, default=11,

@@ -5,7 +5,8 @@ written by one writer.  The line rules are shared: blank lines and lines
 starting with ``c`` are skipped; the header ``p <tag> <vars> <clauses>``
 has two nonnegative integer counts and comes before any clause; every
 other line is one clause of exactly three tokens followed by the token
-``0``; and the body holds as many clauses as the header promises.
+``0``; and the body holds as many clauses as the header promises.  An
+integer is written in ASCII decimal digits with an optional leading ``-``.
 
 DIMACS CNF (input of the reduction chain), tag ``cnf``::
 
@@ -68,12 +69,23 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _integer(tok: str) -> int:
+    """ASCII decimal digits with an optional leading ``-``; ``int()`` alone
+    also takes ``+``, ``_`` and non-ASCII digits."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _read(data, tags: tuple[str, ...], clause):
     """The header's tag, variable count and line, and the clauses.
 
     Applies the shared line rules; ``clause(toks, line, tag, num_vars)``
     turns the three tokens of a clause line into a triple, or raises
-    ``ValueError`` with the message to report at that line.
+    ``ValueError`` with the message to report at that line.  A line the
+    converter accepts is then held to ASCII integers: ``int()`` also reads
+    ``+``, ``_`` and non-ASCII digits.
     """
     tag = None
     clauses: list[Triple] = []
@@ -83,7 +95,7 @@ def _read(data, tags: tuple[str, ...], clause):
             if len(toks) != 4 or toks[1] not in tags:
                 raise ParseError(f"malformed header {line!r}", lineno)
             try:
-                num_vars, num_clauses = int(toks[2]), int(toks[3])
+                num_vars, num_clauses = _integer(toks[2]), _integer(toks[3])
             except ValueError:
                 raise ParseError(f"non-integer counts in header {line!r}", lineno)
             if min(num_vars, num_clauses) < 0:
@@ -100,6 +112,9 @@ def _read(data, tags: tuple[str, ...], clause):
             clauses.append(clause(toks[:3], line, tag, num_vars))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        if not line.isascii() or "_" in line or "+" in line:
+            raise ParseError(f"'+', '_' or non-ASCII text in clause {line!r}",
+                             lineno)
     if tag is None:
         raise ParseError("missing header")
     if len(clauses) != num_clauses:

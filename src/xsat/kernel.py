@@ -20,9 +20,9 @@ tabulated once per distinct low part.  It walks the free bits above
 BLOCK_BITS depth first, the bit most rows read first: each group of rows
 is checked as soon as the bits it reads are set, a lone row with one
 lookup in a merged map shared by the rows with the same table and D, and
-a subtree whose block is empty is cut.  ``solve`` counts with it and reads
-the witnesses off its accepted bits, sorted back into the flat walk's
-order.
+a subtree whose block is empty is cut.  ``solve`` counts with it, and the
+witnesses are the words of free bits it accepts, sorted by Gray rank: the
+flat walk visits free bits g at step ``_gray_rank(g)``.
 ``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
 one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
@@ -45,6 +45,7 @@ from .oracle import _columns
 from .substitution import expansion_profile, substitute
 
 DEFAULT_MAX_FREE = 30
+METHODS = ("gauss", "subst")
 
 
 @dataclass(frozen=True)
@@ -218,42 +219,26 @@ def _gray_rank(g: int) -> int:
     return s
 
 
-def _models(kern: KernelInstance, low: int, listed: list[tuple]):
-    """Yield the models of the leaves :func:`count_blocks` listed, in the
-    flat walk's order.
+def _models(kern: KernelInstance, words: list[int]):
+    """Yield the models whose free bits are the given words, in the flat
+    walk's order.
 
-    A leaf is (high, block, res): its high free bits, its accepted block
-    and the rows' residuals after the high part.  The flat walk visits the
-    high bits at step ``_gray_rank(high)``, so the leaves are taken in that
-    order.  On odd steps the walk enters the block with the top low bit
-    set, so it visits low assignment j at position ``_gray_rank(j ^ flip)``,
-    where flip is that bit on odd steps and 0 on even ones.  A pivot is 1
-    exactly where its first row's residual, ``res`` less the row's low sum
-    at j, is nonzero.
+    Bit p of a word is free bit p.  The flat walk visits the word g at step
+    ``_gray_rank(g)``, so the words are taken in that order.  A pivot is 1
+    exactly where its row's residual, ``rhs`` less the row's coefficients
+    at the set bits of the word, is nonzero; at a model, the rows that
+    share a pivot agree on that, so the last one stands for them all.
     """
-    pivots = {}
-    for i, row in enumerate(kern.rows):
-        if row.pivot_var not in pivots:
-            sums = [0]  # sums[j]: sum(coeff * s) over the low bits of j
-            for c in row.coeffs[:low]:
-                sums += [s + c for s in sums]
-            pivots[row.pivot_var] = i, sums
-    ranked = sorted((_gray_rank(leaf[0]), leaf) for leaf in listed)
-    for step, (high, block, res) in ranked:
-        flip = 1 << (low - 1) if step & 1 else 0
-        lows = []
-        while block:
-            bit = block & -block
-            lows.append(bit.bit_length() - 1)
-            block ^= bit
-        for j in sorted(lows, key=lambda j: _gray_rank(j ^ flip)):
-            a = [0] * kern.origin_vars
-            bits = high << low | j
-            for pos, v in enumerate(kern.free_vars):
-                a[v - 1] = bits >> pos & 1
-            for v, (i, sums) in pivots.items():
-                a[v - 1] = 1 if res[i] - sums[j] else 0
-            yield tuple(a)
+    pivots = {row.pivot_var: (row.rhs, [(c, 1 << pos)
+                                        for pos, c in enumerate(row.coeffs) if c])
+              for row in kern.rows}
+    for g in sorted(words, key=_gray_rank):
+        a = [0] * kern.origin_vars
+        for pos, v in enumerate(kern.free_vars):
+            a[v - 1] = g >> pos & 1
+        for v, (rhs, terms) in pivots.items():
+            a[v - 1] = 1 if rhs - sum(c for c, bit in terms if g & bit) else 0
+        yield tuple(a)
 
 
 def count_blocks(
@@ -280,9 +265,10 @@ def count_blocks(
     the root a lone row is checked with one lookup in its merged map
     ``t -> table[t] | table[t - D]``, shared by the rows with the same
     table and D.  A node whose block is 0 is cut with its subtree; each
-    leaf that is left adds its block's size.  A leaf keeps its high bits
-    in their own positions, so :func:`_models` restores the flat walk's
-    order of the models.
+    leaf that is left adds its block's size.  While the count is within
+    the cap, a leaf also lists the word ``high << low | j`` of free bits
+    for each accepted low assignment j, and :func:`_models` sorts the
+    words by Gray rank, the flat walk's order, and extends them to models.
 
     The walk recurses once per high bit, so a kernel more than
     ``MAX_WALK_DEPTH`` bits wider than the block raises ``CapacityError``.
@@ -352,14 +338,18 @@ def count_blocks(
         return block
 
     count = 0
-    listed = []  # the leaves with models, while there are at most the cap
+    words = []  # the models' free bits, while there are at most the cap
 
     def walk(k: int, high: int, block: int) -> None:
         nonlocal count
         if k < 0:
             count += block.bit_count()
             if witness_cap is not None and count <= witness_cap:
-                listed.append((high, block, res[:]))
+                high <<= low
+                while block:
+                    bit = block & -block
+                    words.append(high | bit.bit_length() - 1)
+                    block ^= bit
             return
         lone_rows, checked = lone[k], groups[k]
         below = accept(block, lone_rows, checked) if lone_rows or checked else block
@@ -382,7 +372,7 @@ def count_blocks(
     del walk
     if witness_cap is None or count > witness_cap:
         return count, None
-    return count, tuple(_models(kern, low, listed))
+    return count, tuple(_models(kern, words))
 
 
 def repr_size(kern: KernelInstance, profile: list[int]) -> float:
@@ -430,7 +420,7 @@ class KernelBuild:
 def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
     """Encode, then eliminate (``"gauss"``) or rewrite (``"subst"``) the
     same rows, and extract the kernel."""
-    if method not in ("gauss", "subst"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     system = encode_sys(f)

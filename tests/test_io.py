@@ -105,6 +105,26 @@ def test_both_parsers_report_line_faults_alike(text, message, line):
         assert err.value.line == line, tag
 
 
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_dimacs_cnf, "p cnf 1_0 1\n1 2 3 0\n", 1),
+    (parse_xsat, "p xsat+ ３ 1\n1 2 3 0\n", 1),
+    (parse_dimacs_cnf, "p cnf 10 1\n1_0 2 3 0\n", 2),
+    (parse_dimacs_cnf, "p cnf 3 1\n+1 2 3 0\n", 2),
+    (parse_dimacs_cnf, "c\np cnf 3 1\n٣ 1 2 0\n", 3),
+    (parse_xsat, "p xsat 3 1\n1 2 +3 0\n", 2),
+], ids=["cnf-header-underscore", "xsat-header-fullwidth", "cnf-underscore",
+        "cnf-plus", "cnf-arabic-indic", "xsat-plus"])
+def test_integers_are_ascii_digits_with_an_optional_minus(parse, text, line):
+    """``int()`` reads ``1_0``, ``+1`` and non-ASCII digits; the formats
+    do not."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    with pytest.raises(ParseError, match="negative count"):
+        parse_dimacs_cnf("p cnf -1 1\n")
+    assert parse_dimacs_cnf("p cnf 3 1\n01 2 3 0\n").clauses == ((1, 2, 3),)
+
+
 def test_parse_xsat_rejects_more_variables_than_clauses_cover():
     with pytest.raises(ParseError, match="2 clauses can cover at most 6") as err:
         parse_xsat("c big\np xsat 7 2\n1 2 3 0\n4 5 6 0\n")

@@ -218,6 +218,26 @@ def test_solve_lists_witnesses_in_flat_walk_order(method, width):
             assert rep.witnesses == (tuple(expected) if listed else None), cap
 
 
+def test_models_take_the_flat_walk_order_from_the_free_bits_alone():
+    """``_models`` sorts the free-bit words of the models by Gray rank, so
+    the words in any order give the flat walk's order."""
+    kernels = [build_kernel(f, "gauss").kernel
+               for width in (0, 12, 13) for f in _order_formulas(width)]
+    subst = build_kernel(gen_random(GenSpec(r=15, k=8, seed=900)), "subst")
+    assert _has_filter_group(subst.kernel) and not subst.inconsistent
+    kernels.append(subst.kernel)
+    rng = SplitMix64(19)
+    sizes = []
+    for kern in kernels:
+        models = gray_order_models(kern)
+        words = [_free_bits(kern, model) for model in models]
+        assert len(set(words)) == len(words)
+        rng.shuffle(words)
+        assert list(kernel_module._models(kern, words)) == models
+        sizes.append(len(models))
+    assert min(sizes[-5:]) > 20, sizes  # the kernels 12 and 13 wide, and subst
+
+
 def test_methods_agree_with_oracle_small():
     rng = SplitMix64(4)
     for trial in range(25):
