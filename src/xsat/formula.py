@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import neg
 
 BOTTOM = 0
 
@@ -64,12 +65,6 @@ class ValidationError(XsatError):
         self.violations = violations
 
 
-def negate(lit: int) -> int:
-    if lit == BOTTOM:
-        raise ValueError("bottom has no negation")
-    return -lit
-
-
 def literal_sort_key(lit: int) -> tuple[int, int, int]:
     # Plain/negated variables ascending by index, positive before negative,
     # bottom last.  Any fixed total order works; this one keeps serialized
@@ -87,6 +82,37 @@ def canonical_triple(lits) -> Triple:
     return tuple(sorted(t, key=literal_sort_key))  # type: ignore[return-value]
 
 
+def _canonical(clauses, sort: bool) -> tuple[Triple, ...]:
+    """Each clause's literals in canonical order, and the clauses in
+    canonical order too when ``sort``; a clause of another width than 3
+    raises ``ValueError``, as :func:`canonical_triple` does.
+
+    This is the :func:`literal_sort_key` order, with every sort run in C
+    on int ranks.  Plain variables (ints above 0) are their own ranks.
+    Otherwise one table ranks ``v`` at ``2v``, ``~v`` at ``2v+1`` and
+    bottom last; the triples are sorted as rank tuples and mapped back.
+    The table is a list indexed by literal, ``~v`` at index ``-v``, when
+    the largest ``|literal|`` is at most the number of literals, as in
+    every formula that covers its variables.  Otherwise it is a dict, so
+    sparse or out-of-range literals cost no more than the clauses hold.
+    """
+    if set(map(len, clauses)) - {3}:  # canonical_triple raises the error
+        canonical_triple(next(c for c in clauses if len(c) != 3))
+    lits = list(chain.from_iterable(clauses))
+    if min(lits, default=0) > 0 and set(map(type, lits)) == {int}:
+        keys = map(tuple, map(sorted, clauses))
+        return tuple(sorted(keys) if sort else keys)
+    m = max(map(abs, lits), default=0)
+    dense = m <= len(lits)
+    vs = range(1, m + 1) if dense else sorted(set(map(abs, lits)) - {BOTTOM})
+    unrank = [BOTTOM, BOTTOM, *chain.from_iterable(zip(vs, map(neg, vs))), BOTTOM]
+    rank = ([2 * m + 2, *range(2, 2 * m + 1, 2), *range(2 * m + 1, 2, -2)]
+            if dense else dict(zip(unrank, range(len(unrank)))))
+    keys = map(tuple, map(sorted, map(map, repeat(rank.__getitem__), clauses)))
+    keys = sorted(keys) if sort else keys
+    return tuple(map(tuple, map(map, repeat(unrank.__getitem__), keys)))
+
+
 @dataclass(frozen=True)
 class XsatFormula:
     """A one-in-three instance: ``num_vars`` variables, unique triples.
@@ -94,10 +120,9 @@ class XsatFormula:
     Clauses are canonicalized (literal order within each triple, then triple
     order across the formula) at construction, so structural equality is
     content equality and duplicate detection is syntactic.  Instances are
-    immutable and safe to share across workers.  When every literal is a
-    plain variable (an int above 0, as in every generated instance), the
-    :func:`literal_sort_key` order is the int order, so the triples are
-    sorted as plain int tuples; any other clause set takes the keyed sort.
+    immutable and safe to share across workers.  A clause of another width
+    than 3 raises ``ValueError``.  The order is :func:`literal_sort_key`'s,
+    computed on int ranks by :func:`_canonical`.
     """
 
     num_vars: int
@@ -105,14 +130,7 @@ class XsatFormula:
     positive: bool = True
 
     def __post_init__(self):
-        triples = sorted(map(tuple, map(sorted, self.clauses)))
-        # the smallest literal leads the first triple; when it is a
-        # variable, every literal is, and their int order is the canonical
-        if not (set(map(len, triples)) == {3} and triples[0][0] > 0
-                and set(map(type, chain.from_iterable(triples))) == {int}):
-            triples = sorted(map(canonical_triple, triples),
-                             key=lambda t: tuple(literal_sort_key(l) for l in t))
-        object.__setattr__(self, "clauses", tuple(triples))
+        object.__setattr__(self, "clauses", _canonical(self.clauses, sort=True))
         object.__setattr__(self, "num_vars", int(self.num_vars))
 
     @property
@@ -131,15 +149,13 @@ class CnfFormula:
     clauses: tuple[Triple, ...]
 
     def __post_init__(self):
-        canon = []
-        for c in self.clauses:
-            t = canonical_triple(c)
-            if any(l == BOTTOM for l in t):
+        canon = _canonical(self.clauses, sort=False)
+        for t in canon:  # t[2] is bottom if any literal is, else the largest
+            if t[2] == BOTTOM:
                 raise ValidationError([f"cnf clause {t}: bottom literal not allowed"])
-            if any(abs(l) > self.num_vars for l in t):
+            if abs(t[2]) > self.num_vars:
                 raise ValidationError([f"cnf clause {t}: literal index out of range"])
-            canon.append(t)
-        object.__setattr__(self, "clauses", tuple(canon))
+        object.__setattr__(self, "clauses", canon)
         object.__setattr__(self, "num_vars", int(self.num_vars))
 
     @property

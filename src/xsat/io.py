@@ -1,12 +1,15 @@
 """Bit-exact parsing and serialization of instances and solve reports.
 
 Two line-oriented text formats are supported, read by one line reader and
-written by one writer.  The line rules are shared: blank lines and lines
-starting with ``c`` are skipped; the header ``p <tag> <vars> <clauses>``
-has two nonnegative integer counts and comes before any clause; every
-other line is one clause of exactly three tokens followed by the token
-``0``; and the body holds as many clauses as the header promises.  An
-integer is written in ASCII decimal digits with an optional leading ``-``.
+written by one writer.  The line rules are shared: a line ends at a
+newline only, and surrounding whitespace, a carriage return before the
+newline included, is dropped; blank lines and lines starting with ``c``
+are skipped, and every line left is ASCII text; the header
+``p <tag> <vars> <clauses>`` has two nonnegative integer counts and comes
+before any clause; every other line is one clause of exactly three tokens
+followed by the token ``0``; and the body holds as many clauses as the
+header promises.  An integer is written in ASCII decimal digits with an
+optional leading ``-``.
 
 DIMACS CNF (input of the reduction chain), tag ``cnf``::
 
@@ -62,10 +65,12 @@ def _as_text(data) -> str:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not raw.isascii():
+            raise ParseError(f"non-ASCII text in {raw!r}", lineno)
         yield lineno, line
 
 
@@ -85,7 +90,7 @@ def _read(data, tags: tuple[str, ...], clause):
     turns the three tokens of a clause line into a triple, or raises
     ``ValueError`` with the message to report at that line.  A line the
     converter accepts is then held to ASCII integers: ``int()`` also reads
-    ``+``, ``_`` and non-ASCII digits.
+    ``+`` and ``_`` (and non-ASCII digits, which no line here holds).
     """
     tag = None
     clauses: list[Triple] = []
@@ -112,9 +117,8 @@ def _read(data, tags: tuple[str, ...], clause):
             clauses.append(clause(toks[:3], line, tag, num_vars))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if not line.isascii() or "_" in line or "+" in line:
-            raise ParseError(f"'+', '_' or non-ASCII text in clause {line!r}",
-                             lineno)
+        if "_" in line or "+" in line:
+            raise ParseError(f"'+' or '_' in clause {line!r}", lineno)
     if tag is None:
         raise ParseError("missing header")
     if len(clauses) != num_clauses:
@@ -137,14 +141,11 @@ def _cnf_clause(toks, line, tag, num_vars) -> Triple:
 def _xsat_clause(toks, line, tag, r) -> Triple:
     lits = []
     for tok in toks:
-        if tok == "B":
-            lits.append(BOTTOM)
-            continue
         try:
-            l = int(tok)
+            l = BOTTOM if tok == "B" else int(tok)
         except ValueError:
             raise ValueError(f"bad literal token {tok!r}") from None
-        if l == 0:
+        if l == 0 and tok != "B":
             raise ValueError("0 is the clause terminator, use B for bottom")
         if l < 0 and tag == "xsat+":
             raise ValueError(f"negated literal {l} in xsat+ input")
@@ -196,11 +197,9 @@ def sniff_format(data) -> str:
     """Return "cnf" or "xsat" according to the first header line."""
     for _, line in _content_lines(_as_text(data)):
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == "cnf":
-                return "cnf"
-            if len(parts) >= 2 and parts[1] in ("xsat", "xsat+"):
-                return "xsat"
+            tag = line.split()[1:2]
+            if tag and tag[0] in ("cnf", "xsat", "xsat+"):
+                return tag[0].rstrip("+")
             raise ParseError(f"unrecognized header {line!r}")
     raise ParseError("missing header")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import BOTTOM, CnfFormula, Triple, XsatFormula, negate
+from .formula import BOTTOM, CnfFormula, Triple, XsatFormula
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ def reduce_cnf_to_xsat(f: CnfFormula) -> tuple[XsatFormula, ReductionTrace]:
         a, b, c, d, e = range(nxt, nxt + 5)
         nxt += 5
         fresh_map.append((idx, (a, b, c, d, e)))
-        clauses.append((negate(l1), a, b))
+        clauses.append((-l1, a, b))
         clauses.append((l2, b, c))
-        clauses.append((negate(l3), c, d))
+        clauses.append((-l3, c, d))
         clauses.append((a, c, e))
     out = XsatFormula(nxt - 1, tuple(clauses), positive=False)
     trace = ReductionTrace(

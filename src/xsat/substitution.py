@@ -69,18 +69,20 @@ def substitute(system: LinearSystem) -> RrefResult:
 def expansion_profile(f: XsatFormula) -> list[int]:
     """Expansion size of each row :func:`substitute` solves, in its order.
 
-    Each clause is solved for its lowest variable, sorted stably by it.
-    One pass from the last clause to the first: a clause's size sums, over
-    its other variables, the size of the last clause solved for the
-    variable, or 1 when none is.  That clause lies later in the order, so
-    its size is already known.
+    Each clause is solved for its lowest variable, and the rows are sorted
+    stably by it.  A canonical positive formula already lists its clauses
+    that way: each triple ascends with bottom last, and the triples ascend
+    by their first variable.  So one pass reads ``f.clauses`` from the last
+    clause to the first, with no sort: a clause's size sums, over its other
+    variables, the size of the last clause solved for the variable, or 1
+    when none is, and 0 for bottom.  That clause lies later in the order,
+    so its size is already known.
     """
-    clauses = sorted((sorted(l for l in t if l != BOTTOM) for t in f.clauses),
-                     key=lambda vs: vs[0])  # stable: ties keep clause order
-    sizes = [0] * len(clauses)
-    last: dict[int, int] = {}  # solved variable -> size of its last clause
-    for j in range(len(clauses) - 1, -1, -1):
-        solved, *body = clauses[j]
-        sizes[j] = sum(last.get(v, 1) for v in body)
-        last.setdefault(solved, sizes[j])
+    sizes = []
+    last = {BOTTOM: 0}  # solved variable -> size of its last clause
+    for solved, b, c in reversed(f.clauses):
+        size = last.get(b, 1) + last.get(c, 1)
+        sizes.append(size)
+        last.setdefault(solved, size)
+    sizes.reverse()
     return sizes

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from xsat import (
     BOTTOM,
+    CnfFormula,
     DimensionError,
     EmptyFormulaError,
     ValidationError,
@@ -20,6 +22,7 @@ from xsat.formula import (
     VIOLATIONS_SHOWN,
     canonical_triple,
     check_valid,
+    literal_sort_key,
     literal_value,
 )
 from xsat.generator import (
@@ -166,6 +169,82 @@ def test_canonical_triple_orders_bottom_last():
     assert canonical_triple((BOTTOM, 2, 1)) == (1, 2, BOTTOM)
     with pytest.raises(ValueError):
         canonical_triple((1, 2))
+
+
+def keyed_canonical(clauses):
+    """Reference: the keyed sort that the rank tables replace."""
+    return tuple(sorted(map(canonical_triple, clauses),
+                        key=lambda t: tuple(map(literal_sort_key, t))))
+
+
+@st.composite
+def literal_triples(draw):
+    """A variable count and triples over it with negations, bottom in any
+    position, repeated and complementary literals, literals above the count
+    (now and then far above, so the rank table is sparse) and bools."""
+    n = draw(st.integers(0, 8))
+    lit = st.one_of(st.integers(-n - 2, n + 2), st.integers(-60, 60),
+                    st.booleans())
+    triple = st.one_of(
+        st.tuples(lit, lit, lit),
+        st.integers(-n - 2, n + 2).map(lambda l: (l, l, -l)),
+        st.permutations([BOTTOM, draw(st.integers(1, n + 2)), -(n + 1)]))
+    return n, draw(st.lists(triple, max_size=12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(literal_triples())
+def test_rank_order_is_the_keyed_order(drawn):
+    n, clauses = drawn
+    canon = XsatFormula(n, tuple(clauses)).clauses
+    assert canon == keyed_canonical(clauses)
+    assert {type(l) for t in canon for l in t} <= {int}
+    assert XsatFormula(n, canon).clauses == canon
+    cnf = [t for t in clauses if BOTTOM not in t]
+    m = max((abs(l) for t in cnf for l in t), default=0)
+    assert CnfFormula(m, tuple(cnf)).clauses == tuple(map(canonical_triple, cnf))
+
+
+def test_sparse_literals_build_no_table_of_their_size():
+    """A header may declare far more variables than the clauses use, and
+    a formula may hold out-of-range literals for ``validate`` to report;
+    neither may size the rank table by the largest literal."""
+    tracemalloc.start()
+    try:
+        cnf = CnfFormula(10**6, ((10**6, -2, 1),))
+        f = XsatFormula(3, ((1, 2, 10**6), (-1, 2, 3)), positive=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cnf.clauses == ((1, -2, 10**6),)
+    assert f.clauses == ((1, 2, 10**6), (-1, 2, 3))
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("clause", [(1, 2), (1, -2, BOTTOM, 3)],
+                         ids=["width-2", "width-4"])
+def test_width_error_message(clause):
+    for clauses in ((clause,), ((1, 2, 3), clause), ((-1, 2, 3), clause)):
+        with pytest.raises(ValueError) as err:
+            XsatFormula(3, clauses)
+        assert str(err.value) == (
+            f"clause must have exactly 3 literals, got {len(clause)}")
+        with pytest.raises(ValueError) as err:
+            CnfFormula(3, clauses)
+        assert str(err.value) == (
+            f"clause must have exactly 3 literals, got {len(clause)}")
+
+
+@pytest.mark.parametrize("clause, message", [
+    ((3, BOTTOM, -1), "cnf clause (-1, 3, 0): bottom literal not allowed"),
+    ((2, -4, 1), "cnf clause (1, 2, -4): literal index out of range"),
+    ((-9, BOTTOM, 2), "cnf clause (2, -9, 0): bottom literal not allowed"),
+], ids=["bottom", "out-of-range", "bottom-before-range"])
+def test_cnf_validation_error_messages(clause, message):
+    with pytest.raises(ValidationError) as err:
+        CnfFormula(3, ((1, -2, 3), clause, (1, BOTTOM, 2)))
+    assert str(err.value) == f"1 violation(s): {message}"
+    assert err.value.violations == [message]
 
 
 def _canonical_corpus():

@@ -125,6 +125,43 @@ def test_integers_are_ascii_digits_with_an_optional_minus(parse, text, line):
     assert parse_dimacs_cnf("p cnf 3 1\n01 2 3 0\n").clauses == ((1, 2, 3),)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p\u3000cnf 3 1\n1 2 3 0\n", 1),
+    ("\ufeffp cnf 3 1\n1 2 3 0\n", 1),
+    ("c\np cnf 3 1\n1 2 3 0\u00a0\n", 3),
+    ("p cnf 4 2\n1 2 3 0\u20281 2 -4 0\n", 2),
+], ids=["ideographic-space-header", "bom-header", "nbsp-clause",
+        "line-separator"])
+def test_content_lines_are_ascii(text, line):
+    """Every line but a comment or a blank one is ASCII, the header too;
+    a line ends at a newline only, so U+2028 joins two clauses into one
+    line, which is refused."""
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(ParseError, match="non-ASCII text") as err:
+            parse_dimacs_cnf(data)
+        assert err.value.line == line
+    if line == 1:
+        with pytest.raises(ParseError, match="non-ASCII text") as err:
+            sniff_format(text)
+        assert err.value.line == 1
+
+
+def test_crlf_lines_and_non_ascii_comments_parse():
+    lf = "c two clauses\np cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
+    assert parse_dimacs_cnf(lf.replace("\n", "\r\n")) == parse_dimacs_cnf(lf)
+    assert sniff_format(lf.replace("\n", "\r\n")) == "cnf"
+    xsat = "p xsat+ 4 2\n1 2 3 0\n2 3 4 0\n"
+    assert parse_xsat(xsat.replace("\n", "\r\n")) == parse_xsat(xsat)
+    assert parse_dimacs_cnf("c caf\u00e9\n" + lf) == parse_dimacs_cnf(lf)
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0c", "\x1c", "\x85"])
+def test_only_newline_ends_a_line(sep):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs_cnf(f"p cnf 4 2\n1 2 3 0{sep}1 2 -4 0\n")
+    assert err.value.line == 2
+
+
 def test_parse_xsat_rejects_more_variables_than_clauses_cover():
     with pytest.raises(ParseError, match="2 clauses can cover at most 6") as err:
         parse_xsat("c big\np xsat 7 2\n1 2 3 0\n4 5 6 0\n")
