@@ -3,8 +3,8 @@
 Two line-oriented text formats are supported, read by one line reader and
 written by one writer.  The line rules are shared: a line ends at a
 newline only, and surrounding whitespace, a carriage return before the
-newline included, is dropped; blank lines and lines starting with ``c``
-are skipped, and every line left is ASCII text; the header
+newline included, is dropped; lines starting with ``c`` are skipped,
+every other line is ASCII text, and blank ones are skipped too; the header
 ``p <tag> <vars> <clauses>`` has two nonnegative integer counts and comes
 before any clause; every other line is one clause of exactly three tokens
 followed by the token ``0``; and the body holds as many clauses as the
@@ -67,11 +67,12 @@ def _as_text(data) -> str:
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if line.startswith("c"):
             continue
         if not raw.isascii():
             raise ParseError(f"non-ASCII text in {raw!r}", lineno)
-        yield lineno, line
+        if line:
+            yield lineno, line
 
 
 def _integer(tok: str) -> int:
@@ -141,11 +142,14 @@ def _cnf_clause(toks, line, tag, num_vars) -> Triple:
 def _xsat_clause(toks, line, tag, r) -> Triple:
     lits = []
     for tok in toks:
+        if tok == "B":
+            lits.append(BOTTOM)
+            continue
         try:
-            l = BOTTOM if tok == "B" else int(tok)
+            l = int(tok)
         except ValueError:
             raise ValueError(f"bad literal token {tok!r}") from None
-        if l == 0 and tok != "B":
+        if l == 0:
             raise ValueError("0 is the clause terminator, use B for bottom")
         if l < 0 and tag == "xsat+":
             raise ValueError(f"negated literal {l} in xsat+ input")
@@ -197,9 +201,11 @@ def sniff_format(data) -> str:
     """Return "cnf" or "xsat" according to the first header line."""
     for _, line in _content_lines(_as_text(data)):
         if line.startswith("p"):
-            tag = line.split()[1:2]
-            if tag and tag[0] in ("cnf", "xsat", "xsat+"):
-                return tag[0].rstrip("+")
+            parts = line.split()
+            if len(parts) >= 2 and parts[1] == "cnf":
+                return "cnf"
+            if len(parts) >= 2 and parts[1] in ("xsat", "xsat+"):
+                return "xsat"
             raise ParseError(f"unrecognized header {line!r}")
     raise ParseError("missing header")
 

@@ -23,6 +23,12 @@ class ReductionTrace:
     size_after: tuple[int, int]
 
 
+def _traced(f, out: XsatFormula, fresh_map) -> tuple[XsatFormula, ReductionTrace]:
+    """``out`` with the trace of its reduction from ``f``."""
+    return out, ReductionTrace(tuple(fresh_map), (f.num_vars, f.num_clauses),
+                               (out.num_vars, out.num_clauses))
+
+
 def reduce_cnf_to_xsat(f: CnfFormula) -> tuple[XsatFormula, ReductionTrace]:
     """Turn each 3-CNF disjunction into four exactly-one triples.
 
@@ -46,13 +52,8 @@ def reduce_cnf_to_xsat(f: CnfFormula) -> tuple[XsatFormula, ReductionTrace]:
         clauses.append((l2, b, c))
         clauses.append((-l3, c, d))
         clauses.append((a, c, e))
-    out = XsatFormula(nxt - 1, tuple(clauses), positive=False)
-    trace = ReductionTrace(
-        fresh_map=tuple(fresh_map),
-        size_before=(f.num_vars, f.num_clauses),
-        size_after=(out.num_vars, out.num_clauses),
-    )
-    return out, trace
+    return _traced(f, XsatFormula(nxt - 1, tuple(clauses), positive=False),
+                   fresh_map)
 
 
 def reduce_xsat_to_positive(f: XsatFormula) -> tuple[XsatFormula, ReductionTrace]:
@@ -82,10 +83,5 @@ def reduce_xsat_to_positive(f: XsatFormula) -> tuple[XsatFormula, ReductionTrace
         clauses.append(tuple(hats + rest))  # type: ignore[arg-type]
         for hat, lit in zip(hats, negs):
             clauses.append((hat, -lit, BOTTOM))
-    out = XsatFormula(nxt - 1, tuple(clauses), positive=True)
-    trace = ReductionTrace(
-        fresh_map=tuple(fresh_map),
-        size_before=(f.num_vars, f.num_clauses),
-        size_after=(out.num_vars, out.num_clauses),
-    )
-    return out, trace
+    return _traced(f, XsatFormula(nxt - 1, tuple(clauses), positive=True),
+                   fresh_map)

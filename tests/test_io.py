@@ -130,11 +130,13 @@ def test_integers_are_ascii_digits_with_an_optional_minus(parse, text, line):
     ("\ufeffp cnf 3 1\n1 2 3 0\n", 1),
     ("c\np cnf 3 1\n1 2 3 0\u00a0\n", 3),
     ("p cnf 4 2\n1 2 3 0\u20281 2 -4 0\n", 2),
+    ("p cnf 3 1\n\u00a0\n1 2 3 0\n", 2),
+    ("p cnf 3 1\n\u3000\u2028\u0085\n1 2 3 0\n", 2),
 ], ids=["ideographic-space-header", "bom-header", "nbsp-clause",
-        "line-separator"])
+        "line-separator", "nbsp-only-line", "non-ascii-spaces-only-line"])
 def test_content_lines_are_ascii(text, line):
-    """Every line but a comment or a blank one is ASCII, the header too;
-    a line ends at a newline only, so U+2028 joins two clauses into one
+    """Every line but a comment is ASCII, the header and a line of
+    non-ASCII spaces too; a line ends at a newline only, so U+2028 joins two clauses into one
     line, which is refused."""
     for data in (text, text.encode("utf-8")):
         with pytest.raises(ParseError, match="non-ASCII text") as err:
