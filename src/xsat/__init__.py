@@ -43,7 +43,7 @@ from .kernel import (
     repr_size,
     solve,
 )
-from .linsys import EncodingError, LinearSystem, RrefResult, encode_sys, gauss_jordan
+from .linsys import LinearSystem, RrefResult, encode_sys, gauss_jordan
 from .oracle import naive_count, naive_count_cnf, naive_models
 from .reductions import (
     ReductionTrace,

@@ -1,8 +1,9 @@
 """Command-line front end and benchmark harness.
 
 Subcommands: solve, count, kernel, reduce, gen, bench, verify.  CNF inputs
-are detected by header and pushed through the full reduction chain, so the
-tool doubles as an exact 3-CNF model counter.  Exit codes follow solver
+are detected by header and reduced to XSAT with negations, which is
+encoded directly, so the tool doubles as an exact 3-CNF model counter;
+``xsat reduce`` alone also removes the negations.  Exit codes follow solver
 conventions: 10 satisfiable, 20 unsatisfiable, 0 for count/report modes,
 1 unusable input (unreadable file, parse or validation failure), 2 capacity
 exceeded or a bad command line, 3 verification disagreement.
@@ -18,9 +19,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .formula import CapacityError, XsatError, XsatFormula, kappa
+from .formula import BOTTOM, CapacityError, XsatError, XsatFormula, kappa
 from .generator import FAMILIES, GenSpec, SpecError, SplitMix64, generate
 from .io import (
+    clip,
     emit_report,
     parse_dimacs_cnf,
     parse_xsat,
@@ -52,32 +54,25 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 
 
-def _load_positive(path: str) -> tuple[XsatFormula,
-                                      list[tuple[str, ReductionTrace]]]:
-    """Read a file and return a positive instance, reducing as needed,
-    with the ``(name, trace)`` of each reduction applied."""
+def _load(path: str) -> tuple[XsatFormula, list[tuple[str, ReductionTrace]]]:
+    """Read a file and return an XSAT instance, negations kept, with the
+    ``(name, trace)`` of the CNF reduction when the file is CNF."""
     data = Path(path).read_bytes()
-    traces = []
-    if sniff_format(data) == "cnf":
-        cnf = parse_dimacs_cnf(data)
-        # the reductions keep every source variable, and each must be covered
-        unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
-        if unused:
-            raise XsatError(f"{unused} of the {cnf.num_vars} declared variables "
-                            "appear in no clause")
-        f, trace = reduce_cnf_to_xsat(cnf)
-        traces.append(("cnf-to-xsat", trace))
-    else:
-        f = parse_xsat(data)
-    if not f.positive or any(l < 0 for c in f.clauses for l in c):
-        f, trace = reduce_xsat_to_positive(f)
-        traces.append(("positivize", trace))
-    return f, traces
+    if sniff_format(data) != "cnf":
+        return parse_xsat(data), []
+    cnf = parse_dimacs_cnf(data)
+    # the reduction keeps every source variable, and each must be covered
+    unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
+    if unused:
+        raise XsatError(f"{clip(unused)} of the {clip(cnf.num_vars)} declared "
+                        "variables appear in no clause")
+    f, trace = reduce_cnf_to_xsat(cnf)
+    return f, [("cnf-to-xsat", trace)]
 
 
 def cmd_solve(args) -> int:
-    f, traces = _load_positive(args.input)
-    # parse_xsat has validated f unless a reduction replaced it
+    f, traces = _load(args.input)
+    # parse_xsat has validated f unless the CNF reduction made it
     rep = solve(f, method=args.method, max_free=args.max_free,
                 witness_cap=args.witnesses or None,
                 checked=not traces)
@@ -90,7 +85,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    f, traces = _load_positive(args.input)
+    f, traces = _load(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
                 checked=not traces)
     print(rep.count)
@@ -99,7 +94,7 @@ def cmd_count(args) -> int:
 
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
-    f, _ = _load_positive(args.input)
+    f, _ = _load(args.input)
     built = build_kernel(f, args.method)
     kern = built.kernel
     inconsistent = built.inconsistent
@@ -118,7 +113,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f, traces = _load_positive(args.input)
+    f, traces = _load(args.input)
+    # xsat input without negations is reduced too, so that it prints as xsat+
+    if not f.positive:
+        f, trace = reduce_xsat_to_positive(f)
+        traces.append(("positivize", trace))
     for name, t in traces:
         print(f"c {name}: vars {t.size_before[0]}->{t.size_after[0]} "
               f"clauses {t.size_before[1]}->{t.size_after[1]}")
@@ -290,12 +289,22 @@ def _counts_disagree(f: XsatFormula) -> str | None:
 
 
 def _compact(f: XsatFormula, drop: int) -> XsatFormula:
-    """Remove clause ``drop`` and renumber the surviving variables."""
+    """Remove clause ``drop`` and renumber the surviving variables, each
+    literal keeping its sign."""
     clauses = [c for i, c in enumerate(f.clauses) if i != drop]
-    used = sorted({l for c in clauses for l in c if l != 0})
+    used = sorted({abs(l) for c in clauses for l in c if l != BOTTOM})
     remap = {v: i + 1 for i, v in enumerate(used)}
-    new = tuple(tuple(remap[l] if l else 0 for l in c) for c in clauses)
+    new = tuple(tuple(remap[l] if l > 0 else -remap[-l] if l < 0 else BOTTOM
+                      for l in c) for c in clauses)
     return XsatFormula(len(used), new, positive=f.positive)
+
+
+def _signed(f: XsatFormula, signs: SplitMix64) -> XsatFormula:
+    """A copy of ``f`` with each literal negated when the next draw of
+    ``signs`` is odd."""
+    clauses = tuple(tuple(-l if signs.next_u64() & 1 else l for l in c)
+                    for c in f.clauses)
+    return XsatFormula(f.num_vars, clauses, positive=False)
 
 
 def shrink_disagreement(f: XsatFormula) -> XsatFormula:
@@ -320,22 +329,27 @@ def cmd_verify(args) -> int:
         print("c warning: 0 trials requested, nothing verified")
         return EXIT_OK
     rng = SplitMix64(args.seed)
+    # the signs come from a stream of their own, so the positive formulas
+    # are the ones drawn without them
+    signs = SplitMix64(~args.seed)
     for trial in range(args.trials):
         r = 6 + rng.randbelow(max(1, args.r_max - 5))
         k_lo = math.ceil(r / 3)
         k = k_lo + rng.randbelow(r - k_lo + 1)
         spec = GenSpec(r=r, k=k, seed=args.seed ^ trial, family="random")
         f = generate(spec)
-        disagreement = _counts_disagree(f)
-        if disagreement:
-            small = shrink_disagreement(f)
-            path = os.path.join(args.out_dir, f"disagreement_{trial}.xsat")
-            with open(path, "wb") as fh:
-                fh.write(serialize_xsat(small))
-            print(f"c disagreement at trial {trial}: {disagreement}; "
-                  f"repro written to {path}")
-            return EXIT_DISAGREE
-    print(f"c verified: {args.trials} trials, all three counts agree, "
+        for g, what in ((f, ""), (_signed(f, signs), " (signed copy)")):
+            disagreement = _counts_disagree(g)
+            if disagreement:
+                small = shrink_disagreement(g)
+                path = os.path.join(args.out_dir, f"disagreement_{trial}.xsat")
+                with open(path, "wb") as fh:
+                    fh.write(serialize_xsat(small))
+                print(f"c disagreement at trial {trial}{what}: {disagreement}; "
+                      f"repro written to {path}")
+                return EXIT_DISAGREE
+    print(f"c verified: {args.trials} trials, each on a positive formula and "
+          "a signed copy, all three counts agree, "
           "count_kernel = count_blocks on both kernels, "
           "and the witnesses are the oracle's models")
     return EXIT_OK

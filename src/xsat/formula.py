@@ -187,18 +187,26 @@ def kappa(f: XsatFormula) -> Fraction:
 
 
 def _well_formed(f: XsatFormula) -> bool:
-    """True when no literal is negated and :func:`validate` finds nothing,
-    decided on whole sets; False when some check may fail.
+    """True when :func:`validate` finds nothing, decided on whole sets;
+    False when some check may fail.
 
-    A canonical triple of variables and bottom holds no repeated literal
-    exactly when its variables strictly increase and bottom, if present,
-    comes once and last.  k triples cover at most 3k variables, so a
-    formula that covers all of its variables meets the density bound.
+    A canonical triple holds no repeated literal and no complementary pair
+    exactly when its variables, ``|literal|``, strictly increase and bottom,
+    if present, comes once and last.  k triples cover at most 3k variables,
+    so a formula that covers all of its variables meets the density bound.
+    A formula of plain variables is checked on the literals themselves; the
+    ``abs`` pass runs only when some literal is negated and ``f.positive``
+    is not set.
     """
     clauses = f.clauses
-    if not all(0 < a < b and (b < c or c == BOTTOM) for a, b, c in clauses):
+    if all(0 < a < b and (b < c or c == BOTTOM) for a, b, c in clauses):
+        variables = set(chain.from_iterable(clauses))
+    elif f.positive or not all(
+            0 < abs(a) < abs(b) and (abs(b) < abs(c) or c == BOTTOM)
+            for a, b, c in clauses):
         return False
-    variables = set(chain.from_iterable(clauses))
+    else:
+        variables = set(map(abs, chain.from_iterable(clauses)))
     variables.discard(BOTTOM)
     n = f.num_vars
     return (len(variables) == n and (n == 0 or max(variables) == n)
@@ -211,11 +219,11 @@ def validate(f: XsatFormula) -> list[str]:
     Checked: literal index range, no repeated literal inside a clause, no
     complementary pair inside a clause, positivity when flagged, pairwise
     distinct clauses, every variable covered by some clause, and for positive
-    formulas the minimum clause count ceil(r/3).  A formula without negated
-    literals is accepted on set-level checks: range, strictly increasing
-    triples, distinct clauses, and coverage, which implies the density.
-    The clauses are walked one by one only when a check fails or a literal
-    is negated, to word each violation in clause order.
+    formulas the minimum clause count ceil(r/3).  A formula is accepted on
+    set-level checks: range, strictly increasing variables in each triple,
+    positivity when flagged, distinct clauses, and coverage, which implies
+    the density.  The clauses are walked one by one only when a check
+    fails, to word each violation in clause order.
     """
     if _well_formed(f):
         return []

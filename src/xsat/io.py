@@ -47,6 +47,19 @@ from .formula import (
 )
 
 
+CLIP_CHARS = 60
+
+
+def clip(text) -> str:
+    """``str(text)``, cut after ``CLIP_CHARS`` characters and marked with
+    its full length when longer, so a message that quotes input, or a
+    number read from it, stays one short line."""
+    text = str(text)
+    if len(text) <= CLIP_CHARS:
+        return text
+    return f"{text[:CLIP_CHARS]}...[{len(text)} chars]"
+
+
 class ParseError(XsatError):
     def __init__(self, message: str, line: int | None = None):
         where = f"line {line}: " if line is not None else ""
@@ -70,7 +83,7 @@ def _content_lines(text: str):
         if line.startswith("c"):
             continue
         if not raw.isascii():
-            raise ParseError(f"non-ASCII text in {raw!r}", lineno)
+            raise ParseError(f"non-ASCII text in {clip(raw)!r}", lineno)
         if line:
             yield lineno, line
 
@@ -99,13 +112,15 @@ def _read(data, tags: tuple[str, ...], clause):
         toks = line.split()
         if line.startswith("p"):
             if len(toks) != 4 or toks[1] not in tags:
-                raise ParseError(f"malformed header {line!r}", lineno)
+                raise ParseError(f"malformed header {clip(line)!r}", lineno)
             try:
                 num_vars, num_clauses = _integer(toks[2]), _integer(toks[3])
             except ValueError:
-                raise ParseError(f"non-integer counts in header {line!r}", lineno)
+                raise ParseError(
+                    f"non-integer counts in header {clip(line)!r}", lineno)
             if min(num_vars, num_clauses) < 0:
-                raise ParseError(f"negative count in header {line!r}", lineno)
+                raise ParseError(
+                    f"negative count in header {clip(line)!r}", lineno)
             tag, header_line = toks[1], lineno
             continue
         if tag is None:
@@ -119,12 +134,13 @@ def _read(data, tags: tuple[str, ...], clause):
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         if "_" in line or "+" in line:
-            raise ParseError(f"'+' or '_' in clause {line!r}", lineno)
+            raise ParseError(f"'+' or '_' in clause {clip(line)!r}", lineno)
     if tag is None:
         raise ParseError("missing header")
     if len(clauses) != num_clauses:
         raise ParseError(
-            f"header promises {num_clauses} clauses, body has {len(clauses)}")
+            f"header promises {clip(num_clauses)} clauses, "
+            f"body has {len(clauses)}")
     return tag, num_vars, header_line, clauses
 
 
@@ -132,10 +148,10 @@ def _cnf_clause(toks, line, tag, num_vars) -> Triple:
     try:
         lits = [int(tok) for tok in toks]
     except ValueError:
-        raise ValueError(f"non-integer token in clause {line!r}") from None
+        raise ValueError(f"non-integer token in clause {clip(line)!r}") from None
     for l in lits:
         if l == 0 or abs(l) > num_vars:
-            raise ValueError(f"index {l} out of range 1..{num_vars}")
+            raise ValueError(f"index {clip(l)} out of range 1..{clip(num_vars)}")
     return tuple(lits)  # type: ignore[return-value]
 
 
@@ -148,13 +164,13 @@ def _xsat_clause(toks, line, tag, r) -> Triple:
         try:
             l = int(tok)
         except ValueError:
-            raise ValueError(f"bad literal token {tok!r}") from None
+            raise ValueError(f"bad literal token {clip(tok)!r}") from None
         if l == 0:
             raise ValueError("0 is the clause terminator, use B for bottom")
         if l < 0 and tag == "xsat+":
-            raise ValueError(f"negated literal {l} in xsat+ input")
+            raise ValueError(f"negated literal {clip(l)} in xsat+ input")
         if abs(l) > r:
-            raise ValueError(f"index {l} out of range 1..{r}")
+            raise ValueError(f"index {clip(l)} out of range 1..{clip(r)}")
         lits.append(l)
     return tuple(lits)  # type: ignore[return-value]
 
@@ -171,8 +187,8 @@ def parse_xsat(data) -> XsatFormula:
     k = len(clauses)
     if r > 3 * k:
         # every variable must be covered, and a clause covers at most 3
-        raise ParseError(f"header declares {r} variables but {k} clauses can "
-                         f"cover at most {3 * k}", header_line)
+        raise ParseError(f"header declares {clip(r)} variables but {k} "
+                         f"clauses can cover at most {3 * k}", header_line)
     f = XsatFormula(r, tuple(clauses), positive=tag == "xsat+")
     violations = validate(f)
     if violations:
@@ -206,7 +222,7 @@ def sniff_format(data) -> str:
                 return "cnf"
             if len(parts) >= 2 and parts[1] in ("xsat", "xsat+"):
                 return "xsat"
-            raise ParseError(f"unrecognized header {line!r}")
+            raise ParseError(f"unrecognized header {clip(line)!r}")
     raise ParseError("missing header")
 
 

@@ -1,9 +1,11 @@
 """Linear-system encoding and exact elimination to reduced row echelon form.
 
-A positive one-in-three clause {p, p', p''} becomes the equation
-p + p' + p'' = 1; bottom contributes nothing.  The 0/1 solutions of the
-resulting system are exactly the models of the formula, so the reduced
-row echelon form exposes how many variables are genuinely free.
+A one-in-three clause {p, p', p''} becomes the equation
+p + p' + p'' = 1; bottom contributes nothing, and a negated literal ~p
+stands for 1 - p, so it adds -1 at p and lowers the right-hand side by 1:
+{~p, q, ~s} reads -p + q - s = -1.  The 0/1 solutions of the resulting
+system are exactly the models of the formula, so the reduced row echelon
+form exposes how many variables are genuinely free.
 
 Nothing is ever rounded, and the route from clauses to the RREF is integer
 throughout.  Each equation is a sparse primitive integer row, a dict of its
@@ -29,11 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .formula import BOTTOM, XsatError, XsatFormula
-
-
-class EncodingError(XsatError):
-    """Formula cannot be encoded (negated literal in the linear encoding)."""
+from .formula import XsatFormula
 
 
 @dataclass(frozen=True)
@@ -94,24 +92,30 @@ class RrefResult:
 
 
 def encode_sys(f: XsatFormula) -> LinearSystem:
-    """One equation per clause: sum of the clause's variables equals 1.
+    """One equation per clause: the sum of its literals equals 1, with each
+    negated literal ~p read as 1 - p.
 
-    A clause row is primitive as built, since its right-hand side is 1.
+    A variable's entry is its plain occurrences less its negated ones, and
+    the right-hand side is 1 less the negated occurrences; a zero entry or
+    right-hand side is not stored.  A clause row is primitive as built:
+    over two or three variables it has an entry of 1 or -1, over one
+    variable its entry and right-hand side have no common factor, and
+    {v, ~v, B} gives the empty row.
     """
     n_vars = f.num_vars
     rows = []
     for clause in f.clauses:
         row: dict[int, int] = {}
+        rhs = 1
         for lit in clause:
-            if lit == BOTTOM:
-                continue
-            if lit < 0:
-                raise EncodingError(
-                    f"negated literal {lit} cannot be encoded; "
-                    "apply the positivity reduction first")
-            row[lit - 1] = row.get(lit - 1, 0) + 1
-        row[n_vars] = 1
-        rows.append(row)
+            if lit > 0:
+                row[lit - 1] = row.get(lit - 1, 0) + 1
+            elif lit < 0:
+                row[-lit - 1] = row.get(-lit - 1, 0) - 1
+                rhs -= 1
+        row[n_vars] = rhs
+        # only a negated literal can leave a zero entry or right-hand side
+        rows.append(row if rhs == 1 else {c: v for c, v in row.items() if v})
     return LinearSystem(tuple(rows), n_vars)
 
 

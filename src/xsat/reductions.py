@@ -2,9 +2,11 @@
 negations.
 
 Both reductions are parsimonious, meaning the number of satisfying
-assignments is exactly preserved, which is what makes the solver a usable
-3-CNF model counter end to end.  The tests verify this against the
-exhaustive oracle rather than assuming it.
+assignments is exactly preserved.  The first makes the solver a usable
+3-CNF model counter end to end: its output, negations and all, is encoded
+as it is by :func:`xsat.linsys.encode_sys`.  The second is applied only by
+``xsat reduce``, which prints positive XSAT.  The tests verify both
+against the exhaustive oracle rather than assuming it.
 """
 
 from __future__ import annotations

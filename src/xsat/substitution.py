@@ -2,8 +2,10 @@
 
 Substitution works on the same equations as elimination, the sparse
 integer rows of :func:`xsat.linsys.encode_sys`.  Each row is solved for its
-lowest variable, so the clause {p2, p5, p6} reads p2 = 1 - p5 - p6, and the
-rows are sorted ascending by that variable, ties in clause order.  Every
+lowest variable, so the clause {p2, p5, p6} reads p2 = 1 - p5 - p6; a row
+whose entry there is -1 is negated first, so {~p2, p5, p6}, the row
+-p2 + p5 + p6 = 0, reads p2 = p5 + p6.  The rows are sorted ascending by
+the solved variable, ties in clause order.  Every
 body variable then lies above its row's solved variable, so no row holds
 the solved variable of a row above it, and
 :func:`xsat.linsys.back_substitute`, the pass elimination ends with, takes
@@ -37,10 +39,12 @@ def substitute(system: LinearSystem) -> RrefResult:
     """Rewrite to a fixpoint in one back-substitution pass; idempotent.
 
     Reads the system's rows and never modifies them.  Each row must hold an
-    entry of 1 at its lowest variable column, as every row of
-    :func:`xsat.linsys.encode_sys` and of this function's result does.
-    Every step subtracts a multiple of one row from another, so the integer
-    solution set never changes.  A row with no variable column is dropped,
+    entry of 1 or -1 at its lowest variable column, as every row of this
+    function's result does, and every row :func:`xsat.linsys.encode_sys`
+    builds from a formula with no repeated variable in a clause; a row
+    with -1 there is negated first.  Every step after that subtracts a
+    multiple of one row from another, so the integer solution set never
+    changes.  A row with no variable column is dropped,
     and ``inconsistent`` is set when it has a right-hand side, as
     :func:`xsat.linsys.gauss_jordan` does; it is also set when two rows
     have the same variable entries but a different right-hand side.
@@ -49,8 +53,10 @@ def substitute(system: LinearSystem) -> RrefResult:
     rows: list[dict[int, int]] = []
     inconsistent = False
     for row in system.rows:
-        if min(row, default=n_vars) < n_vars:
-            rows.append(dict(row))
+        low = min(row, default=n_vars)
+        if low < n_vars:
+            rows.append({c: -v for c, v in row.items()} if row[low] < 0
+                        else dict(row))
         elif row:
             inconsistent = True
     rows.sort(key=min)  # by the lowest variable; stable: ties keep row order
@@ -70,19 +76,20 @@ def expansion_profile(f: XsatFormula) -> list[int]:
     """Expansion size of each row :func:`substitute` solves, in its order.
 
     Each clause is solved for its lowest variable, and the rows are sorted
-    stably by it.  A canonical positive formula already lists its clauses
-    that way: each triple ascends with bottom last, and the triples ascend
-    by their first variable.  So one pass reads ``f.clauses`` from the last
-    clause to the first, with no sort: a clause's size sums, over its other
-    variables, the size of the last clause solved for the variable, or 1
-    when none is, and 0 for bottom.  That clause lies later in the order,
-    so its size is already known.
+    stably by it.  A canonical formula already lists its clauses that way:
+    each triple ascends by variable, ``|literal|``, with bottom last, and
+    the triples ascend by their first variable.  So one pass reads
+    ``f.clauses`` from the last clause to the first, with no sort: a
+    clause's size sums, over its other variables, the size of the last
+    clause solved for the variable, or 1 when none is, and 0 for bottom.
+    That clause lies later in the order, so its size is already known.
+    Sizes count occurrences, not signs, so they are keyed on the variable.
     """
     sizes = []
     last = {BOTTOM: 0}  # solved variable -> size of its last clause
     for solved, b, c in reversed(f.clauses):
-        size = last.get(b, 1) + last.get(c, 1)
+        size = last.get(abs(b), 1) + last.get(abs(c), 1)
         sizes.append(size)
-        last.setdefault(solved, size)
+        last.setdefault(abs(solved), size)
     sizes.reverse()
     return sizes

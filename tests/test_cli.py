@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import xsat
-from xsat import count_blocks, parse_xsat, naive_count, solve
+from xsat import count_blocks, parse_xsat, naive_count, naive_models, solve
 from xsat import cli
 from xsat import kernel as kernel_module
 from xsat.cli import (
@@ -141,10 +141,20 @@ def test_negative_header_count_one_error_line(tmp_path, capsys, text):
 @pytest.mark.parametrize("text", [
     "p xsat+ 1000000 1\n1 2 3 0\n",
     "p xsat+ 3 3000\n" + "1 2 3 0\n" * 3000,
-], ids=["uncoverable-header", "many-duplicates"])
+    # quoted input and numbers read from it are clipped
+    "p cnf " + "1" * 10**6 + " 1\n1 2 3 0\n",
+    "p xsat 3 1\n1 2 " + "x" * 10**6 + " 0\n",
+    "p cnf 3 1\n1 2 " + "x" * 10**6 + " 0\n",
+    "p cnf 3 1\n1 2 3 0 " + "\u00e9" * 10**5 + "\n",
+    "p cnf 3 1\n1 2 " + "9" * 4000 + " 0\n",
+    "p xsat 3 " + "9" * 4000 + "\n1 2 3 0\n",
+    "p cnf " + "9" * 4000 + " 1\n1 2 3 0\n",
+], ids=["uncoverable-header", "many-duplicates", "long-cnf-header",
+        "long-xsat-token", "long-cnf-token", "non-ascii-clause",
+        "long-index", "long-clause-count", "long-unused-count"])
 def test_invalid_instance_error_is_short(tmp_path, capsys, text):
     path = tmp_path / "in.xsat"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["solve", "--input", str(path)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -254,16 +264,57 @@ def test_negation_bearing_xsat_positivized_automatically(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == str(naive_count(f))
 
 
+NEGATED = "p xsat 3 2\n-1 2 3 0\n1 2 3 0\n"
+SIGNED_REPORTS = {
+    # the signed rows of the input itself, not those of its positive form:
+    # one.cnf reduces to 8 variables and 4 rows with 3 negated literals
+    ("cnf", "gauss"): "sat=true count=7 rank=4 nullity=4 kernel_vars=4 "
+                      "kernel_clauses=4 repr_size_bits=25.3594 method=gauss",
+    ("cnf", "subst"): "sat=true count=7 rank=4 nullity=4 kernel_vars=4 "
+                      "kernel_clauses=4 repr_size_bits=25.3594 method=subst",
+    ("xsat", "gauss"): "sat=false count=0 rank=2 nullity=1 kernel_vars=1 "
+                       "kernel_clauses=2 repr_size_bits=6.0000 method=gauss",
+    ("xsat", "subst"): "sat=false count=0 rank=1 nullity=2 kernel_vars=2 "
+                       "kernel_clauses=2 repr_size_bits=6.0000 method=subst",
+}
+
+
+@pytest.mark.parametrize("kind, method", list(SIGNED_REPORTS))
+def test_negated_input_reports_its_signed_rows(tmp_path, capsys, kind,
+                                               method):
+    path = tmp_path / "in.txt"
+    path.write_text(ONE_CNF if kind == "cnf" else NEGATED)
+    assert main(["solve", "--count", "--input", str(path),
+                 "--method", method]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.sub(r" elapsed_ms=\d+\n$", "", out) == SIGNED_REPORTS[kind, method]
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_negated_input_witnesses_cover_its_own_variables(tmp_path, capsys,
+                                                         method):
+    path = tmp_path / "neg.xsat"
+    path.write_text("p xsat 5 3\n-1 2 3 0\n1 -4 5 0\n2 -3 B 0\n")
+    f = parse_xsat(path.read_text())
+    assert main(["solve", "--input", str(path), "--witnesses", "5",
+                 "--method", method]) == EXIT_SAT
+    out = capsys.readouterr().out
+    ws = [tuple(map(int, l[2:])) for l in out.splitlines() if l.startswith("w ")]
+    assert sorted(ws) == sorted(naive_models(f, f.num_vars)) == [
+        (0, 0, 0, 0, 0), (0, 0, 0, 1, 1)]
+
+
 @pytest.mark.parametrize("command", ["solve", "count"])
 @pytest.mark.parametrize("text, validated", [
     (SIX_VAR, ["parsed"]),
-    ("p xsat 3 2\n-1 2 3 0\n1 2 3 0\n", ["parsed", "solved"]),
+    (NEGATED, ["parsed"]),
     (ONE_CNF, ["solved"]),
 ], ids=["xsat+", "xsat", "cnf"])
 def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
                                         command, text, validated):
-    # parse_xsat validates what it reads and solve what a reduction made;
-    # a formula parsed and solved unchanged is not validated twice
+    # parse_xsat validates what it reads and solve what the CNF reduction
+    # made; a formula parsed and solved unchanged, negations and all, is
+    # not validated twice
     path = tmp_path / "in.txt"
     path.write_text(text)
     seen = []
@@ -358,6 +409,7 @@ def test_reduce_chain(cnf_file, capsys):
     assert f.positive
     assert naive_count(f) == 7
     assert "c cnf-to-xsat: vars 3->8 clauses 1->4" in out
+    assert "c positivize: vars 8->11 clauses 4->7" in out
 
 
 def test_gen_round_trip(tmp_path, capsys):
@@ -415,6 +467,32 @@ def test_verify_fault_injection(tmp_path, monkeypatch, capsys):
     assert small.num_clauses == 1
 
 
+def test_verify_fault_injection_on_signed_rows(tmp_path, monkeypatch,
+                                              capsys):
+    # a fault only negated literals reach: the positive checks pass, the
+    # signed copy of the same trial disagrees, and the shrunk repro keeps
+    # the signs that make it disagree
+    real_solve = solve
+
+    def faulty(f, method="gauss", **kw):
+        rep = real_solve(f, method=method, **kw)
+        if method == "subst" and any(l < 0 for c in f.clauses for l in c):
+            return dataclasses.replace(rep, count=rep.count + 1)
+        return rep
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    code = main(["verify", "--trials", "5", "--r-max", "8", "--seed", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_DISAGREE
+    out = capsys.readouterr().out
+    assert out.startswith("c disagreement at trial 0 (signed copy): "), out
+    repro = [p for p in os.listdir(tmp_path) if p.startswith("disagreement")]
+    assert len(repro) == 1
+    small = parse_xsat((tmp_path / repro[0]).read_bytes())
+    assert small.num_clauses == 1 and not small.positive
+    assert cli._counts_disagree(small)
+
+
 def test_verify_names_a_faulty_block_counter(tmp_path, monkeypatch, capsys):
     # solve stays right; only the walk comparison can see the fault
     def faulty(kern, max_free=30):
@@ -455,7 +533,8 @@ def test_verify_names_faulty_witnesses(tmp_path, monkeypatch, capsys):
 
 def test_verify_walks_the_oracle_once_per_trial(tmp_path, monkeypatch,
                                                 capsys):
-    # the count is the number of models, so one oracle walk serves both
+    # the count is the number of models, so one oracle walk serves both,
+    # once for each trial's positive formula and once for its signed copy
     calls = []
     real = cli.naive_models
 
@@ -467,7 +546,8 @@ def test_verify_walks_the_oracle_once_per_trial(tmp_path, monkeypatch,
     assert not hasattr(cli, "naive_count")
     assert main(["verify", "--trials", "4", "--r-max", "8", "--seed", "2",
                  "--out-dir", str(tmp_path)]) == EXIT_OK
-    assert len(calls) == 4
+    assert len(calls) == 8
+    assert [f.positive for f in calls] == [True, False] * 4
     assert capsys.readouterr().out.startswith("c verified: 4 trials")
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from xsat import (
     BOTTOM,
-    EncodingError,
     LinearSystem,
     RrefResult,
     XsatFormula,
@@ -187,9 +186,18 @@ def test_encode_six_var_shape(six_var):
     assert all(row[6] == 1 and max(row) == 6 for row in sys_.rows)
 
 
-def test_encode_rejects_negation():
-    with pytest.raises(EncodingError):
-        encode_sys(XsatFormula(3, ((-1, 2, 3),), positive=False))
+@pytest.mark.parametrize("clause, row", [
+    ((-1, 2, 3), {0: -1, 1: 1, 2: 1}),
+    ((-1, -2, 3), {0: -1, 1: -1, 2: 1, 3: -1}),
+    ((-1, -2, -3), {0: -1, 1: -1, 2: -1, 3: -2}),
+    ((-1, 2, BOTTOM), {0: -1, 1: 1}),
+    # a complementary pair cancels: no zero entry and no zero rhs is stored
+    ((1, -1, 2), {1: 1}),
+])
+def test_encode_negated_literal_is_one_minus_its_variable(clause, row):
+    # ~p reads 1 - p: entry -1 at p, and the rhs lowered by 1
+    sys_ = encode_sys(XsatFormula(3, (clause,), positive=False))
+    assert sys_.rows == (row,)
 
 
 def test_gauss_partition_already_reduced():

@@ -1,14 +1,15 @@
 """Property tests over small formulas with negations and bottom.
 
-Every method and every counter must give the oracle's count through the
-reduction chain, witnesses must come out in the flat walk's order, the
-text format must round-trip, the integer elimination must agree with a
-dense rational one on clause rows and on arbitrary integer rows, the
-one-pass rewrite must agree with the repeated sweep and be idempotent, the
-one-pass expansion sizes must equal the spliced occurrence multisets, and
-the pruned oracle must equal the double loop on formulas with variables
-above its block.  Settings are fixed (derandomized, no deadline, a bounded
-number of examples), so the run is the same every time.
+Every method and every counter must give the oracle's count on signed
+formulas and through the reduction chain, witnesses must come out in the
+flat walk's order, the text format must round-trip, the integer
+elimination must agree with a dense rational one on clause rows and on
+arbitrary integer rows, the one-pass rewrite must agree with the repeated
+sweep and be idempotent, the one-pass expansion sizes must equal the
+spliced occurrence multisets, and the pruned oracle must equal the double
+loop on formulas with variables above its block.  Settings are fixed
+(derandomized, no deadline, a bounded number of examples), so the run is
+the same every time.
 """
 
 import math
@@ -124,9 +125,9 @@ def cnf_formulas(draw) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
-def _assert_every_counter_counts(positive: XsatFormula, expected: int):
+def _assert_every_counter_counts(f: XsatFormula, expected: int):
     for method in ("gauss", "subst"):
-        built = build_kernel(positive, method)
+        built = build_kernel(f, method)
         if built.inconsistent:
             assert expected == 0
             continue
@@ -134,11 +135,24 @@ def _assert_every_counter_counts(positive: XsatFormula, expected: int):
         assert count_blocks(built.kernel)[0] == expected, method
 
 
+def _assert_signed_matches_positive(f: XsatFormula, positive: XsatFormula):
+    """Through the positive formula, h complement variables and h binding
+    rows: the gauss nullity is the signed one and the rank grows by h."""
+    h = positive.num_vars - f.num_vars
+    signed, pos = build_kernel(f, "gauss"), build_kernel(positive, "gauss")
+    assert pos.nullity == signed.nullity
+    assert pos.rank == signed.rank + h
+    assert pos.inconsistent == signed.inconsistent
+
+
 @FIXED
 @given(xsat_formulas())
 def test_every_method_and_counter_matches_oracle_through_positivize(f):
     positive, _ = reduce_xsat_to_positive(f)
-    _assert_every_counter_counts(positive, naive_count(f))
+    expected = naive_count(f)
+    _assert_every_counter_counts(f, expected)
+    _assert_every_counter_counts(positive, expected)
+    _assert_signed_matches_positive(f, positive)
 
 
 @settings(FIXED, max_examples=10)
@@ -152,7 +166,10 @@ def test_pruned_oracle_matches_the_double_loop_above_the_block(f):
 def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
     xsat, _ = reduce_cnf_to_xsat(f)
     positive, _ = reduce_xsat_to_positive(xsat)
-    _assert_every_counter_counts(positive, naive_count_cnf(f))
+    expected = naive_count_cnf(f)
+    _assert_every_counter_counts(xsat, expected)
+    _assert_every_counter_counts(positive, expected)
+    _assert_signed_matches_positive(xsat, positive)
 
 
 @FIXED
@@ -181,6 +198,7 @@ def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
 def test_expansion_profile_matches_the_spliced_multisets(f):
     positive, _ = reduce_xsat_to_positive(f)
     assert expansion_profile(positive) == spliced_profile(positive)
+    assert expansion_profile(f) == spliced_profile(f)
 
 
 @FIXED

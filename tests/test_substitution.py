@@ -4,7 +4,6 @@ import pytest
 
 from xsat import (
     BOTTOM,
-    EncodingError,
     LinearSystem,
     XsatFormula,
     encode_sys,
@@ -29,10 +28,12 @@ from test_linsys import rank_of
 
 def _initial(f: XsatFormula) -> list[dict]:
     """Each clause solved for its lowest variable, ``lhs = 1 - rest``,
-    sorted stably by that variable: the rewrite's starting constraints."""
+    sorted stably by that variable: the rewrite's starting constraints.
+    Signs are dropped, so the constants and coefficients are those of a
+    positive formula; of a signed one, only the occurrences are right."""
     cons = []
     for t in f.clauses:
-        lhs, *rest = sorted(l for l in t if l != BOTTOM)
+        lhs, *rest = sorted(abs(l) for l in t if l != BOTTOM)
         cons.append({"lhs": lhs, "const": 1, "coeffs": {v: -1 for v in rest}})
     cons.sort(key=lambda c: c["lhs"])
     return cons
@@ -178,9 +179,13 @@ def test_normalize_drops_bottom():
         (1, 1, {2: -1})]
 
 
-def test_normalize_rejects_negation():
-    with pytest.raises(EncodingError):
-        _subst(XsatFormula(3, ((-1, 2, 3),), positive=False))
+def test_normalize_negates_a_row_that_leads_with_minus_one():
+    # {~1, 2, 3} is -x1 + x2 + x3 = 0, solved as x1 = x2 + x3
+    f = XsatFormula(3, ((-1, 2, 3),), positive=False)
+    res = _subst(f)
+    assert res.rows == ({0: 1, 1: -1, 2: -1},)
+    assert constraints(res) == [(1, 0, {2: 1, 3: 1})]
+    assert encode_sys(f).rows == ({0: -1, 1: 1, 2: 1},)
 
 
 def test_row_without_a_variable_is_inconsistent_as_under_elimination():
