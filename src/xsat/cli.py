@@ -12,8 +12,10 @@ exceeded or a bad command line, 3 verification disagreement.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .kernel import (
     build_kernel,
     count_blocks,
     count_kernel,
+    profile_total_within_bounds,
     size_bounds,
     solve,
 )
@@ -45,6 +48,7 @@ from .reductions import (
     reduce_cnf_to_xsat,
     reduce_xsat_to_positive,
 )
+from .substitution import expansion_profile
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -160,13 +164,12 @@ def timed_enumeration(kern, max_free: int = DEFAULT_MAX_FREE) -> tuple[int, floa
 def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
                    max_free: int) -> dict:
     """One instance's measurements, keyed by the names a bench line prints."""
-    built = build_kernel(f, method)
-    rep = solve(f, method=method, max_free=max_free, built=built)
-    count, enum_s = timed_enumeration(built.kernel, max_free=max_free)
+    rep = solve(f, method=method, max_free=max_free)
+    count, enum_s = timed_enumeration(rep.kernel, max_free=max_free)
     lo, hi = size_bounds(f.num_vars)
     return {"r": f.num_vars, "k": f.num_clauses, "seed": spec.seed,
             "family": spec.family, "eta": rep.rank, "eta_bar": rep.nullity,
-            "kappa": kappa(f), "width": built.kernel.width, "count": count,
+            "kappa": kappa(f), "width": rep.kernel_vars, "count": count,
             "repr_bits": rep.repr_size_bits, "lo": lo, "hi": hi,
             "t_encode_us": rep.phase_us[0], "t_eliminate_us": rep.phase_us[1],
             "t_enumerate_us": round(enum_s * 1e6)}
@@ -179,17 +182,13 @@ def bench_line(rec: dict) -> str:
 
 
 def fit_slope(points: list[tuple[float, float]]) -> float | None:
-    """Least-squares slope of y against x; None when x has no spread."""
-    n = len(points)
-    if n < 2:
+    """Least-squares slope of y against x; None for fewer than two points
+    or when x has no spread."""
+    try:
+        return statistics.linear_regression([x for x, _ in points],
+                                            [y for _, y in points]).slope
+    except statistics.StatisticsError:
         return None
-    mx = sum(p[0] for p in points) / n
-    my = sum(p[1] for p in points) / n
-    sxx = sum((x - mx) ** 2 for x, _ in points)
-    if sxx == 0:
-        return None
-    sxy = sum((x - mx) * (y - my) for x, y in points)
-    return sxy / sxx
 
 
 def cmd_bench(args) -> int:
@@ -211,22 +210,26 @@ def cmd_bench(args) -> int:
                                   seed=args.seed ^ (r * 1009 + int(k) * 9176 + i))
                           for i in range(args.per_cell)]
 
-    out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     recs: list[dict] = []
-    try:
+    outside: list[dict] = []  # the records whose profile total leaves the band
+    with (open(args.out, "a", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         for msg in skips:
             print(f"c {msg}", file=out)
         # each line is written as soon as it is measured; capacity and spec
         # failures are reported as skips, never silently dropped
         for spec in specs:
             try:
-                rec = bench_instance(generate(spec), spec, args.method,
-                                     args.max_free)
+                f = generate(spec)
+                rec = bench_instance(f, spec, args.method, args.max_free)
             except (CapacityError, SpecError) as exc:
                 print(f"c skip r={spec.r} k={spec.k} seed={spec.seed}: {exc}",
                       file=out, flush=True)
                 continue
             recs.append(rec)
+            total = sum(expansion_profile(f))
+            if not all(profile_total_within_bounds(f.num_vars, total)):
+                outside.append(rec)
             print(bench_line(rec), file=out, flush=True)
         points = [(rec["eta_bar"], math.log2(rec["t_enumerate_us"]))
                   for rec in recs if rec["t_enumerate_us"] > 0]
@@ -245,14 +248,10 @@ def cmd_bench(args) -> int:
             print(f"c kappa={kap} cells={len(group)} "
                   f"mean_eta_bar={mean_nullity:.2f} "
                   f"mean_t_enumerate_us={mean_enum:.0f}", file=out)
-        for rec in recs:
-            if not rec["lo"] <= rec["repr_bits"] <= rec["hi"] + 1e-9:
-                print(f"c size-bound violation: r={rec['r']} k={rec['k']} "
-                      f"seed={rec['seed']} repr_bits={rec['repr_bits']:.4f} "
-                      f"band=[{rec['lo']:.4f}, {rec['hi']:.4f}]", file=out)
-    finally:
-        if args.out:
-            out.close()
+        for rec in outside:
+            print(f"c size-bound violation: r={rec['r']} k={rec['k']} "
+                  f"seed={rec['seed']} repr_bits={rec['repr_bits']:.4f} "
+                  f"band=[{rec['lo']:.4f}, {rec['hi']:.4f}]", file=out)
     return EXIT_OK
 
 
@@ -262,29 +261,25 @@ def cmd_bench(args) -> int:
 def _counts_disagree(f: XsatFormula) -> str | None:
     """Name the counts that differ, or None when every counter agrees.
 
-    Both methods are solved and checked against the oracle.  On each
-    method's own consistent kernel the flat walk ``count_kernel`` is checked
-    against the block walk ``count_blocks``, and the witnesses ``solve``
-    lists against the oracle's models.
+    Both methods are solved and checked against the oracle.  On the kernel
+    each ``solve`` counted, inconsistent ones included, the flat walk
+    ``count_kernel`` is checked against the block walk ``count_blocks``,
+    and the witnesses ``solve`` lists against the oracle's models.
     """
     models = naive_models(f, ORACLE_CAP)
     n = len(models)
-    builds = {method: build_kernel(f, method) for method in METHODS}
-    reps = {method: solve(f, method=method, built=built, witness_cap=n)
-            for method, built in builds.items()}
-    g, s = (rep.count for rep in reps.values())
+    reps = [solve(f, method=method, witness_cap=n) for method in METHODS]
+    g, s = (rep.count for rep in reps)
     if not g == s == n:
         return f"gauss={g} subst={s} oracle={n}"
     models.sort()
-    for method, built in builds.items():
-        if built.inconsistent:
-            continue
-        walk = count_kernel(built.kernel)
-        blocks = count_blocks(built.kernel)[0]
+    for rep in reps:
+        walk = count_kernel(rep.kernel)
+        blocks = count_blocks(rep.kernel)[0]
         if walk != blocks:
-            return f"{method} kernel: count_kernel={walk} count_blocks={blocks}"
-        if sorted(reps[method].witnesses) != models:
-            return f"{method} witnesses differ from the oracle's {n} models"
+            return f"{rep.method} kernel: count_kernel={walk} count_blocks={blocks}"
+        if sorted(rep.witnesses or ()) != models:
+            return f"{rep.method} witnesses differ from the oracle's {n} models"
     return None
 
 

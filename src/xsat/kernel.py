@@ -28,9 +28,10 @@ one bit flip and one addition per touched row per step.  It only counts;
 it is the walk that criterion 8 and ``xsat bench`` time, and
 ``xsat verify`` checks the two counters against each other.
 
-The reported representation size is r * log2 of the summed expansion
-sizes, which ``expansion_profile`` reads off the formula's clauses under
-either method; no kernel or rewrite is needed for it.
+The reported representation size, ``repr_size(f)``, is r * log2 of the
+summed expansion sizes, which ``expansion_profile`` reads off the
+formula's clauses under either method; no kernel or rewrite is needed for
+it.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ class SolveReport:
     repr_size_bits: float
     method: str
     elapsed_ms: int
+    kernel: KernelInstance  # the kernel counted; not a report field
     phase_us: tuple[int, int, int] = (0, 0, 0)  # encode, eliminate, enumerate
     witnesses: tuple[Assignment, ...] | None = None
 
@@ -375,12 +377,12 @@ def count_blocks(
     return count, tuple(_models(kern, words))
 
 
-def repr_size(kern: KernelInstance, profile: list[int]) -> float:
+def repr_size(f: XsatFormula) -> float:
     """Representation size in bits: r * log2(sum of the expansion sizes)."""
-    total = sum(profile)
+    total = sum(expansion_profile(f))
     if total <= 0:
         return 0.0
-    return kern.origin_vars * math.log2(total)
+    return f.num_vars * math.log2(total)
 
 
 def size_bounds(num_vars: int) -> tuple[float, float]:
@@ -436,21 +438,18 @@ def solve(
     method: str = "gauss",
     max_free: int = DEFAULT_MAX_FREE,
     witness_cap: int | None = None,
-    built: KernelBuild | None = None,
     checked: bool = False,
 ) -> SolveReport:
     """Full pipeline: encode, eliminate (or substitute), extract, count.
 
     ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing.
-    ``built``, when given, is ``build_kernel(f, method)`` already done; its
-    recorded build times stand in for building again.  ``checked=True``
-    says ``f`` has already passed ``validate``, so it is not checked again;
-    otherwise a malformed ``f`` raises ``ValidationError``.
+    ``checked=True`` says ``f`` has already passed ``validate``, so it is
+    not checked again; otherwise a malformed ``f`` raises
+    ``ValidationError``.  The report carries the kernel it counted.
     """
     if not checked:
         check_valid(f)
-    if built is None:
-        built = build_kernel(f, method)
+    built = build_kernel(f, method)
     kern = built.kernel
     t1 = time.perf_counter()
 
@@ -458,7 +457,7 @@ def solve(
                   else count_blocks(kern, max_free, witness_cap))
     t2 = time.perf_counter()
 
-    bits = repr_size(kern, expansion_profile(f))
+    bits = repr_size(f)
     t3 = time.perf_counter()
 
     build_s = built.encode_s + built.eliminate_s
@@ -472,6 +471,7 @@ def solve(
         repr_size_bits=bits,
         method=method,
         elapsed_ms=round((build_s + t3 - t1) * 1000),
+        kernel=kern,
         phase_us=(round(built.encode_s * 1e6), round(built.eliminate_s * 1e6),
                   round((t2 - t1) * 1e6)),
         witnesses=wit,

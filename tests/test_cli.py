@@ -551,6 +551,24 @@ def test_verify_walks_the_oracle_once_per_trial(tmp_path, monkeypatch,
     assert capsys.readouterr().out.startswith("c verified: 4 trials")
 
 
+def test_verify_checks_the_walks_on_inconsistent_kernels(monkeypatch):
+    # solve answers 0 for the inconsistent gauss kernel without a walk;
+    # verify still checks the flat walk against the block walk on it
+    f = parse_xsat(INCONSISTENT["gauss-only"])
+    walked = []
+    real = cli.count_kernel
+
+    def spy(kern, max_free=30):
+        walked.append(kern)
+        return real(kern, max_free)
+
+    monkeypatch.setattr(cli, "count_kernel", spy)
+    assert cli._counts_disagree(f) is None
+    gauss = kernel_module.build_kernel(f, "gauss")
+    assert gauss.inconsistent
+    assert walked == [gauss.kernel, kernel_module.build_kernel(f, "subst").kernel]
+
+
 def test_bench_random_sweep(tmp_path):
     out = tmp_path / "rows.txt"
     assert main(["bench", "--r-range", "6..9", "--kappa", "1/3,1",
@@ -578,6 +596,30 @@ def test_bench_fixed_rank_slope(tmp_path):
                  "--nullity-range", "6..10", "--out", str(out)]) == EXIT_OK
     text = out.read_text()
     assert "slope log2(t_enumerate) vs eta_bar" in text
+
+
+def test_bench_partition_sweep_sits_on_the_lower_band_edge(tmp_path,
+                                                           monkeypatch):
+    # at kappa = 1/3 every instance is a partition, whose profile total is
+    # exactly 2r/3: on the band's inclusive lower edge, decided on integers
+    decided = []
+    real = cli.profile_total_within_bounds
+
+    def spy(num_vars, total):
+        decided.append((num_vars, total))
+        return real(num_vars, total)
+
+    monkeypatch.setattr(cli, "profile_total_within_bounds", spy)
+    out = tmp_path / "rows.txt"
+    assert main(["bench", "--r-range", "6..12", "--kappa", "1/3",
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    rows = [dict(kv.split("=") for kv in l.split())
+            for l in lines if l.startswith("r=")]
+    assert [int(row["r"]) for row in rows] == [6, 9, 12]
+    assert decided == [(6, 4), (9, 6), (12, 8)]
+    assert all(row["repr_bits"] == row["lo"] for row in rows)
+    assert not any("size-bound violation" in l for l in lines), lines
 
 
 @pytest.mark.parametrize("method", ["gauss", "subst"])

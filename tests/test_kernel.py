@@ -273,14 +273,10 @@ def test_solve_empty_formula_counts_the_empty_assignment():
 
 
 def test_repr_size_values(six_var):
-    f = gen_partition(6)
-    assert repr_size(_gauss_kernel(f), expansion_profile(f)) == pytest.approx(
-        6 * math.log2(4))
-    one = XsatFormula(3, ((1, 2, 3),))
-    assert repr_size(_gauss_kernel(one), expansion_profile(one)) == pytest.approx(3.0)
-    assert repr_size(_gauss_kernel(six_var), expansion_profile(six_var)) == pytest.approx(
-        6 * math.log2(10))
-    assert repr_size(_gauss_kernel(one), []) == 0.0
+    assert repr_size(gen_partition(6)) == pytest.approx(6 * math.log2(4))
+    assert repr_size(XsatFormula(3, ((1, 2, 3),))) == pytest.approx(3.0)
+    assert repr_size(six_var) == pytest.approx(6 * math.log2(10))
+    assert repr_size(XsatFormula(0, ())) == 0.0
 
 
 def test_size_bounds_partition_sits_on_lower_edge():
@@ -292,7 +288,15 @@ def test_size_bounds_partition_sits_on_lower_edge():
         lo_ok, hi_ok = profile_total_within_bounds(r, total)
         assert lo_ok and hi_ok
         lo, hi = size_bounds(r)
-        assert lo <= repr_size(_gauss_kernel(f), [total]) <= hi + 1e-9
+        assert lo <= repr_size(f) <= hi + 1e-9
+
+
+def test_exact_band_rule_settles_what_the_float_test_cannot():
+    # r * log2(total) lies 4.5e-11 bits above r^2 * log2(1.62) here, so a
+    # float test with a tolerance of 1e-9 calls it inside the band
+    r, total = 41, 389148711
+    assert profile_total_within_bounds(r, total) == (True, False)
+    assert r * math.log2(total) <= size_bounds(r)[1] + 1e-9
 
 
 def test_solve_report_phase_timings(six_var):
@@ -320,6 +324,21 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
         build_kernel(six_var, "simplex")
     with pytest.raises(ValueError, match="unknown method"):
         solve(six_var, method="simplex")
+
+
+def test_solve_reports_the_kernel_it_counted(six_var, dense_unsat):
+    # the gauss kernel of `inconsistent` has no rational solution, and the
+    # empty formula gives a kernel with no free variables
+    inconsistent = XsatFormula(5, ((1, 2, BOTTOM), (1, 2, 3), (3, 4, BOTTOM),
+                                   (4, 5, BOTTOM), (3, 5, BOTTOM)))
+    empty = XsatFormula(0, ())
+    assert build_kernel(inconsistent, "gauss").inconsistent
+    assert build_kernel(empty, "gauss").kernel.width == 0
+    for f in (six_var, dense_unsat, inconsistent, empty):
+        for method in ("gauss", "subst"):
+            rep = solve(f, method=method)
+            assert rep.kernel == build_kernel(f, method).kernel, method
+            assert rep.kernel_vars == rep.kernel.width
 
 
 SOLVE_STEPS = {

@@ -180,7 +180,7 @@ def test_ordered_witnesses_match_the_flat_walk_order(f):
         built = build_kernel(positive, method)
         if built.inconsistent:
             continue
-        rep = solve(positive, method=method, witness_cap=1000, built=built)
+        rep = solve(positive, method=method, witness_cap=1000)
         assert rep.witnesses == tuple(gray_order_models(built.kernel)), method
 
 
