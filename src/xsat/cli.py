@@ -165,11 +165,11 @@ def bench_instance(f: XsatFormula, spec: GenSpec, method: str,
                    max_free: int) -> dict:
     """One instance's measurements, keyed by the names a bench line prints."""
     rep = solve(f, method=method, max_free=max_free)
-    count, enum_s = timed_enumeration(rep.kernel, max_free=max_free)
+    _, enum_s = timed_enumeration(rep.kernel, max_free=max_free)
     lo, hi = size_bounds(f.num_vars)
     return {"r": f.num_vars, "k": f.num_clauses, "seed": spec.seed,
             "family": spec.family, "eta": rep.rank, "eta_bar": rep.nullity,
-            "kappa": kappa(f), "width": rep.kernel_vars, "count": count,
+            "kappa": kappa(f), "width": rep.kernel_vars, "count": rep.count,
             "repr_bits": rep.repr_size_bits, "lo": lo, "hi": hi,
             "t_encode_us": rep.phase_us[0], "t_eliminate_us": rep.phase_us[1],
             "t_enumerate_us": round(enum_s * 1e6)}

@@ -12,21 +12,21 @@ back-substitution pass.
 Kernel rows are integer: coefficients, a rhs and one positive denominator
 D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
 An RREF row is primitive, so its D is its pivot entry; a substitution row
-has a pivot entry of 1, so D = 1.  Two counters apply the same rule to
-the rows as they are and give the same count.  ``count_blocks``
-accepts all 2^BLOCK_BITS assignments of the low free bits at once, as bits
-of one Python int per row, built on the column masks the oracle caches and
-tabulated once per distinct low part.  It walks the free bits above
-BLOCK_BITS depth first, the bit most rows read first: each group of rows
-is checked as soon as the bits it reads are set, a lone row with one
-lookup in a merged map shared by the rows with the same table and D, and
-a subtree whose block is empty is cut.  ``solve`` counts with it, and the
-witnesses are the words of free bits it accepts, sorted by Gray rank: the
-flat walk visits free bits g at step ``_gray_rank(g)``.
-``count_kernel`` is the flat walk: it visits {0,1}^d in Gray-code order,
-one bit flip and one addition per touched row per step.  It only counts;
-it is the walk that criterion 8 and ``xsat bench`` time, and
-``xsat verify`` checks the two counters against each other.
+has a pivot entry of 1, so D = 1.  Substitution may solve two rows for
+one pivot; ``_exact_rows`` turns each repeat into an exact row, one whose
+residual must be 0 (its D is 0), so both counters apply the one rule to
+every row.  ``count_blocks`` accepts all 2^BLOCK_BITS assignments of the
+low free bits at once, as bits of one Python int per row, through one
+accept map per row built on the column masks the oracle caches.  It walks
+the free bits above BLOCK_BITS depth first, the bit most rows read first,
+checks each row as soon as the bits it reads are set, and cuts a subtree
+whose block is empty.  ``solve`` counts with it, and the witnesses are the
+words of free bits it accepts, sorted by Gray rank: the flat walk visits
+free bits g at step ``_gray_rank(g)``.  ``count_kernel`` is the flat walk:
+it visits {0,1}^d in Gray-code order, one bit flip and one addition per
+touched row per step.  It only counts; it is the walk that criterion 8
+and ``xsat bench`` time, and ``xsat verify`` checks the two counters
+against each other.
 
 The reported representation size, ``repr_size(f)``, is r * log2 of the
 summed expansion sizes, which ``expansion_profile`` reads off the
@@ -66,10 +66,9 @@ class KernelRow:
 class KernelInstance:
     """Rows over the free variables; one row per kept pivot row.
 
-    For the elimination path pivot variables are pairwise distinct.  The
-    substitution path may repeat a pivot (two rows solved for the same
-    variable); the duplicates act as consistency filters during
-    enumeration and never contribute extra variables.
+    Under elimination the pivots are distinct.  Substitution may solve two
+    rows for one pivot; the rows then accept where their residuals are all
+    0 or all D, and the counters check each repeat as an exact row.
     """
 
     free_vars: tuple[int, ...]
@@ -131,6 +130,38 @@ def _check_width(d: int, max_free: int):
             "raise the cap or sample through the bench harness")
 
 
+def _exact_rows(
+    rows: tuple[KernelRow, ...],
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Coefficients, rhs and D of ``rows``, with each row that repeats a
+    pivot replaced by an exact row: every row then accepts a residual in
+    {0, D}, and an exact row's D is 0.
+
+    Rows sharing a pivot accept where their residuals are all 0 or all D.
+    Let row0 be the first of them, residual e0 and D0 > 0, and take another
+    row, residual e.  Its exact row ``D0*row - D*row0`` has residual
+    ``D0*e - D*e0``.  With e0 = 0 that is 0 iff e = 0, and with e0 = D0 it
+    is 0 iff e = D.  So the rows are all 0 or all D exactly when row0's
+    residual is in {0, D0} and every exact row's residual is 0.
+    """
+    first: dict[int, KernelRow] = {}
+    coeffs, rhs, dens = [], [], []
+    for row in rows:
+        row0 = first.get(row.pivot_var)
+        if row0 is None:
+            first[row.pivot_var] = row
+            coeffs.append(row.coeffs)
+            rhs.append(row.rhs)
+            dens.append(row.den)
+        else:
+            a, b = row0.den, row.den
+            coeffs.append(tuple(a * c - b * c0
+                                for c, c0 in zip(row.coeffs, row0.coeffs)))
+            rhs.append(a * row.rhs - b * row0.rhs)
+            dens.append(0)
+    return coeffs, rhs, dens
+
+
 def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
     """Count admissible free assignments, one Gray-code step at a time.
 
@@ -139,23 +170,12 @@ def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
     """
     d = kern.width
     _check_width(d, max_free)
-    res = [row.rhs for row in kern.rows]
-    dens = [row.den for row in kern.rows]
-    by_pivot: dict[int, list[int]] = {}
-    for i, row in enumerate(kern.rows):
-        by_pivot.setdefault(row.pivot_var, []).append(i)
-    # rows sharing a pivot are filters: all residuals 0 or all D
-    filters = [g for g in by_pivot.values() if len(g) > 1]
-    flips = [[(i, row.coeffs[pos]) for i, row in enumerate(kern.rows)
-              if row.coeffs[pos]] for pos in range(d)]
+    coeffs, res, dens = _exact_rows(kern.rows)
+    flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
+             for pos in range(d)]
     ok = [1 if v == 0 or v == den else 0 for v, den in zip(res, dens)]
     bad = len(ok) - sum(ok)
-
-    def consistent() -> bool:
-        return all((res[i] != 0) == (res[g[0]] != 0)
-                   for g in filters for i in g[1:])
-
-    count = 1 if bad == 0 and consistent() else 0
+    count = 1 if bad == 0 else 0
     bits = 0
     for step in range(1, 1 << d):
         pos = (step & -step).bit_length() - 1
@@ -167,7 +187,7 @@ def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
             if now != ok[i]:
                 bad += ok[i] - now
                 ok[i] = now
-        if bad == 0 and consistent():
+        if bad == 0:
             count += 1
     return count
 
@@ -180,36 +200,44 @@ BLOCK_BITS = 12
 MAX_WALK_DEPTH = 512
 
 
-def _low_tables(coeffs: list[tuple[int, ...]], low: int) -> tuple[int, list[dict[int, int]]]:
-    """Per row, map each sum of its first ``low`` coefficients to its block.
+def _low_tables(coeffs: list[tuple[int, ...]], dens: list[int],
+                low: int) -> tuple[int, list[dict[int, int]]]:
+    """Per row, map each residual t left by its high part to the block of
+    low assignments it accepts.
 
     Bit j of a block stands for the low assignment whose bit p is free bit
-    p; it is set in ``table[s]`` iff that assignment's partial sum is s.
-    The column masks are the oracle's cached ``_columns(low)``, and rows
-    with the same first ``low`` coefficients share one table object.
+    p.  With ``table[s]`` the block of the low assignments whose sum over
+    the row's first ``low`` coefficients is s, the row's map is
+    ``t -> table[t] | table[t - D]``: residual 0 or D.  It is built as the
+    table would be, one column at a time on the oracle's cached
+    ``_columns(low)`` masks, but from the full block at both 0 and D; so
+    when D is 0 the map is the table.  Rows with the same first ``low``
+    coefficients and the same D share one map.
     """
     full, cols, _ = _columns(low)
-    by_low: dict[tuple[int, ...], dict[int, int]] = {}
-    tables = []
-    for row in coeffs:
+    maps: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    accepts = []
+    for row, den in zip(coeffs, dens):
         part = row[:low]
-        table = by_low.get(part)
-        if table is None:
-            table = {0: full}
+        m = maps.get((part, den))
+        if m is None:
+            m = {0: full, den: full}
             for c, col in zip(part, cols):
                 if not c:
                     continue
                 split: dict[int, int] = {}
-                for s, block in table.items():
+                for s, block in m.items():
                     on = block & col
-                    if block ^ on:
-                        split[s] = split.get(s, 0) | (block ^ on)
+                    if on != block:
+                        off = block ^ on
+                        split[s] = split[s] | off if s in split else off
                     if on:
-                        split[s + c] = split.get(s + c, 0) | on
-                table = split
-            by_low[part] = table
-        tables.append(table)
-    return full, tables
+                        t = s + c
+                        split[t] = split[t] | on if t in split else on
+                m = split
+            maps[part, den] = m
+        accepts.append(m)
+    return full, accepts
 
 
 def _gray_rank(g: int) -> int:
@@ -251,26 +279,22 @@ def count_blocks(
     """Count admissible free assignments 2^BLOCK_BITS at a time; with a
     ``witness_cap``, also list the models when there are at most that many.
 
-    Same rows, acceptance rule and count as :func:`count_kernel`.
-    The low ``min(d, BLOCK_BITS)`` free bits form one block, tabulated by
-    :func:`_low_tables`, one table per distinct low part.  A row with
-    residual ``t`` after the high part accepts the block ``table[t]``
-    (residual 0) or ``table[t - D]`` (residual D); a group of rows sharing
-    a pivot accepts where all of them are 0 or all are D.
+    Same rows, acceptance rule and count as :func:`count_kernel`.  The low
+    ``min(d, BLOCK_BITS)`` free bits form one block, and a row whose high
+    part leaves residual ``t`` accepts the block that its map from
+    :func:`_low_tables` gives for ``t``.
 
     The high bits are walked depth first, densest first: the bit that the
-    most rows read is set at the root, so groups complete, and prune,
-    near it; ties keep the top bit first.  The walk keeps each row's
-    residual.  A group is checked once, at the node that sets the last
-    high bit its rows read (at the root when they read none), and the node
-    ANDs its acceptance into the block inherited from its parent.  Below
-    the root a lone row is checked with one lookup in its merged map
-    ``t -> table[t] | table[t - D]``, shared by the rows with the same
-    table and D.  A node whose block is 0 is cut with its subtree; each
-    leaf that is left adds its block's size.  While the count is within
-    the cap, a leaf also lists the word ``high << low | j`` of free bits
-    for each accepted low assignment j, and :func:`_models` sorts the
-    words by Gray rank, the flat walk's order, and extends them to models.
+    most rows read is set at the root, so rows complete, and prune, near
+    it; ties keep the top bit first.  The walk keeps each row's residual.
+    Each row is checked once, at the node that sets the last high bit it
+    reads (at the root when it reads none), and the node ANDs its accepted
+    block into the one inherited from its parent.  A node whose block is 0
+    is cut with its subtree; each leaf that is left adds its block's size.
+    While the count is within the cap, a leaf also lists the word
+    ``high << low | j`` of free bits for each accepted low assignment j,
+    and :func:`_models` sorts the words by Gray rank, the flat walk's
+    order, and extends them to models.
 
     The walk recurses once per high bit, so a kernel more than
     ``MAX_WALK_DEPTH`` bits wider than the block raises ``CapacityError``.
@@ -283,58 +307,23 @@ def count_blocks(
             f"kernel has {d} free variables, the block walk takes at most "
             f"{BLOCK_BITS + MAX_WALK_DEPTH} (a {BLOCK_BITS}-bit block and "
             f"{MAX_WALK_DEPTH} levels of recursion)")
-    coeffs = [row.coeffs for row in kern.rows]
-    res = [row.rhs for row in kern.rows]
-    dens = [row.den for row in kern.rows]
-    full, tables = _low_tables(coeffs, low)
-    by_pivot: dict[int, list[int]] = {}
-    for i, row in enumerate(kern.rows):
-        by_pivot.setdefault(row.pivot_var, []).append(i)
+    coeffs, res, dens = _exact_rows(kern.rows)
+    full, accepts = _low_tables(coeffs, dens, low)
     flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
              for pos in range(low, d)]
     # the walk sets flips[order[-1]] first, the most-read high bit
     order = sorted(range(d - low), key=lambda k: len(flips[k]))
     flips = [flips[k] for k in order]
-    # done[k]: the groups whose last-set high bit is order[k]; the flip
-    # lists are scanned last-set first, so a group lands where it is first
-    # seen, and the groups left over read no high bit
-    done: list[list[list[int]]] = [[] for _ in flips]
-    for k, flip in enumerate(flips):
-        for i, _ in flip:
-            g = by_pivot.pop(kern.rows[i].pivot_var, None)
-            if g is not None:
-                done[k].append(g)
-    root = list(by_pivot.values())
-    # merged maps only below the root: a root row is checked once, so a
-    # map of its own would cost more than the lookup it saves
-    merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    # checks[k]: the rows whose last-set high bit is order[k]; the flip
+    # lists are scanned last-set first, so a row lands where it is first
+    # seen, and the rows left over read no high bit
+    unplaced = dict(enumerate(accepts))
+    checks = [[(i, unplaced.pop(i)) for i, _ in flip if i in unplaced]
+              for flip in flips]
 
-    def merge(i: int) -> dict[int, int]:
-        key = coeffs[i][:low], dens[i]
-        m = merged.get(key)
-        if m is None:
-            table, den = tables[i], dens[i]
-            m = merged[key] = dict(table)
-            for s, block in table.items():
-                m[s + den] = m.get(s + den, 0) | block
-        return m
-
-    lone = [[(g[0], merge(g[0])) for g in gs if len(g) == 1] for gs in done]
-    groups = [[g for g in gs if len(g) > 1] for gs in done]
-
-    def accept(block: int, lone_rows: list[tuple[int, dict[int, int]]],
-               checked: list[list[int]]) -> int:
-        for i, m in lone_rows:
+    def accept(block: int, rows: list[tuple[int, dict[int, int]]]) -> int:
+        for i, m in rows:
             block &= m.get(res[i], 0)
-            if not block:
-                return 0
-        for g in checked:
-            zero = one = block
-            for i in g:
-                table = tables[i]
-                zero &= table.get(res[i], 0)
-                one &= table.get(res[i] - dens[i], 0)
-            block = zero | one
             if not block:
                 break
         return block
@@ -353,24 +342,24 @@ def count_blocks(
                     words.append(high | bit.bit_length() - 1)
                     block ^= bit
             return
-        lone_rows, checked = lone[k], groups[k]
-        below = accept(block, lone_rows, checked) if lone_rows or checked else block
+        rows = checks[k]
+        below = accept(block, rows) if rows else block
         if below:
             walk(k - 1, high, below)
         flip = flips[k]
         for i, delta in flip:
             res[i] -= delta
-        below = accept(block, lone_rows, checked) if lone_rows or checked else block
+        below = accept(block, rows) if rows else block
         if below:
             walk(k - 1, high | 1 << order[k], below)
         for i, delta in flip:
             res[i] += delta
 
-    block = accept(full, [], root)
+    block = accept(full, list(unplaced.items()))
     if block:
         walk(d - low - 1, 0, block)
     # walk refers to itself through its closure; breaking that cycle frees
-    # the tables on return rather than at the next garbage collection
+    # the maps on return rather than at the next garbage collection
     del walk
     if witness_cap is None or count > witness_cap:
         return count, None

@@ -598,6 +598,21 @@ def test_bench_fixed_rank_slope(tmp_path):
     assert "slope log2(t_enumerate) vs eta_bar" in text
 
 
+def test_bench_counts_models_not_the_walk_on_an_inconsistent_kernel(
+        tmp_path, monkeypatch):
+    # the gauss kernel keeps 4 rows that admit 2 free assignments, while
+    # elimination found the system inconsistent: the record is the count
+    f = parse_xsat(INCONSISTENT["gauss-only"])
+    monkeypatch.setattr(cli, "generate", lambda spec: f)
+    out = tmp_path / "rows.txt"
+    assert main(["bench", "--r-range", "6..6", "--kappa", "1",
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    rows = [dict(kv.split("=") for kv in l.split())
+            for l in out.read_text().splitlines() if l.startswith("r=")]
+    assert [row["count"] for row in rows] == ["0"]
+    assert cli.count_kernel(kernel_module.build_kernel(f, "gauss").kernel) == 2
+
+
 def test_bench_partition_sweep_sits_on_the_lower_band_edge(tmp_path,
                                                            monkeypatch):
     # at kappa = 1/3 every instance is a partition, whose profile total is

@@ -450,9 +450,13 @@ def test_enumeration_cost_tracks_free_vars_not_total_vars():
 # count_blocks against the flat walk
 
 def _agreed_count(kern) -> int:
-    """The count of both counters, which must agree."""
+    """The count of both counters, which must agree, and up to 13 free
+    bits also agree with the reference, which checks the rows sharing a
+    pivot as a group rather than as exact rows."""
     count = count_blocks(kern)[0]
     assert count == count_kernel(kern)
+    if kern.width <= 13:
+        assert count == len(gray_order_models(kern))
     return count
 
 
@@ -580,9 +584,17 @@ def _contradicted(kern: KernelInstance) -> KernelInstance:
     return KernelInstance(kern.free_vars, kern.rows + (twin,), kern.origin_vars)
 
 
+def _duplicated(kern: KernelInstance) -> KernelInstance:
+    """``kern`` plus an exact copy of its first row, as ``substitute``
+    keeps for a repeated equation: the copy's exact row is all zero with
+    rhs 0, so the count is ``kern``'s."""
+    return KernelInstance(kern.free_vars, kern.rows + kern.rows[:1],
+                          kern.origin_vars)
+
+
 @pytest.mark.parametrize("width", [13, 16, 20, 22])
 def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
-    """Every group is complete above the leaves, so the walk checks it at
+    """Every row is complete above the leaves, so the walk checks it at
     an inner node and cuts the subtrees it rejects.  The low bits are read
     by no row, so the count is the high part's count times 2^BLOCK_BITS."""
     rng = SplitMix64(300 + width)
@@ -590,8 +602,8 @@ def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
     for _ in range(4):
         kern = _planted_kernel(rng, width, n_rows=2 + rng.randbelow(6),
                                n_pivots=1 + rng.randbelow(3), first=BLOCK_BITS)
-        kernels += [kern, _contradicted(kern)]
-    assert any(_has_filter_group(kern) for kern in kernels[::2])
+        kernels += [kern, _contradicted(kern), _duplicated(kern)]
+    assert any(_has_filter_group(kern) for kern in kernels[::3])
     assert max(row.den for kern in kernels for row in kern.rows) > 1
     counts = []
     for kern in kernels:
@@ -604,7 +616,8 @@ def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
             for cap in sorted({0, 1, count}):
                 listed = tuple(expected) if count <= cap else None
                 assert count_blocks(kern, witness_cap=cap) == (count, listed), cap
-    assert all(counts[::2]) and counts[1::2] == [0] * 4, counts
+    assert all(counts[::3]) and counts[1::3] == [0] * 4, counts
+    assert counts[2::3] == counts[::3], counts
 
 
 def _planted_formula(r: int, k: int, rng: SplitMix64) -> XsatFormula:
@@ -699,9 +712,8 @@ def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
 def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:
     """Rows over one coefficient tuple that differ in rhs or D: three lone
     rows and one filter group of two.  Every row reads the same free bits,
-    so they share one low table, and the lone rows with the same D share
-    one merged map once they read a high bit, which the top bit is above
-    the block.  The rhs are set from a planted assignment, at which every
+    so the rows with the same D share one accept map.  The rhs are set
+    from a planted assignment, at which every
     row's residual is 0 or D and the group's two are both D."""
     coeffs = [0] * width
     for pos in [rng.randbelow(width) for _ in range(3)] + [width - 1]:
@@ -721,12 +733,20 @@ def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:
 
 @pytest.mark.parametrize("width", [5, 13, 16])
 def test_rows_sharing_a_table_keep_their_own_acceptance(width):
+    """Rows with the same low part and D share one accept map; a row with
+    another D has its own, and a map with D = 0 is the bare table."""
     rng = SplitMix64(700 + width)
     for _ in range(3):
         kern = _shared_rows(rng, width)
         low = min(width, BLOCK_BITS)
-        _, tables = kernel_module._low_tables([row.coeffs for row in kern.rows], low)
-        assert all(table is tables[0] for table in tables)
+        coeffs = [row.coeffs for row in kern.rows]
+        dens = [row.den for row in kern.rows]
+        _, maps = kernel_module._low_tables(coeffs, dens, low)
+        assert maps[0] is maps[1] is maps[3]
+        assert maps[2] is maps[4] is not maps[0]
+        (table,) = kernel_module._low_tables(coeffs[:1], [0], low)[1]
+        assert maps[0] == {t: table.get(t, 0) | table.get(t - 1, 0)
+                           for t in table.keys() | {s + 1 for s in table}}
         assert _agreed_count(kern) > 0
 
 
