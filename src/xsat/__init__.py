@@ -45,11 +45,7 @@ from .kernel import (
 )
 from .linsys import LinearSystem, RrefResult, encode_sys, gauss_jordan
 from .oracle import naive_count, naive_count_cnf, naive_models
-from .reductions import (
-    ReductionTrace,
-    reduce_cnf_to_xsat,
-    reduce_xsat_to_positive,
-)
+from .reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
 from .substitution import expansion_profile, substitute
 
 __version__ = "0.1.0"

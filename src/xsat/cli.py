@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .formula import BOTTOM, CapacityError, XsatError, XsatFormula, kappa
+from .formula import BOTTOM, CapacityError, CnfFormula, XsatError, XsatFormula, kappa
 from .generator import FAMILIES, GenSpec, SpecError, SplitMix64, generate
 from .io import (
     clip,
@@ -43,11 +43,7 @@ from .kernel import (
 )
 from .linsys import encode_sys, gauss_jordan
 from .oracle import ORACLE_CAP, naive_models
-from .reductions import (
-    ReductionTrace,
-    reduce_cnf_to_xsat,
-    reduce_xsat_to_positive,
-)
+from .reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
 from .substitution import expansion_profile
 
 EXIT_OK = 0
@@ -58,28 +54,27 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 
 
-def _load(path: str) -> tuple[XsatFormula, list[tuple[str, ReductionTrace]]]:
+def _load(path: str) -> tuple[XsatFormula, CnfFormula | None]:
     """Read a file and return an XSAT instance, negations kept, with the
-    ``(name, trace)`` of the CNF reduction when the file is CNF."""
+    CNF it was reduced from, or None when the file is XSAT."""
     data = Path(path).read_bytes()
     if sniff_format(data) != "cnf":
-        return parse_xsat(data), []
+        return parse_xsat(data), None
     cnf = parse_dimacs_cnf(data)
     # the reduction keeps every source variable, and each must be covered
     unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
     if unused:
         raise XsatError(f"{clip(unused)} of the {clip(cnf.num_vars)} declared "
                         "variables appear in no clause")
-    f, trace = reduce_cnf_to_xsat(cnf)
-    return f, [("cnf-to-xsat", trace)]
+    return reduce_cnf_to_xsat(cnf), cnf
 
 
 def cmd_solve(args) -> int:
-    f, traces = _load(args.input)
+    f, cnf = _load(args.input)
     # parse_xsat has validated f unless the CNF reduction made it
     rep = solve(f, method=args.method, max_free=args.max_free,
                 witness_cap=args.witnesses or None,
-                checked=not traces)
+                checked=cnf is None)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
     for w in rep.witnesses or ():
         print("w " + "".join(str(b) for b in w))
@@ -89,23 +84,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    f, traces = _load(args.input)
+    f, cnf = _load(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
-                checked=not traces)
+                checked=cnf is None)
     print(rep.count)
     return EXIT_OK
 
 
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
-    f, _ = _load(args.input)
-    built = build_kernel(f, args.method)
-    kern = built.kernel
-    inconsistent = built.inconsistent
-    if args.method == "subst":
-        # the rewrite flags only rows that contradict each other outright;
-        # elimination decides whether any rational solution exists
-        inconsistent = gauss_jordan(encode_sys(f)).inconsistent
+    system = encode_sys(_load(args.input)[0])
+    kern = build_kernel(system, args.method)
+    # the rewrite flags only rows that contradict each other outright;
+    # elimination decides whether any rational solution exists
+    inconsistent = (kern.inconsistent if args.method == "gauss"
+                    else gauss_jordan(system).inconsistent)
     if inconsistent:
         print("c inconsistent: the equations have no rational solution")
     print(f"p ipe {kern.width} {len(kern.rows)}")
@@ -117,14 +110,15 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f, traces = _load(args.input)
+    f, cnf = _load(args.input)
+    steps = [] if cnf is None else [("cnf-to-xsat", cnf, f)]
     # xsat input without negations is reduced too, so that it prints as xsat+
     if not f.positive:
-        f, trace = reduce_xsat_to_positive(f)
-        traces.append(("positivize", trace))
-    for name, t in traces:
-        print(f"c {name}: vars {t.size_before[0]}->{t.size_after[0]} "
-              f"clauses {t.size_before[1]}->{t.size_after[1]}")
+        src, f = f, reduce_xsat_to_positive(f)
+        steps.append(("positivize", src, f))
+    for name, before, after in steps:
+        print(f"c {name}: vars {before.num_vars}->{after.num_vars} "
+              f"clauses {before.num_clauses}->{after.num_clauses}")
     sys.stdout.write(serialize_xsat(f).decode("utf-8"))
     return EXIT_OK
 

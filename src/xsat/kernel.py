@@ -1,8 +1,9 @@
 """Residual 0/1 integer program: extraction, enumeration, full pipeline.
 
 There is one route from a formula to a kernel: ``encode_sys``, then
-``gauss_jordan`` or ``substitute`` on the same rows, then
-``extract_kernel`` on the ``RrefResult`` either one returns.  Afterwards
+``build_kernel`` on the encoded rows, which runs ``gauss_jordan`` or
+``substitute`` and then ``extract_kernel`` on the ``RrefResult`` either one
+returns.  The kernel carries its rank and the consistency flag.  Afterwards
 every pivot variable is an affine function of the free variables.  A free
 assignment s extends to a model exactly when every row's residual lands
 in {0, 1}; the residual then IS the pivot variable's value, so counting
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass
 
 from .formula import Assignment, CapacityError, XsatFormula, check_valid
-from .linsys import RrefResult, encode_sys, gauss_jordan
+from .linsys import LinearSystem, RrefResult, encode_sys, gauss_jordan
 from .oracle import _columns
 from .substitution import expansion_profile, substitute
 
@@ -69,15 +70,25 @@ class KernelInstance:
     Under elimination the pivots are distinct.  Substitution may solve two
     rows for one pivot; the rows then accept where their residuals are all
     0 or all D, and the counters check each repeat as an exact row.
+
+    ``inconsistent`` is the flag of the ``RrefResult`` the kernel was
+    extracted from; the counters ignore it and count the rows as given.
+    ``width`` is the nullity and ``rank`` the number of distinct pivots,
+    under either method.
     """
 
     free_vars: tuple[int, ...]
     rows: tuple[KernelRow, ...]
     origin_vars: int
+    inconsistent: bool = False
 
     @property
     def width(self) -> int:
         return len(self.free_vars)
+
+    @property
+    def rank(self) -> int:
+        return self.origin_vars - self.width
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,7 @@ def extract_kernel(rref: RrefResult) -> KernelInstance:
         free_vars=tuple(c + 1 for c in free_cols),
         rows=tuple(rows),
         origin_vars=n_vars,
+        inconsistent=rref.inconsistent,
     )
 
 
@@ -392,34 +404,13 @@ def profile_total_within_bounds(num_vars: int, total: int) -> tuple[bool, bool]:
     return lo_ok, hi_ok
 
 
-@dataclass(frozen=True)
-class KernelBuild:
-    """A kernel with the rank, nullity and consistency of its system.
-
-    ``encode_s`` is the time spent encoding the clauses and ``eliminate_s``
-    the rest of the build: elimination or rewriting, then extraction.
-    """
-
-    kernel: KernelInstance
-    rank: int
-    nullity: int
-    inconsistent: bool
-    encode_s: float
-    eliminate_s: float
-
-
-def build_kernel(f: XsatFormula, method: str) -> KernelBuild:
-    """Encode, then eliminate (``"gauss"``) or rewrite (``"subst"``) the
-    same rows, and extract the kernel."""
+def build_kernel(system: LinearSystem, method: str) -> KernelInstance:
+    """Eliminate (``"gauss"``) or rewrite (``"subst"``) the encoded rows of
+    ``system``, and extract the kernel of the result."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
-    system = encode_sys(f)
-    t1 = time.perf_counter()
-    rref = gauss_jordan(system) if method == "gauss" else substitute(system)
-    kern = extract_kernel(rref)
-    return KernelBuild(kern, rref.rank, rref.nullity, rref.inconsistent,
-                       t1 - t0, time.perf_counter() - t1)
+    return extract_kernel(gauss_jordan(system) if method == "gauss"
+                          else substitute(system))
 
 
 def solve(
@@ -429,39 +420,42 @@ def solve(
     witness_cap: int | None = None,
     checked: bool = False,
 ) -> SolveReport:
-    """Full pipeline: encode, eliminate (or substitute), extract, count.
+    """Full pipeline: ``encode_sys``, then ``build_kernel``, then count.
 
     ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing.
     ``checked=True`` says ``f`` has already passed ``validate``, so it is
     not checked again; otherwise a malformed ``f`` raises
-    ``ValidationError``.  The report carries the kernel it counted.
+    ``ValidationError``.  An inconsistent kernel counts 0 with no walk.
+    The rank and nullity are the kernel's, and the report carries the
+    kernel it counted.
     """
     if not checked:
         check_valid(f)
-    built = build_kernel(f, method)
-    kern = built.kernel
+    t0 = time.perf_counter()
+    system = encode_sys(f)
     t1 = time.perf_counter()
-
-    count, wit = ((0, None) if built.inconsistent
-                  else count_blocks(kern, max_free, witness_cap))
+    kern = build_kernel(system, method)
     t2 = time.perf_counter()
 
-    bits = repr_size(f)
+    count, wit = ((0, None) if kern.inconsistent
+                  else count_blocks(kern, max_free, witness_cap))
     t3 = time.perf_counter()
 
-    build_s = built.encode_s + built.eliminate_s
+    bits = repr_size(f)
+    t4 = time.perf_counter()
+
     return SolveReport(
         sat=count > 0,
         count=count,
-        rank=built.rank,
-        nullity=built.nullity,
+        rank=kern.rank,
+        nullity=kern.width,
         kernel_vars=kern.width,
         kernel_clauses=len(kern.rows),
         repr_size_bits=bits,
         method=method,
-        elapsed_ms=round((build_s + t3 - t1) * 1000),
+        elapsed_ms=round((t4 - t0) * 1000),
         kernel=kern,
-        phase_us=(round(built.encode_s * 1e6), round(built.eliminate_s * 1e6),
-                  round((t2 - t1) * 1e6)),
+        phase_us=(round((t1 - t0) * 1e6), round((t2 - t1) * 1e6),
+                  round((t3 - t2) * 1e6)),
         witnesses=wit,
     )

@@ -117,7 +117,7 @@ def naive_count(f: XsatFormula, cap: int = ORACLE_CAP) -> int:
                _truth_tables(f.num_vars, f.clauses, _exactly_one))
 
 
-def naive_models(f: XsatFormula, cap: int = 20) -> list[Assignment]:
+def naive_models(f: XsatFormula, cap: int = ORACLE_CAP) -> list[Assignment]:
     """All satisfying assignments, ascending in m = sum of a[i] * 2^i."""
     _check_cap(f.num_vars, cap)
     r = f.num_vars

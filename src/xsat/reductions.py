@@ -7,31 +7,18 @@ assignments is exactly preserved.  The first makes the solver a usable
 as it is by :func:`xsat.linsys.encode_sys`.  The second is applied only by
 ``xsat reduce``, which prints positive XSAT.  The tests verify both
 against the exhaustive oracle rather than assuming it.
+
+Each reduction returns the output formula alone.  The step's sizes are
+the sizes of its input and its output, and the fresh variables follow the
+source ones, numbered in the order of the source clauses that need them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import BOTTOM, CnfFormula, Triple, XsatFormula
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Bookkeeping: fresh indices allocated per source clause, size deltas."""
-
-    fresh_map: tuple[tuple[int, tuple[int, ...]], ...]
-    size_before: tuple[int, int]  # (vars, clauses)
-    size_after: tuple[int, int]
-
-
-def _traced(f, out: XsatFormula, fresh_map) -> tuple[XsatFormula, ReductionTrace]:
-    """``out`` with the trace of its reduction from ``f``."""
-    return out, ReductionTrace(tuple(fresh_map), (f.num_vars, f.num_clauses),
-                               (out.num_vars, out.num_clauses))
-
-
-def reduce_cnf_to_xsat(f: CnfFormula) -> tuple[XsatFormula, ReductionTrace]:
+def reduce_cnf_to_xsat(f: CnfFormula) -> XsatFormula:
     """Turn each 3-CNF disjunction into four exactly-one triples.
 
     For a clause with literals (l1, l2, l3) and fresh variables a..e the
@@ -44,21 +31,18 @@ def reduce_cnf_to_xsat(f: CnfFormula) -> tuple[XsatFormula, ReductionTrace]:
     Output size: 5 fresh variables and 4 clauses per source clause.
     """
     clauses: list[Triple] = []
-    fresh_map = []
     nxt = f.num_vars + 1
-    for idx, (l1, l2, l3) in enumerate(f.clauses):
+    for l1, l2, l3 in f.clauses:
         a, b, c, d, e = range(nxt, nxt + 5)
         nxt += 5
-        fresh_map.append((idx, (a, b, c, d, e)))
         clauses.append((-l1, a, b))
         clauses.append((l2, b, c))
         clauses.append((-l3, c, d))
         clauses.append((a, c, e))
-    return _traced(f, XsatFormula(nxt - 1, tuple(clauses), positive=False),
-                   fresh_map)
+    return XsatFormula(nxt - 1, tuple(clauses), positive=False)
 
 
-def reduce_xsat_to_positive(f: XsatFormula) -> tuple[XsatFormula, ReductionTrace]:
+def reduce_xsat_to_positive(f: XsatFormula) -> XsatFormula:
     """Eliminate negated literals with one fresh complement variable each.
 
     Negation-free clauses are copied unchanged (bottom may appear in them).
@@ -70,20 +54,16 @@ def reduce_xsat_to_positive(f: XsatFormula) -> tuple[XsatFormula, ReductionTrace
     forced, so the map is a bijection on models.
     """
     clauses: list[Triple] = []
-    fresh_map = []
     nxt = f.num_vars + 1
-    for idx, clause in enumerate(f.clauses):
+    for clause in f.clauses:
         negs = [l for l in clause if l < 0]
         rest = [l for l in clause if l >= 0]
         if not negs:
             clauses.append(clause)
-            fresh_map.append((idx, ()))
             continue
         hats = list(range(nxt, nxt + len(negs)))
         nxt += len(negs)
-        fresh_map.append((idx, tuple(hats)))
         clauses.append(tuple(hats + rest))  # type: ignore[arg-type]
         for hat, lit in zip(hats, negs):
             clauses.append((hat, -lit, BOTTOM))
-    return _traced(f, XsatFormula(nxt - 1, tuple(clauses), positive=True),
-                   fresh_map)
+    return XsatFormula(nxt - 1, tuple(clauses), positive=True)

@@ -150,8 +150,8 @@ def _random_covering_cnf(rng):
         remapped = tuple(tuple((1 if l > 0 else -1) * remap[abs(l)] for l in c)
                          for c in clauses)
         cnf = CnfFormula(len(used), remapped)
-        mid, _ = reduce_cnf_to_xsat(cnf)
-        pos, _ = reduce_xsat_to_positive(mid)
+        mid = reduce_cnf_to_xsat(cnf)
+        pos = reduce_xsat_to_positive(mid)
         if pos.num_vars <= 24:
             return cnf
 
@@ -162,11 +162,11 @@ def test_c4a_chain_parsimony_50_formulas():
     for _ in range(50):
         cnf = _random_covering_cnf(rng)
         src = naive_count_cnf(cnf)
-        mid, _ = reduce_cnf_to_xsat(cnf)
-        pos, t2 = reduce_xsat_to_positive(mid)
+        mid = reduce_cnf_to_xsat(cnf)
+        pos = reduce_xsat_to_positive(mid)
         if not (src == naive_count(mid) == naive_count(pos)):
             bad += 1
-        if t2.size_after[1] - t2.size_before[1] > 4 * t2.size_before[1]:
+        if pos.num_clauses - mid.num_clauses > 4 * mid.num_clauses:
             bad += 1
     _report("criterion 4a (50 random CNFs: chain preserves counts exactly, "
             "second-step growth <= 4|C|)", bad == 0, f"failures={bad}")
@@ -178,7 +178,7 @@ def test_c4b_first_step_size_constants():
     mismatches = []
     for _ in range(10):
         cnf = _random_covering_cnf(rng)
-        out, _ = reduce_cnf_to_xsat(cnf)
+        out = reduce_cnf_to_xsat(cnf)
         if (out.num_vars != cnf.num_vars + 4 * cnf.num_clauses
                 or out.num_clauses != 3 * cnf.num_clauses):
             mismatches.append((cnf.num_vars, cnf.num_clauses,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import xsat
-from xsat import count_blocks, parse_xsat, naive_count, naive_models, solve
+from xsat import count_blocks, encode_sys, parse_xsat, naive_count, naive_models, solve
 from xsat import cli
 from xsat import kernel as kernel_module
 from xsat.cli import (
@@ -564,9 +564,10 @@ def test_verify_checks_the_walks_on_inconsistent_kernels(monkeypatch):
 
     monkeypatch.setattr(cli, "count_kernel", spy)
     assert cli._counts_disagree(f) is None
-    gauss = kernel_module.build_kernel(f, "gauss")
+    system = encode_sys(f)
+    gauss = kernel_module.build_kernel(system, "gauss")
     assert gauss.inconsistent
-    assert walked == [gauss.kernel, kernel_module.build_kernel(f, "subst").kernel]
+    assert walked == [gauss, kernel_module.build_kernel(system, "subst")]
 
 
 def test_bench_random_sweep(tmp_path):
@@ -610,7 +611,8 @@ def test_bench_counts_models_not_the_walk_on_an_inconsistent_kernel(
     rows = [dict(kv.split("=") for kv in l.split())
             for l in out.read_text().splitlines() if l.startswith("r=")]
     assert [row["count"] for row in rows] == ["0"]
-    assert cli.count_kernel(kernel_module.build_kernel(f, "gauss").kernel) == 2
+    kern = kernel_module.build_kernel(encode_sys(f), "gauss")
+    assert cli.count_kernel(kern) == 2
 
 
 def test_bench_partition_sweep_sits_on_the_lower_band_edge(tmp_path,
@@ -642,9 +644,9 @@ def test_bench_builds_each_kernel_once(tmp_path, monkeypatch, method):
     built = []
     real = kernel_module.build_kernel
 
-    def spy(f, method):
-        built.append(f)
-        return real(f, method)
+    def spy(system, method):
+        built.append(system)
+        return real(system, method)
 
     monkeypatch.setattr(cli, "build_kernel", spy)
     monkeypatch.setattr(kernel_module, "build_kernel", spy)

@@ -254,9 +254,9 @@ def _canonical_corpus():
     yield from ensemble()
     rng = SplitMix64(20240)
     for _ in range(50):
-        mid, _ = reduce_cnf_to_xsat(_random_covering_cnf(rng))
+        mid = reduce_cnf_to_xsat(_random_covering_cnf(rng))
         yield mid
-        yield reduce_xsat_to_positive(mid)[0]
+        yield reduce_xsat_to_positive(mid)
     for r, k in ((12, 6), (20, 11), (31, 11)):
         yield gen_fixed_rank(r, k)
     for r in (3, 12, 30):

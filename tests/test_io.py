@@ -203,7 +203,7 @@ def test_round_trip_bottom_and_negations():
 
 def test_round_trip_cnf_reduction_output():
     cnf = parse_dimacs_cnf("p cnf 3 1\n1 -2 3 0\n")
-    f, _ = reduce_cnf_to_xsat(cnf)
+    f = reduce_cnf_to_xsat(cnf)
     assert parse_xsat(serialize_xsat(f)) == f
 
 

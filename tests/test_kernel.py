@@ -206,26 +206,27 @@ def _order_formulas(width: int) -> list[XsatFormula]:
 @pytest.mark.parametrize("method", ["gauss", "subst"])
 def test_solve_lists_witnesses_in_flat_walk_order(method, width):
     for f in _order_formulas(width):
-        built = build_kernel(f, method)
+        kern = build_kernel(encode_sys(f), method)
         if method == "gauss":
-            assert built.kernel.width == width
-        expected = [] if built.inconsistent else gray_order_models(built.kernel)
+            assert kern.width == width
+        expected = [] if kern.inconsistent else gray_order_models(kern)
         count = len(expected)
         for cap in sorted({0, 1, count - 1, count} - {-1}):
             rep = solve(f, method=method, witness_cap=cap)
             assert rep.count == count
-            listed = count <= cap and not built.inconsistent
+            listed = count <= cap and not kern.inconsistent
             assert rep.witnesses == (tuple(expected) if listed else None), cap
 
 
 def test_models_take_the_flat_walk_order_from_the_free_bits_alone():
     """``_models`` sorts the free-bit words of the models by Gray rank, so
     the words in any order give the flat walk's order."""
-    kernels = [build_kernel(f, "gauss").kernel
+    kernels = [build_kernel(encode_sys(f), "gauss")
                for width in (0, 12, 13) for f in _order_formulas(width)]
-    subst = build_kernel(gen_random(GenSpec(r=15, k=8, seed=900)), "subst")
-    assert _has_filter_group(subst.kernel) and not subst.inconsistent
-    kernels.append(subst.kernel)
+    subst = build_kernel(encode_sys(gen_random(GenSpec(r=15, k=8, seed=900))),
+                         "subst")
+    assert _has_filter_group(subst) and not subst.inconsistent
+    kernels.append(subst)
     rng = SplitMix64(19)
     sizes = []
     for kern in kernels:
@@ -305,23 +306,31 @@ def test_solve_report_phase_timings(six_var):
     assert all(t >= 0 for t in rep.phase_us)
 
 
+# elimination finds no rational solution; the rewrite flags no row
+GAUSS_ONLY_INCONSISTENT = XsatFormula(5, (
+    (1, 2, BOTTOM), (1, 2, 3), (3, 4, BOTTOM), (4, 5, BOTTOM), (3, 5, BOTTOM)))
+
+
 def test_build_kernel_matches_each_route(six_var, dense_unsat):
     f = gen_random(GenSpec(r=12, k=8, seed=4))
-    for g in (six_var, dense_unsat, f):
-        rref = gauss_jordan(encode_sys(g))
-        built = build_kernel(g, "gauss")
-        assert built.kernel == extract_kernel(rref)
-        assert (built.rank, built.nullity, built.inconsistent) == (
+    for g in (six_var, dense_unsat, GAUSS_ONLY_INCONSISTENT, f):
+        system = encode_sys(g)
+        rref = gauss_jordan(system)
+        kern = build_kernel(system, "gauss")
+        assert kern == extract_kernel(rref)
+        assert (kern.rank, kern.width, kern.inconsistent) == (
             rref.rank, rref.nullity, rref.inconsistent)
-        rref = substitute(encode_sys(g))
-        built = build_kernel(g, "subst")
-        assert built.kernel == extract_kernel(rref)
-        assert (built.rank, built.nullity, built.inconsistent) == (
+        assert kern.inconsistent == (g is GAUSS_ONLY_INCONSISTENT)
+        rref = substitute(system)
+        kern = build_kernel(system, "subst")
+        assert kern == extract_kernel(rref)
+        assert (kern.rank, kern.width, kern.inconsistent) == (
             rref.rank, rref.nullity, rref.inconsistent)
-        assert (built.rank, built.nullity) == (len(set(rref.pivot_cols)),
-                                               len(rref.free_cols))
+        assert (kern.rank, kern.width) == (len(set(rref.pivot_cols)),
+                                           len(rref.free_cols))
+        assert not kern.inconsistent
     with pytest.raises(ValueError, match="unknown method"):
-        build_kernel(six_var, "simplex")
+        build_kernel(encode_sys(six_var), "simplex")
     with pytest.raises(ValueError, match="unknown method"):
         solve(six_var, method="simplex")
 
@@ -329,15 +338,14 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
 def test_solve_reports_the_kernel_it_counted(six_var, dense_unsat):
     # the gauss kernel of `inconsistent` has no rational solution, and the
     # empty formula gives a kernel with no free variables
-    inconsistent = XsatFormula(5, ((1, 2, BOTTOM), (1, 2, 3), (3, 4, BOTTOM),
-                                   (4, 5, BOTTOM), (3, 5, BOTTOM)))
+    inconsistent = GAUSS_ONLY_INCONSISTENT
     empty = XsatFormula(0, ())
-    assert build_kernel(inconsistent, "gauss").inconsistent
-    assert build_kernel(empty, "gauss").kernel.width == 0
+    assert build_kernel(encode_sys(inconsistent), "gauss").inconsistent
+    assert build_kernel(encode_sys(empty), "gauss").width == 0
     for f in (six_var, dense_unsat, inconsistent, empty):
         for method in ("gauss", "subst"):
             rep = solve(f, method=method)
-            assert rep.kernel == build_kernel(f, method).kernel, method
+            assert rep.kernel == build_kernel(encode_sys(f), method), method
             assert rep.kernel_vars == rep.kernel.width
 
 
@@ -468,7 +476,7 @@ def _has_filter_group(kern) -> bool:
 @pytest.mark.parametrize("method", ["gauss", "subst"])
 def test_count_blocks_matches_flat_walk_on_criterion2_ensemble(method):
     for f in ensemble():
-        _agreed_count(build_kernel(f, method).kernel)
+        _agreed_count(build_kernel(encode_sys(f), method))
 
 
 def test_count_blocks_matches_flat_walk_on_families():
@@ -478,7 +486,7 @@ def test_count_blocks_matches_flat_walk_on_families():
                  for rank, eta_bar in ((4, 2), (6, 11), (7, 12), (9, 13), (11, 17))]
     for f in formulas:
         for method in ("gauss", "subst"):
-            _agreed_count(build_kernel(f, method).kernel)
+            _agreed_count(build_kernel(encode_sys(f), method))
 
 
 def test_count_blocks_matches_flat_walk_on_subst_filter_groups():
@@ -487,8 +495,8 @@ def test_count_blocks_matches_flat_walk_on_subst_filter_groups():
     for trial in range(60):
         r = 9 + rng.randbelow(10)
         k = r // 2 + rng.randbelow(r // 2 + 1)
-        kern = build_kernel(gen_random(GenSpec(r=r, k=k, seed=trial + 900)),
-                            "subst").kernel
+        f = gen_random(GenSpec(r=r, k=k, seed=trial + 900))
+        kern = build_kernel(encode_sys(f), "subst")
         if _has_filter_group(kern):
             seen += 1
             _agreed_count(kern)
@@ -646,7 +654,7 @@ def test_count_blocks_counts_wide_kernels_alike_under_both_methods():
         f = _planted_formula(r, r // 2, SplitMix64(seed))
         counts = set()
         for method in ("gauss", "subst"):
-            kern = build_kernel(f, method).kernel
+            kern = build_kernel(encode_sys(f), method)
             widths.add(kern.width)
             counts.add(count_blocks(kern)[0])
         assert len(counts) == 1 and min(counts) >= 1, (r, seed, counts)
@@ -687,10 +695,9 @@ def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
         m = 7 + trial % 4
         cnf = _random_cnf(rng, 6, m)
         expected = naive_count_cnf(cnf)
-        f = reduce_xsat_to_positive(reduce_cnf_to_xsat(cnf)[0])[0]
-        built = build_kernel(f, "gauss")
-        kern = built.kernel
-        assert not built.inconsistent and 13 <= kern.width <= 16
+        system = encode_sys(reduce_xsat_to_positive(reduce_cnf_to_xsat(cnf)))
+        kern = build_kernel(system, "gauss")
+        assert not kern.inconsistent and 13 <= kern.width <= 16
         reads = {sum(1 for row in kern.rows if row.coeffs[pos])
                  for pos in range(BLOCK_BITS, kern.width)}
         uneven += len(reads) > 1
@@ -699,7 +706,7 @@ def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
         assert count_blocks(kern, witness_cap=expected) == (expected, tuple(models))
         if m > 8:
             continue
-        subst = build_kernel(f, "subst").kernel
+        subst = build_kernel(system, "subst")
         count, listed = count_blocks(subst, max_free=40, witness_cap=expected)
         assert count == expected and sorted(listed) == sorted(models)
         walked = [_free_bits(subst, w) for w in listed]

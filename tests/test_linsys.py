@@ -477,8 +477,8 @@ def test_back_substitution_matches_the_column_sweep_on_repeated_clauses():
     """40 copies of one 3-CNF clause, through both reductions: many rows
     share their pivots' columns, and the row-driven pass gives the rows of
     the column-driven reference."""
-    f, _ = reduce_cnf_to_xsat(CnfFormula(3, ((1, 2, 3),) * 40))
-    f, _ = reduce_xsat_to_positive(f)
+    f = reduce_cnf_to_xsat(CnfFormula(3, ((1, 2, 3),) * 40))
+    f = reduce_xsat_to_positive(f)
     system = encode_sys(f)
     rows, pivot_cols = integer_rref(system)
     assert (rows, pivot_cols) == first_holder_rref(system)

@@ -63,7 +63,7 @@ def test_incremental_matches_reference_with_negations():
         if not lits:
             continue
         cnf = CnfFormula(4, tuple(lits))
-        f, _ = reduce_cnf_to_xsat(cnf)
+        f = reduce_cnf_to_xsat(cnf)
         assert naive_count(f) == naive_count_reference(f)
 
 
@@ -83,6 +83,13 @@ def test_capacity_cap():
                                 for i in range(8)) + ((25, 1, 2),))
     with pytest.raises(CapacityError):
         naive_count(big)
+
+
+def test_models_take_the_cap_that_the_count_takes():
+    # r = 21 is above 20 and within ORACLE_CAP: every oracle entry point
+    # enumerates it by default
+    f = gen_random(GenSpec(r=21, k=14, seed=3))
+    assert len(naive_models(f)) == naive_count(f) == 17
 
 
 def test_cnf_count_basic():

@@ -127,20 +127,21 @@ def cnf_formulas(draw) -> CnfFormula:
 
 def _assert_every_counter_counts(f: XsatFormula, expected: int):
     for method in ("gauss", "subst"):
-        built = build_kernel(f, method)
-        if built.inconsistent:
+        kern = build_kernel(encode_sys(f), method)
+        if kern.inconsistent:
             assert expected == 0
             continue
-        assert count_kernel(built.kernel) == expected, method
-        assert count_blocks(built.kernel)[0] == expected, method
+        assert count_kernel(kern) == expected, method
+        assert count_blocks(kern)[0] == expected, method
 
 
 def _assert_signed_matches_positive(f: XsatFormula, positive: XsatFormula):
     """Through the positive formula, h complement variables and h binding
     rows: the gauss nullity is the signed one and the rank grows by h."""
     h = positive.num_vars - f.num_vars
-    signed, pos = build_kernel(f, "gauss"), build_kernel(positive, "gauss")
-    assert pos.nullity == signed.nullity
+    signed = build_kernel(encode_sys(f), "gauss")
+    pos = build_kernel(encode_sys(positive), "gauss")
+    assert pos.width == signed.width
     assert pos.rank == signed.rank + h
     assert pos.inconsistent == signed.inconsistent
 
@@ -148,7 +149,7 @@ def _assert_signed_matches_positive(f: XsatFormula, positive: XsatFormula):
 @FIXED
 @given(xsat_formulas())
 def test_every_method_and_counter_matches_oracle_through_positivize(f):
-    positive, _ = reduce_xsat_to_positive(f)
+    positive = reduce_xsat_to_positive(f)
     expected = naive_count(f)
     _assert_every_counter_counts(f, expected)
     _assert_every_counter_counts(positive, expected)
@@ -164,8 +165,8 @@ def test_pruned_oracle_matches_the_double_loop_above_the_block(f):
 @FIXED
 @given(cnf_formulas())
 def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
-    xsat, _ = reduce_cnf_to_xsat(f)
-    positive, _ = reduce_xsat_to_positive(xsat)
+    xsat = reduce_cnf_to_xsat(f)
+    positive = reduce_xsat_to_positive(xsat)
     expected = naive_count_cnf(f)
     _assert_every_counter_counts(xsat, expected)
     _assert_every_counter_counts(positive, expected)
@@ -175,19 +176,19 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
 @FIXED
 @given(xsat_formulas())
 def test_ordered_witnesses_match_the_flat_walk_order(f):
-    positive, _ = reduce_xsat_to_positive(f)
+    positive = reduce_xsat_to_positive(f)
     for method in ("gauss", "subst"):
-        built = build_kernel(positive, method)
-        if built.inconsistent:
+        kern = build_kernel(encode_sys(positive), method)
+        if kern.inconsistent:
             continue
         rep = solve(positive, method=method, witness_cap=1000)
-        assert rep.witnesses == tuple(gray_order_models(built.kernel)), method
+        assert rep.witnesses == tuple(gray_order_models(kern)), method
 
 
 @FIXED
 @given(xsat_formulas())
 def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
-    positive, _ = reduce_xsat_to_positive(f)
+    positive = reduce_xsat_to_positive(f)
     once = substitute(encode_sys(positive))
     assert as_split(once) == sweep_to_fixpoint(positive)
     assert substitute(LinearSystem(once.rows, positive.num_vars)) == once
@@ -196,7 +197,7 @@ def test_single_pass_rewrite_matches_sweep_and_is_idempotent(f):
 @FIXED
 @given(xsat_formulas())
 def test_expansion_profile_matches_the_spliced_multisets(f):
-    positive, _ = reduce_xsat_to_positive(f)
+    positive = reduce_xsat_to_positive(f)
     assert expansion_profile(positive) == spliced_profile(positive)
     assert expansion_profile(f) == spliced_profile(f)
 

@@ -332,9 +332,10 @@ def test_star_subst_kernel_is_wider_than_two_thirds_of_the_variables():
     # solved for variable 1, so the rewrite keeps 6 of the 7 variables
     # free, above 2/3 * 7; elimination keeps 4 free; both count 9
     star = XsatFormula(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7)))
-    subst, gauss = build_kernel(star, "subst"), build_kernel(star, "gauss")
-    assert (subst.kernel.width, subst.rank) == (6, 1)
-    assert (gauss.kernel.width, gauss.rank) == (4, 3)
-    assert 3 * subst.kernel.width > 2 * star.num_vars
+    system = encode_sys(star)
+    subst, gauss = build_kernel(system, "subst"), build_kernel(system, "gauss")
+    assert (subst.width, subst.rank) == (6, 1)
+    assert (gauss.width, gauss.rank) == (4, 3)
+    assert 3 * subst.width > 2 * star.num_vars
     assert solve(star, "subst").count == solve(star, "gauss").count == 9
     assert naive_count(star) == 9
