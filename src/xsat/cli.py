@@ -1,12 +1,12 @@
 """Command-line front end and benchmark harness.
 
 Subcommands: solve, count, kernel, reduce, gen, bench, verify.  CNF inputs
-are detected by header and reduced to XSAT with negations, which is
-encoded directly, so the tool doubles as an exact 3-CNF model counter;
-``xsat reduce`` alone also removes the negations.  Exit codes follow solver
-conventions: 10 satisfiable, 20 unsatisfiable, 0 for count/report modes,
-1 unusable input (unreadable file, parse or validation failure), 2 capacity
-exceeded or a bad command line, 3 verification disagreement.
+are detected by header and encoded as one carry row per clause, so the
+tool doubles as an exact 3-CNF model counter; only ``xsat reduce`` runs
+the paper's chain to positive XSAT.  Exit codes follow solver conventions:
+10 satisfiable, 20 unsatisfiable, 0 for count/report modes, 1 unusable
+input (unreadable file, parse or validation failure), 2 capacity exceeded
+or a bad command line, 3 verification disagreement.
 """
 
 from __future__ import annotations
@@ -54,46 +54,45 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 
 
-def _load(path: str) -> tuple[XsatFormula, CnfFormula | None]:
-    """Read a file and return an XSAT instance, negations kept, with the
-    CNF it was reduced from, or None when the file is XSAT."""
+def _load(path: str) -> XsatFormula | CnfFormula:
+    """Read a file and return the XSAT instance, negations kept, or the
+    CNF it holds; ``parse_xsat`` has validated an XSAT instance."""
     data = Path(path).read_bytes()
     if sniff_format(data) != "cnf":
-        return parse_xsat(data), None
+        return parse_xsat(data)
     cnf = parse_dimacs_cnf(data)
-    # the reduction keeps every source variable, and each must be covered
+    # xsat reduce keeps every source variable, and each must be covered
     unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
     if unused:
         raise XsatError(f"{clip(unused)} of the {clip(cnf.num_vars)} declared "
                         "variables appear in no clause")
-    return reduce_cnf_to_xsat(cnf), cnf
+    return cnf
 
 
 def cmd_solve(args) -> int:
-    f, cnf = _load(args.input)
-    # parse_xsat has validated f unless the CNF reduction made it
+    f = _load(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
-                witness_cap=args.witnesses or None,
-                checked=cnf is None)
+                witness_cap=args.witnesses or None, checked=True)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
+    # a CNF model is the witness's source part, after the m carries a_j
+    m = f.num_clauses if isinstance(f, CnfFormula) else 0
     for w in rep.witnesses or ():
-        print("w " + "".join(str(b) for b in w))
+        print("w " + "".join(str(b) for b in w[m:m + f.num_vars]))
     if args.count:
         return EXIT_OK
     return EXIT_SAT if rep.sat else EXIT_UNSAT
 
 
 def cmd_count(args) -> int:
-    f, cnf = _load(args.input)
-    rep = solve(f, method=args.method, max_free=args.max_free,
-                checked=cnf is None)
+    rep = solve(_load(args.input), method=args.method,
+                max_free=args.max_free, checked=True)
     print(rep.count)
     return EXIT_OK
 
 
 def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
-    system = encode_sys(_load(args.input)[0])
+    system = encode_sys(_load(args.input))
     kern = build_kernel(system, args.method)
     # the rewrite flags only rows that contradict each other outright;
     # elimination decides whether any rational solution exists
@@ -110,8 +109,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f, cnf = _load(args.input)
-    steps = [] if cnf is None else [("cnf-to-xsat", cnf, f)]
+    f = _load(args.input)
+    steps = []
+    if isinstance(f, CnfFormula):
+        src, f = f, reduce_cnf_to_xsat(f)
+        steps.append(("cnf-to-xsat", src, f))
     # xsat input without negations is reduced too, so that it prints as xsat+
     if not f.positive:
         src, f = f, reduce_xsat_to_positive(f)

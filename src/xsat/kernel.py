@@ -3,8 +3,10 @@
 There is one route from a formula to a kernel: ``encode_sys``, then
 ``build_kernel`` on the encoded rows, which runs ``gauss_jordan`` or
 ``substitute`` and then ``extract_kernel`` on the ``RrefResult`` either one
-returns.  The kernel carries its rank and the consistency flag.  Afterwards
-every pivot variable is an affine function of the free variables.  A free
+returns.  A 3-CNF takes the same route on its carry rows, one per clause,
+which both methods return as encoded: rank m and width n + m.  The kernel
+carries its rank and the consistency flag.  Afterwards every pivot
+variable is an affine function of the free variables.  A free
 assignment s extends to a model exactly when every row's residual lands
 in {0, 1}; the residual then IS the pivot variable's value, so counting
 admissible free assignments counts models, with no separate
@@ -31,8 +33,8 @@ against each other.
 
 The reported representation size, ``repr_size(f)``, is r * log2 of the
 summed expansion sizes, which ``expansion_profile`` reads off the
-formula's clauses under either method; no kernel or rewrite is needed for
-it.
+formula's clauses under either method, and r the encoded system's
+variables; no kernel or rewrite is needed for it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .formula import Assignment, CapacityError, XsatFormula, check_valid
+from .formula import Assignment, CapacityError, CnfFormula, XsatFormula, check_valid
 from .linsys import LinearSystem, RrefResult, encode_sys, gauss_jordan
 from .oracle import _columns
 from .substitution import expansion_profile, substitute
@@ -378,12 +380,14 @@ def count_blocks(
     return count, tuple(_models(kern, words))
 
 
-def repr_size(f: XsatFormula) -> float:
-    """Representation size in bits: r * log2(sum of the expansion sizes)."""
+def repr_size(f: XsatFormula | CnfFormula) -> float:
+    """Representation size in bits: r * log2(sum of the expansion sizes),
+    with r the columns ``encode_sys`` gives: n + 2m for a 3-CNF."""
     total = sum(expansion_profile(f))
     if total <= 0:
         return 0.0
-    return f.num_vars * math.log2(total)
+    r = f.num_vars + 2 * f.num_clauses if isinstance(f, CnfFormula) else f.num_vars
+    return r * math.log2(total)
 
 
 def size_bounds(num_vars: int) -> tuple[float, float]:
@@ -414,7 +418,7 @@ def build_kernel(system: LinearSystem, method: str) -> KernelInstance:
 
 
 def solve(
-    f: XsatFormula,
+    f: XsatFormula | CnfFormula,
     method: str = "gauss",
     max_free: int = DEFAULT_MAX_FREE,
     witness_cap: int | None = None,
@@ -422,14 +426,16 @@ def solve(
 ) -> SolveReport:
     """Full pipeline: ``encode_sys``, then ``build_kernel``, then count.
 
-    ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing.
-    ``checked=True`` says ``f`` has already passed ``validate``, so it is
-    not checked again; otherwise a malformed ``f`` raises
-    ``ValidationError``.  An inconsistent kernel counts 0 with no walk.
-    The rank and nullity are the kernel's, and the report carries the
-    kernel it counted.
+    ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing;
+    for a 3-CNF the witnesses hold the carries too, and a model is bits
+    m+1..m+n of its witness.  ``checked=True`` says an XSAT ``f`` has
+    already passed ``validate``, so it is not checked again; otherwise a
+    malformed one raises ``ValidationError``.  A ``CnfFormula`` validates
+    itself when it is constructed.  An inconsistent kernel counts 0 with no
+    walk.  The rank and nullity are the kernel's, and the report carries
+    the kernel it counted.
     """
-    if not checked:
+    if not (checked or isinstance(f, CnfFormula)):
         check_valid(f)
     t0 = time.perf_counter()
     system = encode_sys(f)

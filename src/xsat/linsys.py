@@ -3,9 +3,14 @@
 A one-in-three clause {p, p', p''} becomes the equation
 p + p' + p'' = 1; bottom contributes nothing, and a negated literal ~p
 stands for 1 - p, so it adds -1 at p and lowers the right-hand side by 1:
-{~p, q, ~s} reads -p + q - s = -1.  The 0/1 solutions of the resulting
-system are exactly the models of the formula, so the reduced row echelon
-form exposes how many variables are genuinely free.
+{~p, q, ~s} reads -p + q - s = -1.  A 3-CNF clause j becomes one carry
+row, l1 + l2 + l3 = 1 + a_j + 2*b_j over two fresh 0/1 carries: each
+true-literal count from 1 to 3 has exactly one (a_j, b_j), and a count of
+0 has none.  The carries a_1..a_m come first, so each row's leftmost
+column is its own a_j, which no other row holds: both methods return the
+carry rows as encoded.  The 0/1 solutions of the resulting system are in
+one-to-one correspondence with the models of the formula, so the reduced
+row echelon form exposes how many variables are genuinely free.
 
 Nothing is ever rounded, and the route from clauses to the RREF is integer
 throughout.  Each equation is a sparse primitive integer row, a dict of its
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .formula import XsatFormula
+from .formula import CnfFormula, XsatFormula
 
 
 @dataclass(frozen=True)
@@ -91,21 +96,42 @@ class RrefResult:
         )
 
 
-def encode_sys(f: XsatFormula) -> LinearSystem:
-    """One equation per clause: the sum of its literals equals 1, with each
-    negated literal ~p read as 1 - p.
+def encode_sys(f: XsatFormula | CnfFormula) -> LinearSystem:
+    """One equation per clause: for XSAT the sum of its literals equals 1,
+    and for 3-CNF the carry row ``a_j + 2*b_j - (l1 + l2 + l3) = -1``, with
+    each negated literal ~p read as 1 - p.
 
-    A variable's entry is its plain occurrences less its negated ones, and
-    the right-hand side is 1 less the negated occurrences; a zero entry or
-    right-hand side is not stored.  A clause row is primitive as built:
-    over two or three variables it has an entry of 1 or -1, over one
-    variable its entry and right-hand side have no common factor, and
-    {v, ~v, B} gives the empty row.
+    A CNF over n variables and m clauses gives n + 2m columns: a_1..a_m,
+    then x_1..x_n, then b_1..b_m.  Clause j's row holds 1 at a_j, so it is
+    primitive and solved for a_j by either method.
+
+    A variable's entry is its plain occurrences less its negated ones (the
+    other way round in a carry row), and the right-hand side moves by one
+    per negated occurrence; a zero entry or right-hand side is not stored.
+    An XSAT clause row is primitive as built: over two or three variables
+    it has an entry of 1 or -1, over one variable its entry and right-hand
+    side have no common factor, and {v, ~v, B} gives the empty row.
     """
+    if isinstance(f, CnfFormula):
+        m, n = f.num_clauses, f.num_vars
+        rows = []
+        for j, clause in enumerate(f.clauses):
+            row: dict[int, int] = {j: 1, m + n + j: 2}
+            rhs = -1
+            for lit in clause:
+                if lit > 0:
+                    row[m + lit - 1] = row.get(m + lit - 1, 0) - 1
+                else:
+                    row[m - lit - 1] = row.get(m - lit - 1, 0) + 1
+                    rhs += 1
+            row[n + 2 * m] = rhs
+            # only a negated literal can leave a zero entry or right-hand side
+            rows.append(row if rhs == -1 else {c: v for c, v in row.items() if v})
+        return LinearSystem(tuple(rows), n + 2 * m)
     n_vars = f.num_vars
     rows = []
     for clause in f.clauses:
-        row: dict[int, int] = {}
+        row = {}
         rhs = 1
         for lit in clause:
             if lit > 0:

@@ -2,11 +2,11 @@
 negations.
 
 Both reductions are parsimonious, meaning the number of satisfying
-assignments is exactly preserved.  The first makes the solver a usable
-3-CNF model counter end to end: its output, negations and all, is encoded
-as it is by :func:`xsat.linsys.encode_sys`.  The second is applied only by
-``xsat reduce``, which prints positive XSAT.  The tests verify both
-against the exhaustive oracle rather than assuming it.
+assignments is exactly preserved.  Together they are the paper's chain,
+which only ``xsat reduce`` applies, to print positive XSAT; the solver
+counts a 3-CNF on its own carry rows (:func:`xsat.linsys.encode_sys`).
+The tests verify both reductions against the exhaustive oracle, and the
+carry rows against the chain, rather than assuming either.
 
 Each reduction returns the output formula alone.  The step's sizes are
 the sizes of its input and its output, and the fresh variables follow the

@@ -26,12 +26,14 @@ representation size, counts the occurrences its body would hold if every
 substitution were spliced in without sign cancellation.  It depends on the
 formula alone, so :func:`expansion_profile` reads it off the clauses in
 one pass, without rewriting.  On adversarial chains it grows like a
-Fibonacci sequence even though the signed bodies collapse.
+Fibonacci sequence even though the signed bodies collapse.  A 3-CNF carry
+row is solved for its own carry a_j, which no other row holds, so nothing
+is ever spliced into it.
 """
 
 from __future__ import annotations
 
-from .formula import BOTTOM, XsatFormula
+from .formula import BOTTOM, CnfFormula, XsatFormula
 from .linsys import LinearSystem, RrefResult, back_substitute
 
 
@@ -72,8 +74,11 @@ def substitute(system: LinearSystem) -> RrefResult:
     return RrefResult.of(rows, pivot_cols, n_vars, inconsistent)
 
 
-def expansion_profile(f: XsatFormula) -> list[int]:
+def expansion_profile(f: XsatFormula | CnfFormula) -> list[int]:
     """Expansion size of each row :func:`substitute` solves, in its order.
+
+    A 3-CNF carry row has size 4, its three literal occurrences and b_j,
+    since no other row is solved for any of them.
 
     Each clause is solved for its lowest variable, and the rows are sorted
     stably by it.  A canonical formula already lists its clauses that way:
@@ -85,6 +90,8 @@ def expansion_profile(f: XsatFormula) -> list[int]:
     That clause lies later in the order, so its size is already known.
     Sizes count occurrences, not signs, so they are keyed on the variable.
     """
+    if isinstance(f, CnfFormula):
+        return [4] * f.num_clauses
     sizes = []
     last = {BOTTOM: 0}  # solved variable -> size of its last clause
     for solved, b, c in reversed(f.clauses):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import xsat
-from xsat import count_blocks, encode_sys, parse_xsat, naive_count, naive_models, solve
+from xsat import (count_blocks, encode_sys, parse_xsat, naive_count, naive_count_cnf,
+                  naive_models, solve)
 from xsat import cli
 from xsat import kernel as kernel_module
 from xsat.cli import (
@@ -256,7 +257,38 @@ def test_cnf_input_counted_through_chain(cnf_file, capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
-def test_negation_bearing_xsat_positivized_automatically(tmp_path, capsys):
+# n = 9, m = 9: through the four-triple gadget its subst kernel was 36 wide,
+# past the default cap of 30; its carry rows leave n + m = 18 free
+CHAIN_9 = ("p cnf 9 9\n-4 -6 -9 0\n-3 5 9 0\n-2 -4 9 0\n-2 7 8 0\n"
+           "1 -5 -7 0\n1 -3 -6 0\n1 -2 6 0\n2 5 -6 0\n2 8 -9 0\n")
+
+
+def test_subst_counts_a_cnf_chain_within_the_default_cap(tmp_path, capsys):
+    path = tmp_path / "chain9.cnf"
+    path.write_text(CHAIN_9)
+    assert naive_count_cnf(xsat.parse_dimacs_cnf(CHAIN_9)) == 155
+    assert main(["solve", "--count", "--input", str(path),
+                 "--method", "subst"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "count=155 rank=9 nullity=18 kernel_vars=18 kernel_clauses=9" in out
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_kernel_output_cnf_carry_row(cnf_file, capsys, method):
+    # columns a1, x1, x2, x3, b1: a1 = x1 - x2 + x3 - 2*b1 for 1 -2 3
+    assert main(["kernel", "--input", cnf_file, "--method", method]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["p ipe 4 1", "-1 1 -1 2 = 0"]
+
+
+def test_cnf_witnesses_list_the_cnf_variables(cnf_file, capsys):
+    # the models of x1 or ~x2 or x3 in the flat walk's order, carries dropped
+    assert main(["solve", "--input", cnf_file, "--witnesses", "7"]) == EXIT_SAT
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("w ")] == [
+        "w 000", "w 100", "w 110", "w 011", "w 111", "w 001", "w 101"]
+
+
+def test_negation_bearing_xsat_counted_on_its_signed_rows(tmp_path, capsys):
     p = tmp_path / "neg.xsat"
     p.write_text("p xsat 3 2\n-1 2 3 0\n1 2 3 0\n")
     f = parse_xsat(p.read_text())
@@ -267,11 +299,11 @@ def test_negation_bearing_xsat_positivized_automatically(tmp_path, capsys):
 NEGATED = "p xsat 3 2\n-1 2 3 0\n1 2 3 0\n"
 SIGNED_REPORTS = {
     # the signed rows of the input itself, not those of its positive form:
-    # one.cnf reduces to 8 variables and 4 rows with 3 negated literals
-    ("cnf", "gauss"): "sat=true count=7 rank=4 nullity=4 kernel_vars=4 "
-                      "kernel_clauses=4 repr_size_bits=25.3594 method=gauss",
-    ("cnf", "subst"): "sat=true count=7 rank=4 nullity=4 kernel_vars=4 "
-                      "kernel_clauses=4 repr_size_bits=25.3594 method=subst",
+    # one.cnf is one carry row over a1, x1..x3 and b1, expansion size 4
+    ("cnf", "gauss"): "sat=true count=7 rank=1 nullity=4 kernel_vars=4 "
+                      "kernel_clauses=1 repr_size_bits=10.0000 method=gauss",
+    ("cnf", "subst"): "sat=true count=7 rank=1 nullity=4 kernel_vars=4 "
+                      "kernel_clauses=1 repr_size_bits=10.0000 method=subst",
     ("xsat", "gauss"): "sat=false count=0 rank=2 nullity=1 kernel_vars=1 "
                        "kernel_clauses=2 repr_size_bits=6.0000 method=gauss",
     ("xsat", "subst"): "sat=false count=0 rank=1 nullity=2 kernel_vars=2 "
@@ -308,17 +340,18 @@ def test_negated_input_witnesses_cover_its_own_variables(tmp_path, capsys,
 @pytest.mark.parametrize("text, validated", [
     (SIX_VAR, ["parsed"]),
     (NEGATED, ["parsed"]),
-    (ONE_CNF, ["solved"]),
+    (ONE_CNF, ["constructed"]),
 ], ids=["xsat+", "xsat", "cnf"])
 def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
                                         command, text, validated):
-    # parse_xsat validates what it reads and solve what the CNF reduction
-    # made; a formula parsed and solved unchanged, negations and all, is
-    # not validated twice
+    # parse_xsat validates what it reads and a CnfFormula itself when it is
+    # constructed; a formula parsed and solved unchanged, negations and
+    # all, is not validated twice
     path = tmp_path / "in.txt"
     path.write_text(text)
     seen = []
     real_validate, real_check = xsat.io.validate, kernel_module.check_valid
+    real_construct = xsat.CnfFormula.__post_init__
 
     def validate(f):
         seen.append("parsed")
@@ -328,8 +361,13 @@ def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
         seen.append("solved")
         return real_check(f)
 
+    def construct(f):
+        seen.append("constructed")
+        return real_construct(f)
+
     monkeypatch.setattr(xsat.io, "validate", validate)
     monkeypatch.setattr(kernel_module, "check_valid", check_valid)
+    monkeypatch.setattr(xsat.CnfFormula, "__post_init__", construct)
     flags = ["--count"] if command == "solve" else []
     assert main([command, "--input", str(path), *flags]) == EXIT_OK
     assert seen == validated
@@ -531,8 +569,8 @@ def test_verify_names_faulty_witnesses(tmp_path, monkeypatch, capsys):
     assert len(repro) == 1
 
 
-def test_verify_walks_the_oracle_once_per_trial(tmp_path, monkeypatch,
-                                                capsys):
+def test_verify_walks_the_oracle_once_per_formula(tmp_path, monkeypatch,
+                                                  capsys):
     # the count is the number of models, so one oracle walk serves both,
     # once for each trial's positive formula and once for its signed copy
     calls = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -714,6 +715,71 @@ def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
         assert [s ^ (s >> 1) for s in steps] == walked
         assert steps == sorted(steps)
     assert uneven >= 4, uneven
+
+
+# ---------------------------------------------------------------------------
+# CNF input: one carry row per clause
+
+def cnf_models(f: CnfFormula) -> list[tuple[int, ...]]:
+    """Reference: every assignment, in ascending order, under which each
+    clause has a true literal."""
+    return [a for a in itertools.product((0, 1), repeat=f.num_vars)
+            if all(any(a[abs(l) - 1] == (l > 0) for l in c) for c in f.clauses)]
+
+
+def assert_carry_route(f: CnfFormula) -> None:
+    """Under both methods the carry rows count the CNF's models, as the
+    four-triple gadget does.  Both methods return the rows as encoded, of
+    rank m, so the kernel is n + m wide; the witnesses come in the flat
+    walk's order, and their source parts, bits m+1..m+n, are the models."""
+    n, m = f.num_vars, f.num_clauses
+    models = cnf_models(f)
+    expected = naive_count_cnf(f)
+    assert len(models) == expected
+    system = encode_sys(f)
+    assert system.num_vars == n + 2 * m
+    assert gauss_jordan(system).rows == substitute(system).rows == system.rows
+    gadget = reduce_cnf_to_xsat(f)
+    for method in ("gauss", "subst"):
+        rep = solve(f, method=method, witness_cap=expected)
+        # the gadget's subst kernels run past the default cap of 30
+        via_gadget = solve(gadget, method=method, max_free=48).count
+        assert rep.count == expected == via_gadget, method
+        assert rep.rank == m and rep.nullity == rep.kernel_vars == n + m, method
+        witnesses = rep.witnesses or ()
+        assert witnesses == tuple(gray_order_models(rep.kernel)), method
+        assert sorted(w[m:m + n] for w in witnesses) == models, method
+
+
+CARRY_CASES = {
+    "repeated-variable": CnfFormula(2, ((1, 1, 2),)),
+    "complementary": CnfFormula(2, ((1, -1, 2), (-2, -2, 1))),
+    "duplicate-clauses": CnfFormula(3, ((1, -2, 3), (1, -2, 3), (-1, 2, 2))),
+    "all-negated": CnfFormula(3, ((-1, -2, -3), (-1, -1, -1))),
+    "contradiction": CnfFormula(1, ((1, 1, 1), (-1, -1, -1))),
+    "empty": CnfFormula(0, ()),
+}
+
+
+@pytest.mark.parametrize("name", list(CARRY_CASES))
+def test_carry_rows_count_cnf_edge_cases(name):
+    assert_carry_route(CARRY_CASES[name])
+
+
+def test_carry_rows_count_a_seeded_cnf_ensemble():
+    """60 random 3-CNFs over up to 6 variables and up to 8 clauses, with
+    literals drawn independently, so variables repeat within a clause,
+    with either sign, and clauses repeat.  The variables are renumbered to
+    those used, as the gadget needs every variable covered."""
+    rng = SplitMix64(26)
+    for _ in range(60):
+        n, m = 1 + rng.randbelow(6), rng.randbelow(9)
+        clauses = [tuple((1 + rng.randbelow(n)) * (1 - 2 * rng.randbelow(2))
+                         for _ in range(3)) for _ in range(m)]
+        used = sorted({abs(l) for c in clauses for l in c})
+        remap = {v: i + 1 for i, v in enumerate(used)}
+        assert_carry_route(CnfFormula(len(used), tuple(
+            tuple(remap[l] if l > 0 else -remap[-l] for l in c) for c in clauses)))
 
 
 def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:

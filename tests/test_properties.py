@@ -1,7 +1,8 @@
 """Property tests over small formulas with negations and bottom.
 
 Every method and every counter must give the oracle's count on signed
-formulas and through the reduction chain, witnesses must come out in the
+formulas and through the reduction chain, CNF carry rows must count the
+CNF's models as the chain does, witnesses must come out in the
 flat walk's order, the text format must round-trip, the integer
 elimination must agree with a dense rational one on clause rows and on
 arbitrary integer rows, the one-pass rewrite must agree with the repeated
@@ -41,7 +42,7 @@ from xsat.kernel import build_kernel
 from xsat.oracle import LOW_BITS
 from xsat.substitution import expansion_profile, substitute
 
-from test_kernel import gray_order_models
+from test_kernel import assert_carry_route, gray_order_models
 from test_linsys import assert_matches_dense, dense_gauss_jordan
 from test_oracle import naive_count_reference
 from test_substitution import as_split, spliced_profile, sweep_to_fixpoint
@@ -125,6 +126,16 @@ def cnf_formulas(draw) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
+@st.composite
+def loose_cnf_formulas(draw) -> CnfFormula:
+    """Up to 6 clauses of 3 literals drawn independently over 5 variables,
+    renumbered to those used: a variable may repeat within a clause, with
+    either sign, clauses may repeat, and the clause list may be empty."""
+    lit = st.integers(1, 5).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.tuples(lit, lit, lit), max_size=6))
+    return CnfFormula(*_compact(clauses))
+
+
 def _assert_every_counter_counts(f: XsatFormula, expected: int):
     for method in ("gauss", "subst"):
         kern = build_kernel(encode_sys(f), method)
@@ -171,6 +182,12 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
     _assert_every_counter_counts(xsat, expected)
     _assert_every_counter_counts(positive, expected)
     _assert_signed_matches_positive(xsat, positive)
+
+
+@FIXED
+@given(loose_cnf_formulas())
+def test_carry_rows_match_the_chain_and_the_models(f):
+    assert_carry_route(f)
 
 
 @FIXED
