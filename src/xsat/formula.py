@@ -4,6 +4,9 @@ Literals are plain integers: a positive integer is a variable, a negative
 integer is that variable negated, and 0 is the constant-false literal
 (written ``B`` in the text format, rendered here as "bottom").  A clause is
 a triple of literals and is satisfied when exactly one of them is true.
+A clause's literals, and an XSAT formula's clauses, are stored in the
+order of :func:`literal_sort_key`: ``v`` ranks ``2v``, ``~v`` ranks
+``2v + 1`` and bottom ranks last.
 
 Formulas come in two flavours: :class:`XsatFormula` (one-in-three clauses,
 optionally restricted to the negation-free "positive" fragment where only
@@ -16,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import neg
+from itertools import chain
 
 BOTTOM = 0
 
@@ -65,13 +67,15 @@ class ValidationError(XsatError):
         self.violations = violations
 
 
-def literal_sort_key(lit: int) -> tuple[int, int, int]:
-    # Plain/negated variables ascending by index, positive before negative,
-    # bottom last.  Any fixed total order works; this one keeps serialized
-    # clauses readable.
-    if lit == BOTTOM:
-        return (1, 0, 0)
-    return (0, abs(lit), 0 if lit > 0 else 1)
+def literal_sort_key(lit: int) -> int | float:
+    """The canonical literal order as one number: ``v`` ranks ``2v``, ``~v``
+    ranks ``2v + 1`` and bottom ranks after every literal.
+
+    So variables ascend by index, each before its negation, and bottom
+    comes last.  Any fixed total order works; this one keeps serialized
+    clauses readable.
+    """
+    return 2 * abs(lit) + (lit < 0) or math.inf
 
 
 def canonical_triple(lits) -> Triple:
@@ -87,30 +91,23 @@ def _canonical(clauses, sort: bool) -> tuple[Triple, ...]:
     canonical order too when ``sort``; a clause of another width than 3
     raises ``ValueError``, as :func:`canonical_triple` does.
 
-    This is the :func:`literal_sort_key` order, with every sort run in C
-    on int ranks.  Plain variables (ints above 0) are their own ranks.
-    Otherwise one table ranks ``v`` at ``2v``, ``~v`` at ``2v+1`` and
-    bottom last; the triples are sorted as rank tuples and mapped back.
-    The table is a list indexed by literal, ``~v`` at index ``-v``, when
-    the largest ``|literal|`` is at most the number of literals, as in
-    every formula that covers its variables.  Otherwise it is a dict, so
-    sparse or out-of-range literals cost no more than the clauses hold.
+    Literals and clauses are sorted by :func:`literal_sort_key`.  Literals
+    that are not ints, such as bools, are made ints first.  Clauses of plain
+    variables (ints above 0) are sorted on the literals themselves, which
+    order as their keys do.
     """
     if set(map(len, clauses)) - {3}:  # canonical_triple raises the error
         canonical_triple(next(c for c in clauses if len(c) != 3))
-    lits = list(chain.from_iterable(clauses))
-    if min(lits, default=0) > 0 and set(map(type, lits)) == {int}:
+    if set(map(type, chain.from_iterable(clauses))) - {int}:
+        clauses = [tuple(map(int, c)) for c in clauses]
+    if min(chain.from_iterable(clauses), default=0) > 0:
         keys = map(tuple, map(sorted, clauses))
         return tuple(sorted(keys) if sort else keys)
-    m = max(map(abs, lits), default=0)
-    dense = m <= len(lits)
-    vs = range(1, m + 1) if dense else sorted(set(map(abs, lits)) - {BOTTOM})
-    unrank = [BOTTOM, BOTTOM, *chain.from_iterable(zip(vs, map(neg, vs))), BOTTOM]
-    rank = ([2 * m + 2, *range(2, 2 * m + 1, 2), *range(2 * m + 1, 2, -2)]
-            if dense else dict(zip(unrank, range(len(unrank)))))
-    keys = map(tuple, map(sorted, map(map, repeat(rank.__getitem__), clauses)))
-    keys = sorted(keys) if sort else keys
-    return tuple(map(tuple, map(map, repeat(unrank.__getitem__), keys)))
+    key = literal_sort_key
+    canon = [tuple(sorted(c, key=key)) for c in clauses]
+    if sort:
+        canon.sort(key=lambda t: (key(t[0]), key(t[1]), key(t[2])))
+    return tuple(canon)
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,7 @@ class XsatFormula:
     order across the formula) at construction, so structural equality is
     content equality and duplicate detection is syntactic.  Instances are
     immutable and safe to share across workers.  A clause of another width
-    than 3 raises ``ValueError``.  The order is :func:`literal_sort_key`'s,
-    computed on int ranks by :func:`_canonical`.
+    than 3 raises ``ValueError``.  The order is :func:`literal_sort_key`'s.
     """
 
     num_vars: int

@@ -6,11 +6,13 @@ stands for 1 - p, so it adds -1 at p and lowers the right-hand side by 1:
 {~p, q, ~s} reads -p + q - s = -1.  A 3-CNF clause j becomes one carry
 row, l1 + l2 + l3 = 1 + a_j + 2*b_j over two fresh 0/1 carries: each
 true-literal count from 1 to 3 has exactly one (a_j, b_j), and a count of
-0 has none.  The carries a_1..a_m come first, so each row's leftmost
-column is its own a_j, which no other row holds: both methods return the
-carry rows as encoded.  The 0/1 solutions of the resulting system are in
-one-to-one correspondence with the models of the formula, so the reduced
-row echelon form exposes how many variables are genuinely free.
+0 has none.  So a carry row is the clause's XSAT row negated, beside its
+carries, and one loop writes both.  The carries a_1..a_m come first, so
+each row's leftmost column is its own a_j, which no other row holds: both
+methods return the carry rows as encoded.  The 0/1 solutions of the
+resulting system are in one-to-one correspondence with the models of the
+formula, so the reduced row echelon form exposes how many variables are
+genuinely free.
 
 Nothing is ever rounded, and the route from clauses to the RREF is integer
 throughout.  Each equation is a sparse primitive integer row, a dict of its
@@ -102,47 +104,37 @@ def encode_sys(f: XsatFormula | CnfFormula) -> LinearSystem:
     each negated literal ~p read as 1 - p.
 
     A CNF over n variables and m clauses gives n + 2m columns: a_1..a_m,
-    then x_1..x_n, then b_1..b_m.  Clause j's row holds 1 at a_j, so it is
+    then x_1..x_n, then b_1..b_m.  Clause j's carry row is its XSAT row
+    with the variable columns shifted by m and every entry and the
+    right-hand side negated, plus 1 at a_j and 2 at b_j.  So it is
     primitive and solved for a_j by either method.
 
-    A variable's entry is its plain occurrences less its negated ones (the
-    other way round in a carry row), and the right-hand side moves by one
-    per negated occurrence; a zero entry or right-hand side is not stored.
-    An XSAT clause row is primitive as built: over two or three variables
-    it has an entry of 1 or -1, over one variable its entry and right-hand
+    A variable's entry is its plain occurrences less its negated ones, and
+    the right-hand side falls by one per negated occurrence (both negated
+    in a carry row); a zero entry or right-hand side is not stored.  An
+    XSAT clause row is primitive as built: over two or three variables it
+    has an entry of 1 or -1, over one variable its entry and right-hand
     side have no common factor, and {v, ~v, B} gives the empty row.
     """
-    if isinstance(f, CnfFormula):
-        m, n = f.num_clauses, f.num_vars
-        rows = []
-        for j, clause in enumerate(f.clauses):
-            row: dict[int, int] = {j: 1, m + n + j: 2}
-            rhs = -1
-            for lit in clause:
-                if lit > 0:
-                    row[m + lit - 1] = row.get(m + lit - 1, 0) - 1
-                else:
-                    row[m - lit - 1] = row.get(m - lit - 1, 0) + 1
-                    rhs += 1
-            row[n + 2 * m] = rhs
-            # only a negated literal can leave a zero entry or right-hand side
-            rows.append(row if rhs == -1 else {c: v for c, v in row.items() if v})
-        return LinearSystem(tuple(rows), n + 2 * m)
-    n_vars = f.num_vars
-    rows = []
-    for clause in f.clauses:
-        row = {}
-        rhs = 1
+    n = f.num_vars
+    m = f.num_clauses if isinstance(f, CnfFormula) else 0
+    width = n + 2 * m
+    # variable v is column v - 1, or m + v - 1 in a carry row, which is negated
+    shift, sign = m - 1, -1 if m else 1
+    rows: list[dict[int, int]] = []
+    for clause in f.clauses:  # clause j becomes row j = len(rows)
+        row = {len(rows): 1, m + n + len(rows): 2} if m else {}
+        rhs = sign
         for lit in clause:
             if lit > 0:
-                row[lit - 1] = row.get(lit - 1, 0) + 1
+                row[shift + lit] = row.get(shift + lit, 0) + sign
             elif lit < 0:
-                row[-lit - 1] = row.get(-lit - 1, 0) - 1
-                rhs -= 1
-        row[n_vars] = rhs
+                row[shift - lit] = row.get(shift - lit, 0) - sign
+                rhs -= sign
+        row[width] = rhs
         # only a negated literal can leave a zero entry or right-hand side
-        rows.append(row if rhs == 1 else {c: v for c, v in row.items() if v})
-    return LinearSystem(tuple(rows), n_vars)
+        rows.append(row if rhs == sign else {c: v for c, v in row.items() if v})
+    return LinearSystem(tuple(rows), width)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

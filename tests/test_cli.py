@@ -252,7 +252,7 @@ def test_count_subcommand(six_var_file, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_cnf_input_counted_through_chain(cnf_file, capsys):
+def test_cnf_input_counted_on_its_carry_rows(cnf_file, capsys):
     assert main(["count", "--input", cnf_file]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "7"
 

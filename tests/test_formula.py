@@ -172,17 +172,39 @@ def test_canonical_triple_orders_bottom_last():
         canonical_triple((1, 2))
 
 
+def tuple_sort_key(lit: int) -> tuple[int, int, int]:
+    """Reference: the documented literal order as a tuple key, plain and
+    negated variables ascending by index, plain first, bottom last."""
+    if lit == BOTTOM:
+        return (1, 0, 0)
+    return (0, abs(lit), 0 if lit > 0 else 1)
+
+
+def keyed_triple(clause):
+    """Reference: the literals sorted on tuple keys."""
+    return tuple(sorted(map(int, clause), key=tuple_sort_key))
+
+
 def keyed_canonical(clauses):
-    """Reference: the keyed sort that the rank tables replace."""
-    return tuple(sorted(map(canonical_triple, clauses),
-                        key=lambda t: tuple(map(literal_sort_key, t))))
+    """Reference: each triple and then the triples sorted on tuple keys."""
+    return tuple(sorted(map(keyed_triple, clauses),
+                        key=lambda t: tuple(map(tuple_sort_key, t))))
+
+
+def test_literal_sort_key_is_the_documented_order():
+    lits = [*range(-50, 51), 10**18, -10**18]
+    for a in lits:
+        for b in lits:
+            assert ((literal_sort_key(a) < literal_sort_key(b))
+                    == (tuple_sort_key(a) < tuple_sort_key(b))), (a, b)
+    assert sorted(lits, key=literal_sort_key)[:4] == [1, -1, 2, -2]
 
 
 @st.composite
 def literal_triples(draw):
     """A variable count and triples over it with negations, bottom in any
     position, repeated and complementary literals, literals above the count
-    (now and then far above, so the rank table is sparse) and bools."""
+    (now and then far above, so the literals are sparse) and bools."""
     n = draw(st.integers(0, 8))
     lit = st.one_of(st.integers(-n - 2, n + 2), st.integers(-60, 60),
                     st.booleans())
@@ -203,13 +225,14 @@ def test_rank_order_is_the_keyed_order(drawn):
     assert XsatFormula(n, canon).clauses == canon
     cnf = [t for t in clauses if BOTTOM not in t]
     m = max((abs(l) for t in cnf for l in t), default=0)
-    assert CnfFormula(m, tuple(cnf)).clauses == tuple(map(canonical_triple, cnf))
+    assert CnfFormula(m, tuple(cnf)).clauses == tuple(map(keyed_triple, cnf))
 
 
 def test_sparse_literals_build_no_table_of_their_size():
     """A header may declare far more variables than the clauses use, and
     a formula may hold out-of-range literals for ``validate`` to report;
-    neither may size the rank table by the largest literal."""
+    neither may make canonical ordering cost memory in proportion to the
+    largest literal."""
     tracemalloc.start()
     try:
         cnf = CnfFormula(10**6, ((10**6, -2, 1),))

@@ -2,15 +2,15 @@
 
 Every method and every counter must give the oracle's count on signed
 formulas and through the reduction chain, CNF carry rows must count the
-CNF's models as the chain does, witnesses must come out in the
-flat walk's order, the text format must round-trip, the integer
-elimination must agree with a dense rational one on clause rows and on
-arbitrary integer rows, the one-pass rewrite must agree with the repeated
-sweep and be idempotent, the one-pass expansion sizes must equal the
-spliced occurrence multisets, and the pruned oracle must equal the double
-loop on formulas with variables above its block.  Settings are fixed
-(derandomized, no deadline, a bounded number of examples), so the run is
-the same every time.
+CNF's models as the chain does and be the XSAT rows negated beside their
+carries, witnesses must come out in the flat walk's order, the text format
+must round-trip, the integer elimination must agree with a dense rational
+one on clause rows and on arbitrary integer rows, the one-pass rewrite
+must agree with the repeated sweep and be idempotent, the one-pass
+expansion sizes must equal the spliced occurrence multisets, and the
+pruned oracle must equal the double loop on formulas with variables above
+its block.  Settings are fixed (derandomized, no deadline, a bounded
+number of examples), so the run is the same every time.
 """
 
 import math
@@ -136,6 +136,19 @@ def loose_cnf_formulas(draw) -> CnfFormula:
     return CnfFormula(*_compact(clauses))
 
 
+@st.composite
+def signed_triples(draw) -> tuple[int, tuple[int, int, int]]:
+    """A variable count n and one triple over 1..n without bottom, drawn
+    freely, with a repeated literal, with a complementary pair, or with
+    every literal negated, in any order."""
+    n = draw(st.integers(1, 5))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    a, b, c = draw(st.tuples(lit, lit, lit))
+    triple = draw(st.sampled_from([
+        (a, b, c), (a, a, b), (a, -a, b), (-abs(a), -abs(b), -abs(c))]))
+    return n, draw(st.permutations(triple))
+
+
 def _assert_every_counter_counts(f: XsatFormula, expected: int):
     for method in ("gauss", "subst"):
         kern = build_kernel(encode_sys(f), method)
@@ -188,6 +201,19 @@ def test_every_method_and_counter_matches_oracle_through_cnf_chain(f):
 @given(loose_cnf_formulas())
 def test_carry_rows_match_the_chain_and_the_models(f):
     assert_carry_route(f)
+
+
+@FIXED
+@given(signed_triples())
+def test_carry_row_is_the_xsat_row_negated_beside_its_carries(drawn):
+    n, t = drawn
+    xsat = encode_sys(XsatFormula(n, (t,), positive=False)).rows[0]
+    carry = encode_sys(CnfFormula(n, (t,))).rows[0]
+    expected = {0: 1, n + 1: 2}
+    expected.update((c + 1, -v) for c, v in xsat.items() if c < n)
+    assert {c: v for c, v in carry.items() if c < n + 2} == expected
+    assert carry.get(n + 2, 0) == -xsat.get(n, 0)
+    assert 0 not in xsat.values() and 0 not in carry.values()
 
 
 @FIXED
