@@ -34,12 +34,9 @@ from .io import (
     serialize_xsat,
 )
 from .kernel import (
-    KernelInstance,
-    KernelRow,
     SolveReport,
     count_blocks,
     count_kernel,
-    extract_kernel,
     repr_size,
     solve,
 )

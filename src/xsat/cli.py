@@ -100,11 +100,11 @@ def cmd_kernel(args) -> int:
                     else gauss_jordan(system).inconsistent)
     if inconsistent:
         print("c inconsistent: the equations have no rational solution")
-    print(f"p ipe {kern.width} {len(kern.rows)}")
-    for row in kern.rows:
-        coeffs = " ".join(str(Fraction(c, row.den)) for c in row.coeffs)
-        rhs = Fraction(row.rhs, row.den)
-        print(f"{coeffs} = {rhs}" if kern.width else f"= {rhs}")
+    print(f"p ipe {kern.nullity} {len(kern.rows)}")
+    for row, pivot in zip(kern.rows, kern.pivot_cols):
+        *coeffs, rhs = (Fraction(row.get(c, 0), row[pivot])
+                        for c in kern.free_cols + (system.num_vars,))
+        print(*coeffs, "=", rhs)
     return EXIT_OK
 
 

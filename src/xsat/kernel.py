@@ -1,24 +1,27 @@
-"""Residual 0/1 integer program: extraction, enumeration, full pipeline.
+"""Residual 0/1 integer program: counting, witnesses, full pipeline.
 
 There is one route from a formula to a kernel: ``encode_sys``, then
 ``build_kernel`` on the encoded rows, which runs ``gauss_jordan`` or
-``substitute`` and then ``extract_kernel`` on the ``RrefResult`` either one
-returns.  A 3-CNF takes the same route on its carry rows, one per clause,
-which both methods return as encoded: rank m and width n + m.  The kernel
-carries its rank and the consistency flag.  Afterwards every pivot
-variable is an affine function of the free variables.  A free
-assignment s extends to a model exactly when every row's residual lands
-in {0, 1}; the residual then IS the pivot variable's value, so counting
-admissible free assignments counts models, with no separate
-back-substitution pass.
+``substitute``.  The ``RrefResult`` either one returns is the kernel: its
+sparse integer rows, pivot and free columns, rank, nullity and
+consistency flag, with no second copy of the rows.  A 3-CNF takes the
+same route on its carry rows, one per clause, which both methods return
+as encoded: rank m and width n + m.  Every pivot variable is then an
+affine function of the free variables.  A free assignment s extends to a
+model exactly when every row's residual lands in {0, 1}; the residual
+then IS the pivot variable's value, so counting admissible free
+assignments counts models, with no separate back-substitution pass.
 
-Kernel rows are integer: coefficients, a rhs and one positive denominator
-D per row, and the residual test is ``rhs - sum(coeff * s)`` in {0, D}.
-An RREF row is primitive, so its D is its pivot entry; a substitution row
-has a pivot entry of 1, so D = 1.  Substitution may solve two rows for
-one pivot; ``_exact_rows`` turns each repeat into an exact row, one whose
+A row's D is its pivot entry, and the residual test is
+``rhs - sum(coeff * s)`` in {0, D} over the free columns s.  An RREF row
+is primitive, so its D is the least common denominator of the rational
+row; a substitution row has a pivot entry of 1, so D = 1.  Substitution
+may solve two rows for one pivot.  ``_exact_rows`` is the one reader of
+the rows: it keys each row's free entries by the column's position among
+the free columns and turns each repeat into an exact row, one whose
 residual must be 0 (its D is 0), so both counters apply the one rule to
-every row.  ``count_blocks`` accepts all 2^BLOCK_BITS assignments of the
+every row.  The counters check the width cap on the nullity before they
+read a row.  ``count_blocks`` accepts all 2^BLOCK_BITS assignments of the
 low free bits at once, as bits of one Python int per row, through one
 accept map per row built on the column masks the oracle caches.  It walks
 the free bits above BLOCK_BITS depth first, the bit most rows read first,
@@ -53,88 +56,37 @@ METHODS = ("gauss", "subst")
 
 
 @dataclass(frozen=True)
-class KernelRow:
-    """``den * pivot_var = rhs - sum(coeffs * s)`` over the free variables s.
-
-    A free assignment suits the row when the residual is 0 or ``den``.
-    """
-
-    coeffs: tuple[int, ...]
-    rhs: int
-    pivot_var: int
-    den: int = 1
-
-
-@dataclass(frozen=True)
-class KernelInstance:
-    """Rows over the free variables; one row per kept pivot row.
-
-    Under elimination the pivots are distinct.  Substitution may solve two
-    rows for one pivot; the rows then accept where their residuals are all
-    0 or all D, and the counters check each repeat as an exact row.
-
-    ``inconsistent`` is the flag of the ``RrefResult`` the kernel was
-    extracted from; the counters ignore it and count the rows as given.
-    ``width`` is the nullity and ``rank`` the number of distinct pivots,
-    under either method.
-    """
-
-    free_vars: tuple[int, ...]
-    rows: tuple[KernelRow, ...]
-    origin_vars: int
-    inconsistent: bool = False
-
-    @property
-    def width(self) -> int:
-        return len(self.free_vars)
-
-    @property
-    def rank(self) -> int:
-        return self.origin_vars - self.width
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    sat: bool
+    """The count of ``solve`` and the kernel it counted; the satisfiability,
+    rank and sizes on the report line are read off the two."""
+
     count: int
-    rank: int
-    nullity: int
-    kernel_vars: int
-    kernel_clauses: int
     repr_size_bits: float
     method: str
     elapsed_ms: int
-    kernel: KernelInstance  # the kernel counted; not a report field
+    kernel: RrefResult  # the kernel counted; not a report field
     phase_us: tuple[int, int, int] = (0, 0, 0)  # encode, eliminate, enumerate
     witnesses: tuple[Assignment, ...] | None = None
 
+    @property
+    def sat(self) -> bool:
+        return self.count > 0
 
-def extract_kernel(rref: RrefResult) -> KernelInstance:
-    """Free-column coefficients of each pivot row, rhs from the augmented
-    column, and the pivot entry as the row's denominator; column c is
-    variable c + 1.  Serves both methods: a row holds no pivot column but
-    its own, so every other variable entry is a free column."""
-    free_cols = rref.free_cols
-    n_vars = rref.rank + rref.nullity
-    pos = {c: i for i, c in enumerate(free_cols)}
-    rows = []
-    for row, pivot_col in zip(rref.rows, rref.pivot_cols):
-        coeffs = [0] * len(free_cols)
-        for c, v in row.items():
-            if c in pos:
-                coeffs[pos[c]] = v
-        rows.append(KernelRow(
-            coeffs=tuple(coeffs),
-            rhs=row.get(n_vars, 0),
-            pivot_var=pivot_col + 1,
-            den=row[pivot_col],
-        ))
-    return KernelInstance(
-        free_vars=tuple(c + 1 for c in free_cols),
-        rows=tuple(rows),
-        origin_vars=n_vars,
-        inconsistent=rref.inconsistent,
-    )
+    @property
+    def rank(self) -> int:
+        return self.kernel.rank
+
+    @property
+    def nullity(self) -> int:
+        return self.kernel.nullity
+
+    @property
+    def kernel_vars(self) -> int:
+        return self.kernel.nullity
+
+    @property
+    def kernel_clauses(self) -> int:
+        return len(self.kernel.rows)
 
 
 def _check_width(d: int, max_free: int):
@@ -145,11 +97,13 @@ def _check_width(d: int, max_free: int):
 
 
 def _exact_rows(
-    rows: tuple[KernelRow, ...],
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Coefficients, rhs and D of ``rows``, with each row that repeats a
-    pivot replaced by an exact row: every row then accepts a residual in
-    {0, D}, and an exact row's D is 0.
+    rref: RrefResult,
+) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """Per row of ``rref``: its entries at the free columns, keyed by the
+    column's position in ``free_cols``, its rhs and its D, the pivot entry.
+    Each row that repeats a pivot is replaced by an exact row: every row
+    then accepts a residual ``rhs - sum(coeff * s)`` in {0, D}, and an
+    exact row's D is 0.
 
     Rows sharing a pivot accept where their residuals are all 0 or all D.
     Let row0 be the first of them, residual e0 and D0 > 0, and take another
@@ -158,35 +112,45 @@ def _exact_rows(
     is 0 iff e = D.  So the rows are all 0 or all D exactly when row0's
     residual is in {0, D0} and every exact row's residual is 0.
     """
-    first: dict[int, KernelRow] = {}
+    pos = {c: i for i, c in enumerate(rref.free_cols)}
+    rhs_col = rref.rank + rref.nullity
+    first: dict[int, dict[int, int]] = {}
     coeffs, rhs, dens = [], [], []
-    for row in rows:
-        row0 = first.get(row.pivot_var)
+    for row, pivot in zip(rref.rows, rref.pivot_cols):
+        row0 = first.get(pivot)
         if row0 is None:
-            first[row.pivot_var] = row
-            coeffs.append(row.coeffs)
-            rhs.append(row.rhs)
-            dens.append(row.den)
+            first[pivot] = row
+            den = row[pivot]
         else:
-            a, b = row0.den, row.den
-            coeffs.append(tuple(a * c - b * c0
-                                for c, c0 in zip(row.coeffs, row0.coeffs)))
-            rhs.append(a * row.rhs - b * row0.rhs)
-            dens.append(0)
+            a, b = row0[pivot], row[pivot]
+            row = {c: a * row.get(c, 0) - b * row0.get(c, 0)
+                   for c in row.keys() | row0.keys()}
+            den = 0
+        coeffs.append({pos[c]: v for c, v in row.items() if v and c in pos})
+        rhs.append(row.get(rhs_col, 0))
+        dens.append(den)
     return coeffs, rhs, dens
 
 
-def count_kernel(kern: KernelInstance, max_free: int = DEFAULT_MAX_FREE) -> int:
+def _flips(coeffs: list[dict[int, int]], d: int) -> list[list[tuple[int, int]]]:
+    """Per free bit, the rows that read it and their coefficients there."""
+    flips: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for i, row in enumerate(coeffs):
+        for p, c in row.items():
+            flips[p].append((i, c))
+    return flips
+
+
+def count_kernel(rref: RrefResult, max_free: int = DEFAULT_MAX_FREE) -> int:
     """Count admissible free assignments, one Gray-code step at a time.
 
     Each step flips one free bit and updates the residual of every row that
     reads it; ``bad`` counts the rows whose residual is neither 0 nor D.
     """
-    d = kern.width
+    d = rref.nullity
     _check_width(d, max_free)
-    coeffs, res, dens = _exact_rows(kern.rows)
-    flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
-             for pos in range(d)]
+    coeffs, res, dens = _exact_rows(rref)
+    flips = _flips(coeffs, d)
     ok = [1 if v == 0 or v == den else 0 for v, den in zip(res, dens)]
     bad = len(ok) - sum(ok)
     count = 1 if bad == 0 else 0
@@ -214,31 +178,30 @@ BLOCK_BITS = 12
 MAX_WALK_DEPTH = 512
 
 
-def _low_tables(coeffs: list[tuple[int, ...]], dens: list[int],
+def _low_tables(coeffs: list[dict[int, int]], dens: list[int],
                 low: int) -> tuple[int, list[dict[int, int]]]:
     """Per row, map each residual t left by its high part to the block of
     low assignments it accepts.
 
     Bit j of a block stands for the low assignment whose bit p is free bit
     p.  With ``table[s]`` the block of the low assignments whose sum over
-    the row's first ``low`` coefficients is s, the row's map is
-    ``t -> table[t] | table[t - D]``: residual 0 or D.  It is built as the
-    table would be, one column at a time on the oracle's cached
+    the row's entries at the positions below ``low`` is s, the row's map
+    is ``t -> table[t] | table[t - D]``: residual 0 or D.  It is built as
+    the table would be, one column at a time on the oracle's cached
     ``_columns(low)`` masks, but from the full block at both 0 and D; so
-    when D is 0 the map is the table.  Rows with the same first ``low``
-    coefficients and the same D share one map.
+    when D is 0 the map is the table.  Rows with the same entries below
+    ``low`` and the same D share one map.
     """
     full, cols, _ = _columns(low)
-    maps: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    maps: dict[tuple[frozenset[tuple[int, int]], int], dict[int, int]] = {}
     accepts = []
     for row, den in zip(coeffs, dens):
-        part = row[:low]
+        part = frozenset((p, c) for p, c in row.items() if p < low)
         m = maps.get((part, den))
         if m is None:
             m = {0: full, den: full}
-            for c, col in zip(part, cols):
-                if not c:
-                    continue
+            for p, c in part:
+                col = cols[p]
                 split: dict[int, int] = {}
                 for s, block in m.items():
                     on = block & col
@@ -263,30 +226,32 @@ def _gray_rank(g: int) -> int:
     return s
 
 
-def _models(kern: KernelInstance, words: list[int]):
+def _models(rref: RrefResult, words: list[int]):
     """Yield the models whose free bits are the given words, in the flat
     walk's order.
 
-    Bit p of a word is free bit p.  The flat walk visits the word g at step
-    ``_gray_rank(g)``, so the words are taken in that order.  A pivot is 1
-    exactly where its row's residual, ``rhs`` less the row's coefficients
-    at the set bits of the word, is nonzero; at a model, the rows that
-    share a pivot agree on that, so the last one stands for them all.
+    Bit p of a word is free bit p, column ``free_cols[p]``.  The flat walk
+    visits the word g at step ``_gray_rank(g)``, so the words are taken in
+    that order.  A pivot is 1 exactly where its row's residual, ``rhs``
+    less the row's coefficients at the set bits of the word, is nonzero; at
+    a model, the rows that share a pivot agree on that, so the first one,
+    the one that is no exact row, stands for them all.
     """
-    pivots = {row.pivot_var: (row.rhs, [(c, 1 << pos)
-                                        for pos, c in enumerate(row.coeffs) if c])
-              for row in kern.rows}
+    coeffs, rhs, dens = _exact_rows(rref)
+    pivots = [(col, r, [(c, 1 << p) for p, c in row.items()])
+              for col, row, r, den in zip(rref.pivot_cols, coeffs, rhs, dens)
+              if den]
     for g in sorted(words, key=_gray_rank):
-        a = [0] * kern.origin_vars
-        for pos, v in enumerate(kern.free_vars):
-            a[v - 1] = g >> pos & 1
-        for v, (rhs, terms) in pivots.items():
-            a[v - 1] = 1 if rhs - sum(c for c, bit in terms if g & bit) else 0
+        a = [0] * (rref.rank + rref.nullity)
+        for p, col in enumerate(rref.free_cols):
+            a[col] = g >> p & 1
+        for col, r, terms in pivots:
+            a[col] = 1 if r - sum(c for c, bit in terms if g & bit) else 0
         yield tuple(a)
 
 
 def count_blocks(
-    kern: KernelInstance,
+    rref: RrefResult,
     max_free: int = DEFAULT_MAX_FREE,
     witness_cap: int | None = None,
 ) -> tuple[int, tuple[Assignment, ...] | None]:
@@ -312,8 +277,9 @@ def count_blocks(
 
     The walk recurses once per high bit, so a kernel more than
     ``MAX_WALK_DEPTH`` bits wider than the block raises ``CapacityError``.
+    Both caps are checked on the nullity, before any row is read.
     """
-    d = kern.width
+    d = rref.nullity
     _check_width(d, max_free)
     low = min(d, BLOCK_BITS)
     if d - low > MAX_WALK_DEPTH:
@@ -321,10 +287,9 @@ def count_blocks(
             f"kernel has {d} free variables, the block walk takes at most "
             f"{BLOCK_BITS + MAX_WALK_DEPTH} (a {BLOCK_BITS}-bit block and "
             f"{MAX_WALK_DEPTH} levels of recursion)")
-    coeffs, res, dens = _exact_rows(kern.rows)
+    coeffs, res, dens = _exact_rows(rref)
     full, accepts = _low_tables(coeffs, dens, low)
-    flips = [[(i, row[pos]) for i, row in enumerate(coeffs) if row[pos]]
-             for pos in range(low, d)]
+    flips = _flips(coeffs, d)[low:]
     # the walk sets flips[order[-1]] first, the most-read high bit
     order = sorted(range(d - low), key=lambda k: len(flips[k]))
     flips = [flips[k] for k in order]
@@ -377,7 +342,7 @@ def count_blocks(
     del walk
     if witness_cap is None or count > witness_cap:
         return count, None
-    return count, tuple(_models(kern, words))
+    return count, tuple(_models(rref, words))
 
 
 def repr_size(f: XsatFormula | CnfFormula) -> float:
@@ -408,13 +373,12 @@ def profile_total_within_bounds(num_vars: int, total: int) -> tuple[bool, bool]:
     return lo_ok, hi_ok
 
 
-def build_kernel(system: LinearSystem, method: str) -> KernelInstance:
-    """Eliminate (``"gauss"``) or rewrite (``"subst"``) the encoded rows of
-    ``system``, and extract the kernel of the result."""
+def build_kernel(system: LinearSystem, method: str) -> RrefResult:
+    """The kernel of the encoded rows of ``system``: their elimination
+    (``"gauss"``) or their rewrite (``"subst"``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return extract_kernel(gauss_jordan(system) if method == "gauss"
-                          else substitute(system))
+    return gauss_jordan(system) if method == "gauss" else substitute(system)
 
 
 def solve(
@@ -432,8 +396,8 @@ def solve(
     already passed ``validate``, so it is not checked again; otherwise a
     malformed one raises ``ValidationError``.  A ``CnfFormula`` validates
     itself when it is constructed.  An inconsistent kernel counts 0 with no
-    walk.  The rank and nullity are the kernel's, and the report carries
-    the kernel it counted.
+    walk.  The report carries the kernel it counted, and its rank and
+    nullity are the kernel's.
     """
     if not (checked or isinstance(f, CnfFormula)):
         check_valid(f)
@@ -451,12 +415,7 @@ def solve(
     t4 = time.perf_counter()
 
     return SolveReport(
-        sat=count > 0,
         count=count,
-        rank=kern.rank,
-        nullity=kern.width,
-        kernel_vars=kern.width,
-        kernel_clauses=len(kern.rows),
         repr_size_bits=bits,
         method=method,
         elapsed_ms=round((t4 - t0) * 1000),

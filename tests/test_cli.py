@@ -373,11 +373,18 @@ def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
     assert seen == validated
 
 
-def test_kernel_output_gauss(six_var_file, capsys):
-    assert main(["kernel", "--input", six_var_file]) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "p ipe 2 4"
-    assert lines[1:] == ["0 -1 = 0", "1 1 = 1", "-1 0 = 0", "1 1 = 1"]
+# under subst both of six_var's first two rows are solved for variable 1
+SIX_VAR_KERNEL = {
+    "gauss": ["p ipe 2 4", "0 -1 = 0", "1 1 = 1", "-1 0 = 0", "1 1 = 1"],
+    "subst": ["p ipe 3 4", "1 -1 -1 = 0", "0 0 -1 = 0", "0 1 1 = 1",
+              "0 1 1 = 1"],
+}
+
+
+@pytest.mark.parametrize("method", ["gauss", "subst"])
+def test_kernel_output_gauss(six_var_file, capsys, method):
+    assert main(["kernel", "--input", six_var_file, "--method", method]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == SIX_VAR_KERNEL[method]
 
 
 def test_kernel_output_rational_rhs(unsat_file, capsys):
@@ -535,7 +542,7 @@ def test_verify_names_a_faulty_block_counter(tmp_path, monkeypatch, capsys):
     # solve stays right; only the walk comparison can see the fault
     def faulty(kern, max_free=30):
         count, _ = count_blocks(kern, max_free)
-        return count + (kern.width > 1), None
+        return count + (kern.nullity > 1), None
 
     monkeypatch.setattr(cli, "count_blocks", faulty)
     code = main(["verify", "--trials", "5", "--r-max", "8", "--seed", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -9,15 +10,13 @@ from xsat import (
     BOTTOM,
     CapacityError,
     CnfFormula,
+    RrefResult,
     ValidationError,
-    KernelInstance,
-    KernelRow,
     XsatFormula,
     count_blocks,
     count_kernel,
     encode_sys,
     eval_xsat,
-    extract_kernel,
     gauss_jordan,
     naive_count,
     naive_count_cnf,
@@ -44,18 +43,25 @@ F = Fraction
 
 
 def _gauss_kernel(f):
-    return extract_kernel(gauss_jordan(encode_sys(f)))
+    return gauss_jordan(encode_sys(f))
 
 
 def _subst_kernel(f):
-    return extract_kernel(substitute(encode_sys(f)))
+    return substitute(encode_sys(f))
+
+
+def _dens(kern: RrefResult) -> list[int]:
+    """Each row's D, its pivot entry."""
+    return [row[p] for row, p in zip(kern.rows, kern.pivot_cols)]
 
 
 def test_extract_six_var_gauss(six_var):
     kern = _gauss_kernel(six_var)
-    assert kern.free_vars == (5, 6)
-    assert [row.pivot_var for row in kern.rows] == [1, 2, 3, 4]
-    assert [(row.coeffs, row.rhs) for row in kern.rows] == [
+    assert tuple(c + 1 for c in kern.free_cols) == (5, 6)
+    assert [p + 1 for p in kern.pivot_cols] == [1, 2, 3, 4]
+    assert [(tuple(F(row.get(c, 0), den) for c in kern.free_cols),
+             F(row.get(6, 0), den))
+            for row, den in zip(kern.rows, _dens(kern))] == [
         ((F(0), F(-1)), F(0)),
         ((F(1), F(1)), F(1)),
         ((F(-1), F(0)), F(0)),
@@ -65,13 +71,13 @@ def test_extract_six_var_gauss(six_var):
 
 def test_extract_six_var_subst(six_var):
     kern = _subst_kernel(six_var)
-    assert kern.free_vars == (3, 5, 6)
-    assert [row.pivot_var for row in kern.rows] == [1, 1, 2, 4]
+    assert tuple(c + 1 for c in kern.free_cols) == (3, 5, 6)
+    assert [p + 1 for p in kern.pivot_cols] == [1, 1, 2, 4]
 
 
 def test_extract_partition():
     kern = _gauss_kernel(gen_partition(6))
-    assert kern.width == 4
+    assert kern.nullity == 4
     assert len(kern.rows) == 2
 
 
@@ -88,7 +94,7 @@ def test_count_zero_width_sat():
     f = XsatFormula(3, ((1, 2, BOTTOM), (2, 3, BOTTOM), (1, 2, 3)))
     assert naive_count(f) == 1
     kern = _gauss_kernel(f)
-    assert kern.width == 0
+    assert kern.nullity == 0
     count, wit = count_blocks(kern, witness_cap=1000)
     assert count == 1 == count_kernel(kern)
     assert wit == ((0, 1, 0),)
@@ -96,7 +102,7 @@ def test_count_zero_width_sat():
 
 def test_count_zero_width_unsat(dense_unsat):
     kern = _gauss_kernel(dense_unsat)
-    assert kern.width == 0
+    assert kern.nullity == 0
     assert count_kernel(kern) == 0
 
 
@@ -149,19 +155,19 @@ def test_witness_cap_suppresses_listing():
 # ---------------------------------------------------------------------------
 # witness order
 
-def _residuals(row: KernelRow) -> tuple[int, dict[int, int]]:
+def _residuals(row: dict[int, int], kern: RrefResult) -> tuple[int, dict[int, int]]:
     """(mask, table): ``table[bits & mask]`` is the row's residual
-    ``rhs - sum(coeff * s)`` at free bits ``bits``, tabulated over the free
-    bits the row reads."""
-    mask, table = 0, {0: row.rhs}
-    for pos, c in enumerate(row.coeffs):
-        if c:
+    ``rhs - sum(coeff * s)`` at free bits ``bits``, bit p standing for
+    ``free_cols[p]``, tabulated over the free bits the row reads."""
+    mask, table = 0, {0: row.get(kern.rank + kern.nullity, 0)}
+    for pos, col in enumerate(kern.free_cols):
+        if col in row:
             mask |= 1 << pos
-            table.update({bits | 1 << pos: r - c for bits, r in table.items()})
+            table.update({bits | 1 << pos: r - row[col] for bits, r in table.items()})
     return mask, table
 
 
-def gray_order_models(kern: KernelInstance) -> list[tuple[int, ...]]:
+def gray_order_models(kern: RrefResult) -> list[tuple[int, ...]]:
     """Reference: the models in the flat walk's order.
 
     Visits the free bits gray(s) = s ^ (s >> 1) for s < 2^d and keeps those
@@ -169,23 +175,24 @@ def gray_order_models(kern: KernelInstance) -> list[tuple[int, ...]]:
     agree on which.  Each is extended by pivot = 1 exactly where the
     residual is nonzero; a variable that is neither free nor a pivot is 0.
     """
-    walk = [s ^ (s >> 1) for s in range(1 << kern.width)]
+    walk = [s ^ (s >> 1) for s in range(1 << kern.nullity)]
     first: dict[int, tuple[int, dict[int, int]]] = {}
-    for row in kern.rows:
-        mask, table = _residuals(row)
-        accepted = {bits for bits, r in table.items() if r in (0, row.den)}
+    for row, pivot in zip(kern.rows, kern.pivot_cols):
+        mask, table = _residuals(row, kern)
+        accepted = {bits for bits, r in table.items() if r in (0, row[pivot])}
         walk = [bits for bits in walk if bits & mask in accepted]
-        if row.pivot_var in first:
-            mask0, table0 = first[row.pivot_var]
+        if pivot in first:
+            mask0, table0 = first[pivot]
             walk = [bits for bits in walk
                     if (table[bits & mask] == 0) == (table0[bits & mask0] == 0)]
         else:
-            first[row.pivot_var] = mask, table
-    columns = [[0] * len(walk)] * kern.origin_vars  # zeros, replaced below
-    for pos, v in enumerate(kern.free_vars):
-        columns[v - 1] = [bits >> pos & 1 for bits in walk]
-    for v, (mask, table) in first.items():
-        columns[v - 1] = [1 if table[bits & mask] else 0 for bits in walk]
+            first[pivot] = mask, table
+    # zeros, replaced below
+    columns = [[0] * len(walk)] * (kern.rank + kern.nullity)
+    for pos, col in enumerate(kern.free_cols):
+        columns[col] = [bits >> pos & 1 for bits in walk]
+    for col, (mask, table) in first.items():
+        columns[col] = [1 if table[bits & mask] else 0 for bits in walk]
     return list(zip(*columns)) if columns else [()] * len(walk)
 
 
@@ -209,7 +216,7 @@ def test_solve_lists_witnesses_in_flat_walk_order(method, width):
     for f in _order_formulas(width):
         kern = build_kernel(encode_sys(f), method)
         if method == "gauss":
-            assert kern.width == width
+            assert kern.nullity == width
         expected = [] if kern.inconsistent else gray_order_models(kern)
         count = len(expected)
         for cap in sorted({0, 1, count - 1, count} - {-1}):
@@ -318,17 +325,13 @@ def test_build_kernel_matches_each_route(six_var, dense_unsat):
         system = encode_sys(g)
         rref = gauss_jordan(system)
         kern = build_kernel(system, "gauss")
-        assert kern == extract_kernel(rref)
-        assert (kern.rank, kern.width, kern.inconsistent) == (
-            rref.rank, rref.nullity, rref.inconsistent)
+        assert kern == rref
         assert kern.inconsistent == (g is GAUSS_ONLY_INCONSISTENT)
         rref = substitute(system)
         kern = build_kernel(system, "subst")
-        assert kern == extract_kernel(rref)
-        assert (kern.rank, kern.width, kern.inconsistent) == (
-            rref.rank, rref.nullity, rref.inconsistent)
-        assert (kern.rank, kern.width) == (len(set(rref.pivot_cols)),
-                                           len(rref.free_cols))
+        assert kern == rref
+        assert (kern.rank, kern.nullity) == (len(set(rref.pivot_cols)),
+                                             len(rref.free_cols))
         assert not kern.inconsistent
     with pytest.raises(ValueError, match="unknown method"):
         build_kernel(encode_sys(six_var), "simplex")
@@ -342,19 +345,19 @@ def test_solve_reports_the_kernel_it_counted(six_var, dense_unsat):
     inconsistent = GAUSS_ONLY_INCONSISTENT
     empty = XsatFormula(0, ())
     assert build_kernel(encode_sys(inconsistent), "gauss").inconsistent
-    assert build_kernel(encode_sys(empty), "gauss").width == 0
+    assert build_kernel(encode_sys(empty), "gauss").nullity == 0
     for f in (six_var, dense_unsat, inconsistent, empty):
         for method in ("gauss", "subst"):
             rep = solve(f, method=method)
             assert rep.kernel == build_kernel(encode_sys(f), method), method
-            assert rep.kernel_vars == rep.kernel.width
+            assert rep.kernel_vars == rep.kernel.nullity
 
 
 SOLVE_STEPS = {
-    "gauss": ("check_valid", "encode_sys", "gauss_jordan", "extract_kernel",
-              "expansion_profile", "repr_size"),
-    "subst": ("check_valid", "encode_sys", "substitute", "extract_kernel",
-              "expansion_profile", "repr_size"),
+    "gauss": ("check_valid", "encode_sys", "gauss_jordan", "expansion_profile",
+              "repr_size"),
+    "subst": ("check_valid", "encode_sys", "substitute", "expansion_profile",
+              "repr_size"),
 }
 # every step of either method, and the flat walk, which solve never calls
 SPIED = tuple(sorted(set(SOLVE_STEPS["gauss"] + SOLVE_STEPS["subst"]))) + (
@@ -449,7 +452,7 @@ def test_enumeration_cost_tracks_free_vars_not_total_vars():
     nullity = 14
     small = _gauss_kernel(gen_fixed_rank(7 + nullity, 7))
     large = _gauss_kernel(gen_fixed_rank(11 + nullity, 11))
-    assert small.width == large.width == nullity
+    assert small.nullity == large.nullity == nullity
     _, t_small = timed_enumeration(small)
     _, t_large = timed_enumeration(large)
     assert t_large < 6 * t_small
@@ -464,14 +467,13 @@ def _agreed_count(kern) -> int:
     pivot as a group rather than as exact rows."""
     count = count_blocks(kern)[0]
     assert count == count_kernel(kern)
-    if kern.width <= 13:
+    if kern.nullity <= 13:
         assert count == len(gray_order_models(kern))
     return count
 
 
 def _has_filter_group(kern) -> bool:
-    pivots = [row.pivot_var for row in kern.rows]
-    return len(set(pivots)) < len(pivots)
+    return len(set(kern.pivot_cols)) < len(kern.pivot_cols)
 
 
 @pytest.mark.parametrize("method", ["gauss", "subst"])
@@ -508,8 +510,29 @@ def test_count_blocks_matches_flat_walk_on_subst_filter_groups():
 RATIONALS = (F(1, 3), F(-2, 3), F(1, 2), F(-3, 2), F(5, 6), F(-1), F(2))
 
 
+def _kernel(width: int, rows: list[tuple[tuple[int, ...], int, int, int]]
+            ) -> RrefResult:
+    """The kernel of rows ``(coeffs, rhs, pivot, D)``, each reading
+    ``D * x_pivot = rhs - sum(coeffs * s)`` over the free bits s, which are
+    the columns 0..width-1.  The pivots take the columns from ``width`` on,
+    in ascending order, so that no other column is free."""
+    col = {p: width + i for i, p in enumerate(sorted({row[2] for row in rows}))}
+    n_vars = width + len(col)
+    return RrefResult.of(
+        [{**{pos: c for pos, c in enumerate(coeffs) if c}, col[pivot]: den,
+          **({n_vars: rhs} if rhs else {})} for coeffs, rhs, pivot, den in rows],
+        [col[row[2]] for row in rows], n_vars, False)
+
+
+def _with_rows(kern: RrefResult, rows: list[dict[int, int]],
+               pivot_cols: list[int]) -> RrefResult:
+    """``kern`` with ``rows``, solved for ``pivot_cols``, appended."""
+    return RrefResult.of([*kern.rows, *rows], [*kern.pivot_cols, *pivot_cols],
+                         kern.rank + kern.nullity, kern.inconsistent)
+
+
 def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int,
-                    first: int = 0) -> KernelInstance:
+                    first: int = 0) -> RrefResult:
     """Sparse rational rows, some sharing a pivot, that admit a planted
     assignment; each is scaled to an integer row by the lcm D of its
     denominators.  The rows read only the free bits at or above ``first``.
@@ -529,10 +552,9 @@ def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int,
         pivot = rng.randbelow(n_pivots)
         rhs = sum(c * s for c, s in zip(coeffs, planted)) + pivot_value[pivot]
         den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        rows.append(KernelRow(tuple(int(c * den) for c in coeffs),
-                              int(rhs * den), width + 1 + pivot, den))
-    return KernelInstance(tuple(range(1, width + 1)), tuple(rows),
-                          width + n_pivots)
+        rows.append((tuple(int(c * den) for c in coeffs), int(rhs * den),
+                     pivot, den))
+    return _kernel(width, rows)
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 11, 12, 13, 16, 20])
@@ -542,27 +564,37 @@ def test_count_blocks_matches_flat_walk_on_rational_rows(width):
     for _ in range(2 if width >= 16 else 12):
         kern = _planted_kernel(rng, width, n_rows=1 + rng.randbelow(6),
                                n_pivots=1 + rng.randbelow(3))
-        denominators.update(row.den for row in kern.rows)
+        denominators.update(_dens(kern))
         assert _agreed_count(kern) > 0
     assert width == 0 or max(denominators) > 1
 
 
 @pytest.mark.parametrize("width", [0, 1, 11, 12, 13, 20])
 def test_count_blocks_matches_flat_walk_at_block_edges(width):
-    kernels = [KernelInstance(tuple(range(1, width + 1)), (), width)]
+    kernels = [_kernel(width, [])]
     if width >= 2:  # fixed-rank needs nullity in [2, 2 * rank]
         kernels.append(_gauss_kernel(gen_fixed_rank(width + width, width)))
     if 2 <= width <= 13:
         rank = -(-width // 2)
         kernels.append(_gauss_kernel(gen_fixed_rank(rank + width, rank)))
     for kern in kernels:
-        assert kern.width == width
+        assert kern.nullity == width
         _agreed_count(kern)
+
+
+def test_solve_refuses_a_wide_kernel_before_reading_its_rows(monkeypatch):
+    # 4000 carry rows: under subst a kernel 4003 wide, refused on its
+    # nullity; the rows are withheld, so reading any would raise TypeError
+    real = kernel_module.substitute
+    monkeypatch.setattr(kernel_module, "substitute",
+                        lambda system: dataclasses.replace(real(system), rows=None))
+    with pytest.raises(CapacityError, match="4003 free variables"):
+        solve(CnfFormula(3, ((1, 2, 3),) * 4000), "subst")
 
 
 def test_count_blocks_capacity_error_matches_flat_walk():
     kern = _gauss_kernel(gen_partition(9))
-    assert kern.width == 6
+    assert kern.nullity == 6
     with pytest.raises(CapacityError) as flat:
         count_kernel(kern, max_free=5)
     with pytest.raises(CapacityError) as blocks:
@@ -577,28 +609,32 @@ def test_count_blocks_capacity_error_matches_flat_walk():
 BLOCK_BITS = kernel_module.BLOCK_BITS
 
 
-def _high_part(kern: KernelInstance) -> KernelInstance:
-    """The same rows over the free bits at or above BLOCK_BITS only."""
-    rows = tuple(KernelRow(row.coeffs[BLOCK_BITS:], row.rhs, row.pivot_var, row.den)
-                 for row in kern.rows)
-    return KernelInstance(kern.free_vars[BLOCK_BITS:], rows, kern.origin_vars)
+def _high_part(kern: RrefResult) -> RrefResult:
+    """The same rows over the free bits at or above BLOCK_BITS only: the
+    columns of the bits below are dropped and the rest renumbered."""
+    low = set(kern.free_cols[:BLOCK_BITS])
+    new = {c: i for i, c in enumerate(
+        c for c in range(kern.rank + kern.nullity + 1) if c not in low)}
+    return RrefResult.of(
+        [{new[c]: v for c, v in row.items() if c in new} for row in kern.rows],
+        [new[p] for p in kern.pivot_cols], len(new) - 1, kern.inconsistent)
 
 
-def _contradicted(kern: KernelInstance) -> KernelInstance:
+def _contradicted(kern: RrefResult) -> RrefResult:
     """``kern`` plus a copy of its first row with the rhs raised by D: the
     copy's residual is the first row's plus D, so the two are never both 0
     or both D, and the count is 0."""
-    row = kern.rows[0]
-    twin = KernelRow(row.coeffs, row.rhs + row.den, row.pivot_var, row.den)
-    return KernelInstance(kern.free_vars, kern.rows + (twin,), kern.origin_vars)
+    row, pivot = kern.rows[0], kern.pivot_cols[0]
+    rhs_col = kern.rank + kern.nullity
+    twin = {**row, rhs_col: row.get(rhs_col, 0) + row[pivot]}
+    return _with_rows(kern, [{c: v for c, v in twin.items() if v}], [pivot])
 
 
-def _duplicated(kern: KernelInstance) -> KernelInstance:
+def _duplicated(kern: RrefResult) -> RrefResult:
     """``kern`` plus an exact copy of its first row, as ``substitute``
     keeps for a repeated equation: the copy's exact row is all zero with
     rhs 0, so the count is ``kern``'s."""
-    return KernelInstance(kern.free_vars, kern.rows + kern.rows[:1],
-                          kern.origin_vars)
+    return _with_rows(kern, [dict(kern.rows[0])], [kern.pivot_cols[0]])
 
 
 @pytest.mark.parametrize("width", [13, 16, 20, 22])
@@ -613,7 +649,7 @@ def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
                                n_pivots=1 + rng.randbelow(3), first=BLOCK_BITS)
         kernels += [kern, _contradicted(kern), _duplicated(kern)]
     assert any(_has_filter_group(kern) for kern in kernels[::3])
-    assert max(row.den for kern in kernels for row in kern.rows) > 1
+    assert max(den for kern in kernels for den in _dens(kern)) > 1
     counts = []
     for kern in kernels:
         count = count_blocks(kern)[0]
@@ -656,7 +692,7 @@ def test_count_blocks_counts_wide_kernels_alike_under_both_methods():
         counts = set()
         for method in ("gauss", "subst"):
             kern = build_kernel(encode_sys(f), method)
-            widths.add(kern.width)
+            widths.add(kern.nullity)
             counts.add(count_blocks(kern)[0])
         assert len(counts) == 1 and min(counts) >= 1, (r, seed, counts)
     assert min(widths) >= 24 and max(widths) == 30, widths
@@ -678,8 +714,8 @@ def _random_cnf(rng: SplitMix64, n: int, m: int) -> CnfFormula:
             return CnfFormula(n, tuple(sorted(clauses)))
 
 
-def _free_bits(kern: KernelInstance, model) -> int:
-    return sum(model[v - 1] << pos for pos, v in enumerate(kern.free_vars))
+def _free_bits(kern: RrefResult, model) -> int:
+    return sum(model[c] << pos for pos, c in enumerate(kern.free_cols))
 
 
 def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
@@ -698,9 +734,9 @@ def test_count_blocks_reorders_high_bits_on_cnf_chain_kernels():
         expected = naive_count_cnf(cnf)
         system = encode_sys(reduce_xsat_to_positive(reduce_cnf_to_xsat(cnf)))
         kern = build_kernel(system, "gauss")
-        assert not kern.inconsistent and 13 <= kern.width <= 16
-        reads = {sum(1 for row in kern.rows if row.coeffs[pos])
-                 for pos in range(BLOCK_BITS, kern.width)}
+        assert not kern.inconsistent and 13 <= kern.nullity <= 16
+        reads = {sum(1 for row in kern.rows if c in row)
+                 for c in kern.free_cols[BLOCK_BITS:]}
         uneven += len(reads) > 1
         models = gray_order_models(kern)
         assert count_kernel(kern) == len(models) == expected
@@ -782,7 +818,7 @@ def test_carry_rows_count_a_seeded_cnf_ensemble():
             tuple(remap[l] if l > 0 else -remap[-l] for l in c) for c in clauses)))
 
 
-def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:
+def _shared_rows(rng: SplitMix64, width: int) -> RrefResult:
     """Rows over one coefficient tuple that differ in rhs or D: three lone
     rows and one filter group of two.  Every row reads the same free bits,
     so the rows with the same D share one accept map.  The rhs are set
@@ -793,15 +829,14 @@ def _shared_rows(rng: SplitMix64, width: int) -> KernelInstance:
         coeffs[pos] = (-2, -1, 1, 2)[rng.randbelow(4)]
     coeffs = tuple(coeffs)
     planted = sum(c * rng.randbelow(2) for c in coeffs)
-    pivot = width + 1
-    rows = (KernelRow(coeffs, planted, pivot, 1),          # residual 0
-            KernelRow(coeffs, planted + 1, pivot + 1, 1),  # residual D = 1
-            KernelRow(coeffs, planted + 2, pivot + 2, 2),  # residual D = 2
+    rows = [(coeffs, planted, 0, 1),      # residual 0
+            (coeffs, planted + 1, 1, 1),  # residual D = 1
+            (coeffs, planted + 2, 2, 2),  # residual D = 2
             # the group accepts where the first row's residual is 1, the
             # one place where both rows are D
-            KernelRow(coeffs, planted + 1, pivot + 3, 1),
-            KernelRow(coeffs, planted + 2, pivot + 3, 2))
-    return KernelInstance(tuple(range(1, width + 1)), rows, width + 4)
+            (coeffs, planted + 1, 3, 1),
+            (coeffs, planted + 2, 3, 2)]
+    return _kernel(width, rows)
 
 
 @pytest.mark.parametrize("width", [5, 13, 16])
@@ -812,8 +847,9 @@ def test_rows_sharing_a_table_keep_their_own_acceptance(width):
     for _ in range(3):
         kern = _shared_rows(rng, width)
         low = min(width, BLOCK_BITS)
-        coeffs = [row.coeffs for row in kern.rows]
-        dens = [row.den for row in kern.rows]
+        coeffs = [{pos: row[c] for pos, c in enumerate(kern.free_cols) if c in row}
+                  for row in kern.rows]
+        dens = _dens(kern)
         _, maps = kernel_module._low_tables(coeffs, dens, low)
         assert maps[0] is maps[1] is maps[3]
         assert maps[2] is maps[4] is not maps[0]
@@ -823,20 +859,19 @@ def test_rows_sharing_a_table_keep_their_own_acceptance(width):
         assert _agreed_count(kern) > 0
 
 
-def _one_path(depth: int, extra: int = 0) -> KernelInstance:
+def _one_path(depth: int, extra: int = 0) -> RrefResult:
     """A kernel ``depth`` bits wider than the block, with one row per high
     bit that accepts it at 0 only: the walk follows one path ``depth``
     levels down.  ``extra`` more free bits are read by no row."""
     d = BLOCK_BITS + depth + extra
-    rows = tuple(KernelRow(tuple(int(p == pos) for p in range(d)), 0, d + 1 + pos)
-                 for pos in range(BLOCK_BITS, BLOCK_BITS + depth))
-    return KernelInstance(tuple(range(1, d + 1)), rows, d + depth)
+    return _kernel(d, [(tuple(int(p == pos) for p in range(d)), 0, pos, 1)
+                       for pos in range(BLOCK_BITS, BLOCK_BITS + depth)])
 
 
 def test_count_blocks_walks_to_its_depth_ceiling_and_refuses_beyond():
     depth = kernel_module.MAX_WALK_DEPTH
     kern = _one_path(depth)
-    assert count_blocks(kern, max_free=kern.width) == (1 << BLOCK_BITS, None)
+    assert count_blocks(kern, max_free=kern.nullity) == (1 << BLOCK_BITS, None)
     wider = _one_path(depth, extra=1)
-    with pytest.raises(CapacityError, match=f"{wider.width} free variables"):
-        count_blocks(wider, max_free=wider.width)
+    with pytest.raises(CapacityError, match=f"{wider.nullity} free variables"):
+        count_blocks(wider, max_free=wider.nullity)

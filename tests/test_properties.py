@@ -27,7 +27,6 @@ from xsat import (
     count_blocks,
     count_kernel,
     encode_sys,
-    extract_kernel,
     gauss_jordan,
     naive_count,
     naive_count_cnf,
@@ -165,7 +164,7 @@ def _assert_signed_matches_positive(f: XsatFormula, positive: XsatFormula):
     h = positive.num_vars - f.num_vars
     signed = build_kernel(encode_sys(f), "gauss")
     pos = build_kernel(encode_sys(positive), "gauss")
-    assert pos.width == signed.width
+    assert pos.nullity == signed.nullity
     assert pos.rank == signed.rank + h
     assert pos.inconsistent == signed.inconsistent
 
@@ -258,14 +257,16 @@ def test_integer_elimination_matches_rational_elimination(f):
     rref = gauss_jordan(system)
     dense = dense_gauss_jordan(system)
     assert_matches_dense(rref, dense)
-    kern = extract_kernel(rref)
-    assert len(kern.rows) == dense.rank
-    for row, rational in zip(kern.rows, dense.rows):
-        # D is the least common denominator of the rational row
-        assert row.den > 0 and math.gcd(row.den, row.rhs, *row.coeffs) == 1
-        assert [Fraction(c, row.den) for c in row.coeffs] == [
+    assert len(rref.rows) == dense.rank
+    for row, pivot, rational in zip(rref.rows, rref.pivot_cols, dense.rows):
+        # D, the pivot entry, is the least common denominator of the
+        # rational row, which holds only its pivot, free columns and rhs
+        den, rhs = row[pivot], row.get(f.num_vars, 0)
+        coeffs = [row.get(c, 0) for c in rref.free_cols]
+        assert den > 0 and math.gcd(den, rhs, *coeffs) == 1
+        assert [Fraction(c, den) for c in coeffs] == [
             rational[c] for c in dense.free_cols]
-        assert Fraction(row.rhs, row.den) == rational[f.num_vars]
+        assert Fraction(rhs, den) == rational[f.num_vars]
 
 
 @FIXED

@@ -18,7 +18,8 @@ from xsat.generator import (
     gen_partition,
     gen_random,
 )
-from xsat.kernel import KernelInstance, KernelRow, build_kernel, extract_kernel
+from xsat.kernel import build_kernel
+from xsat.linsys import RrefResult
 from xsat.oracle import naive_count, naive_models
 from xsat.substitution import expansion_profile, substitute
 
@@ -106,20 +107,15 @@ def as_split(rref) -> tuple:
             frozenset(c + 1 for c in rref.free_cols), rref.inconsistent)
 
 
-def kernel_from_constraints(cons: list[tuple], num_vars: int) -> KernelInstance:
-    """Reference extraction (the former ``kernel_from_substitution``): the
-    constraint lhs = const + sum(c * v) becomes a row with pivot lhs,
-    coefficients -c on the free side, rhs const and denominator 1."""
-    _, _, dependent, _ = _split(cons, num_vars)
-    free_vars = tuple(sorted(dependent))
-    col_of = {v: i for i, v in enumerate(free_vars)}
-    rows = []
-    for lhs, const, body in cons:
-        coeffs = [0] * len(free_vars)
-        for v, c in body.items():
-            coeffs[col_of[v]] = -c
-        rows.append(KernelRow(tuple(coeffs), const, lhs))
-    return KernelInstance(free_vars, tuple(rows), num_vars)
+def kernel_from_constraints(cons: list[tuple], num_vars: int) -> RrefResult:
+    """Reference kernel (the former ``kernel_from_substitution``): the
+    constraint lhs = const + sum(c * v) becomes a row with pivot lhs, entry
+    1 there, -c at each body variable and rhs const, so its D is 1; the
+    flag is :func:`_split`'s."""
+    rows = [{lhs - 1: 1, **{v - 1: -c for v, c in body.items()},
+             **({num_vars: const} if const else {})} for lhs, const, body in cons]
+    return RrefResult.of(rows, [lhs - 1 for lhs, _, _ in cons], num_vars,
+                         _split(cons, num_vars)[3])
 
 
 def spliced_profile(f: XsatFormula) -> list[int]:
@@ -291,7 +287,7 @@ def _assert_matches_reference(f: XsatFormula):
     res = _subst(f)
     ref = sweep_to_fixpoint(f)
     assert as_split(res) == ref
-    assert extract_kernel(res) == kernel_from_constraints(ref[0], f.num_vars)
+    assert res == kernel_from_constraints(ref[0], f.num_vars)
     assert expansion_profile(f) == spliced_profile(f)
 
 
@@ -334,8 +330,8 @@ def test_star_subst_kernel_is_wider_than_two_thirds_of_the_variables():
     star = XsatFormula(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7)))
     system = encode_sys(star)
     subst, gauss = build_kernel(system, "subst"), build_kernel(system, "gauss")
-    assert (subst.width, subst.rank) == (6, 1)
-    assert (gauss.width, gauss.rank) == (4, 3)
-    assert 3 * subst.width > 2 * star.num_vars
+    assert (subst.nullity, subst.rank) == (6, 1)
+    assert (gauss.nullity, gauss.rank) == (4, 3)
+    assert 3 * subst.nullity > 2 * star.num_vars
     assert solve(star, "subst").count == solve(star, "gauss").count == 9
     assert naive_count(star) == 9
