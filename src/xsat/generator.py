@@ -5,12 +5,22 @@ golden-ratio increment, two xor-shift-multiply finalization rounds) so the
 same seed produces the same instance on every platform and Python version;
 nothing here touches the stdlib random module.  Batch generation derives
 per-instance seeds as ``seed ^ index``.
+
+``gen_random`` draws the same stream in blocks: the state after i steps is
+seed + i*gamma mod 2^64, so 256 outputs are computed at once as 64-bit lanes
+of one Python int.  The lanes sit 128 bits apart, so a lane's product with
+a 64-bit multiplier stays below 2^128 and never carries into the next lane;
+masking back to each lane's low 64 bits after every step keeps the
+arithmetic modulo 2^64.  The scalar ``SplitMix64`` is the reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .formula import Triple, XsatError, XsatFormula
 
@@ -23,6 +33,9 @@ class SpecError(XsatError):
 
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_SHIFT1, _SHIFT2, _SHIFT3 = 30, 27, 31
 
 
 class SplitMix64:
@@ -34,11 +47,11 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        z = ((z ^ (z >> _SHIFT1)) * _MUL1) & _MASK
+        z = ((z ^ (z >> _SHIFT2)) * _MUL2) & _MASK
+        return z ^ (z >> _SHIFT3)
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -65,6 +78,36 @@ class SplitMix64:
         return tuple(sorted(picked))  # type: ignore[return-value]
 
 
+# The block stream's lane constants: LANES holds 1 in every lane, STEPS
+# holds (j+1)*gamma in lane j and LOW masks every lane to its low 64 bits.
+_BLOCK = 256
+LANES = sum(1 << (128 * j) for j in range(_BLOCK))
+LOW = LANES * _MASK
+STEPS = sum(((j + 1) * _GAMMA & _MASK) << (128 * j) for j in range(_BLOCK))
+# memoryview's "Q" is native-endian: the low half of lane j is item 2j on a
+# little-endian host and item 2*_BLOCK - 1 - 2j on a big-endian one
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _block(state: int) -> memoryview:
+    """The _BLOCK outputs that follow ``state``, as native 64-bit items."""
+    z = (state * LANES + STEPS) & LOW
+    z = ((z ^ (z >> _SHIFT1)) & LOW) * _MUL1 & LOW
+    z = ((z ^ (z >> _SHIFT2)) & LOW) * _MUL2 & LOW
+    z ^= z >> _SHIFT3  # leaves garbage in the high halves, which are not read
+    return memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_HALVES]
+
+
+def _below(seed: int, n: int) -> Iterator[int]:
+    """Endless iterator equal, value for value, to repeated
+    ``SplitMix64(seed).randbelow(n)``."""
+    limit = _MASK + 1 - (_MASK + 1) % n
+    stride = _BLOCK * _GAMMA
+    return chain.from_iterable(
+        [v % n for v in _block((seed + i * stride) & _MASK) if v < limit]
+        for i in count())
+
+
 @dataclass(frozen=True)
 class GenSpec:
     r: int
@@ -87,6 +130,11 @@ def gen_random(spec: GenSpec) -> XsatFormula:
     a variable uncovered.  At the density floor k = r/3 only perfect
     partitions are valid, so a random partition is drawn directly (same
     conditional distribution, no rejection storm).  Deterministic per seed.
+
+    The draws are ``SplitMix64(seed).randbelow(r)`` read in blocks of 256
+    (see the module docstring), and each triple is held as the bitmask of
+    its three variables until a clause set is accepted; the formula is the
+    one the scalar stream's ``triple`` draws give.
     """
     r, k = spec.r, spec.k
     if r < 3:
@@ -98,21 +146,33 @@ def gen_random(spec: GenSpec) -> XsatFormula:
         raise SpecError(f"k={k} exceeds r={r}; only instances with r >= k")
     if k > math.comb(r, 3):
         raise SpecError(f"k={k} exceeds the number of distinct triples")
-    rng = SplitMix64(spec.seed)
-
     if 3 * k == r:
         order = list(range(1, r + 1))
-        rng.shuffle(order)
+        SplitMix64(spec.seed).shuffle(order)
         triples = [tuple(sorted(order[3 * i:3 * i + 3])) for i in range(k)]
         return XsatFormula(r, tuple(triples))  # type: ignore[arg-type]
 
+    bits = [1 << v for v in range(r)]
+    draw = map(bits.__getitem__, _below(spec.seed, r)).__next__
+    full = (1 << r) - 1
     for _ in range(RETRY_CAP):
-        seen: set[Triple] = set()
+        seen: set[int] = set()
+        covered = 0
         while len(seen) < k:
-            seen.add(rng.triple(r))
-        covered = {v for t in seen for v in t}
-        if len(covered) == r:
-            return XsatFormula(r, tuple(seen))
+            a = draw()
+            b = draw()
+            while b == a:
+                b = draw()
+            ab = a | b
+            c = draw()
+            while c & ab:
+                c = draw()
+            t = ab | c
+            seen.add(t)
+            covered |= t
+        if covered == full:
+            return XsatFormula(r, tuple(
+                tuple(v + 1 for v in range(r) if t >> v & 1) for t in seen))
     raise SpecError(f"no covering clause set found in {RETRY_CAP} attempts")
 
 

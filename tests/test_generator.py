@@ -1,18 +1,22 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from xsat import kappa, naive_count, solve, validate
 from xsat.generator import (
+    RETRY_CAP,
     GenSpec,
     SpecError,
     SplitMix64,
+    _below,
     gen_fib_chain,
     gen_fixed_rank,
     gen_partition,
     gen_random,
     generate,
 )
+from xsat.formula import XsatFormula
 from xsat.substitution import expansion_profile
 
 from test_linsys import rank_of
@@ -26,6 +30,42 @@ def test_splitmix_reference_stream():
         3203168211198807973,
         9817491932198370423,
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1, -987654321])
+@pytest.mark.parametrize("n", [1, 7, 19, 3**39])
+def test_block_stream_matches_randbelow(seed, n):
+    # three and a half blocks of 256; seed 2^64-1 wraps the state in the
+    # first block, and 3^39 rejects about one output in eight
+    rng = SplitMix64(seed)
+    count = 900
+    assert list(islice(_below(seed, n), count)) == [
+        rng.randbelow(n) for _ in range(count)]
+
+
+def _reference_random(spec: GenSpec) -> XsatFormula:
+    # gen_random's rejection loop drawn one scalar triple at a time
+    r, k = spec.r, spec.k
+    rng = SplitMix64(spec.seed)
+    for _ in range(RETRY_CAP):
+        seen = set()
+        while len(seen) < k:
+            seen.add(rng.triple(r))
+        covered = {v for t in seen for v in t}
+        if len(covered) == r:
+            return XsatFormula(r, tuple(seen))
+    raise SpecError("no covering clause set")
+
+
+@pytest.mark.parametrize("r,k,trials", [
+    (16, 8, 4), (19, 10, 3), (19, 12, 3),
+    (11, 4, 6), (13, 5, 6), (14, 5, 2),
+])
+def test_gen_random_matches_scalar_reference(r, k, trials):
+    # oracle-check's shapes and near-floor shapes that reject most draws
+    for trial in range(trials):
+        spec = GenSpec(r=r, k=k, seed=trial * 7919 + 3)
+        assert gen_random(spec) == _reference_random(spec)
 
 
 def test_randbelow_range_and_determinism():
