@@ -72,7 +72,7 @@ def _load(path: str) -> XsatFormula | CnfFormula:
 def cmd_solve(args) -> int:
     f = _load(args.input)
     rep = solve(f, method=args.method, max_free=args.max_free,
-                witness_cap=args.witnesses or None, checked=True)
+                witness_cap=args.witnesses or None)
     sys.stdout.write(emit_report(rep).decode("utf-8"))
     # a CNF model is the witness's source part, after the m carries a_j
     m = f.num_clauses if isinstance(f, CnfFormula) else 0
@@ -84,8 +84,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    rep = solve(_load(args.input), method=args.method,
-                max_free=args.max_free, checked=True)
+    rep = solve(_load(args.input), method=args.method, max_free=args.max_free)
     print(rep.count)
     return EXIT_OK
 
@@ -103,7 +102,7 @@ def cmd_kernel(args) -> int:
     print(f"p ipe {kern.nullity} {len(kern.rows)}")
     for row, pivot in zip(kern.rows, kern.pivot_cols):
         *coeffs, rhs = (Fraction(row.get(c, 0), row[pivot])
-                        for c in kern.free_cols + (system.num_vars,))
+                        for c in kern.free_cols + (kern.num_vars,))
         print(*coeffs, "=", rhs)
     return EXIT_OK
 

@@ -17,8 +17,10 @@ disjunctions, the input of the reduction chain).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 BOTTOM = 0
@@ -47,7 +49,7 @@ class CapacityError(XsatError):
 VIOLATIONS_SHOWN = 5
 
 
-def describe_violations(violations: list[str]) -> str:
+def describe_violations(violations: Sequence[str]) -> str:
     """The violation count and the first ``VIOLATIONS_SHOWN`` violations."""
     shown = "; ".join(violations[:VIOLATIONS_SHOWN])
     hidden = len(violations) - VIOLATIONS_SHOWN
@@ -119,6 +121,8 @@ class XsatFormula:
     content equality and duplicate detection is syntactic.  Instances are
     immutable and safe to share across workers.  A clause of another width
     than 3 raises ``ValueError``.  The order is :func:`literal_sort_key`'s.
+    ``violations`` is :func:`validate`'s result, worked out on first use
+    and kept: the formula cannot change under it.
     """
 
     num_vars: int
@@ -135,6 +139,10 @@ class XsatFormula:
 
     def variables_used(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c if l != BOTTOM}
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        return tuple(validate(self))
 
 
 @dataclass(frozen=True)
@@ -251,8 +259,7 @@ def validate(f: XsatFormula) -> list[str]:
 
 
 def check_valid(f: XsatFormula) -> XsatFormula:
-    """Raise :class:`ValidationError` unless ``validate`` returns no violations."""
-    violations = validate(f)
-    if violations:
-        raise ValidationError(violations)
+    """Raise :class:`ValidationError` unless ``f.violations`` is empty."""
+    if f.violations:
+        raise ValidationError(list(f.violations))
     return f

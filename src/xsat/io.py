@@ -43,7 +43,6 @@ from .formula import (
     XsatError,
     XsatFormula,
     describe_violations,
-    validate,
 )
 
 
@@ -182,7 +181,8 @@ def parse_dimacs_cnf(data) -> CnfFormula:
 
 
 def parse_xsat(data) -> XsatFormula:
-    """Parse the XSAT format and reject anything ``validate`` rejects."""
+    """Parse the XSAT format and reject anything ``validate`` rejects; the
+    formula returned keeps that result as its ``violations``."""
     tag, r, header_line, clauses = _read(data, ("xsat", "xsat+"), _xsat_clause)
     k = len(clauses)
     if r > 3 * k:
@@ -190,9 +190,8 @@ def parse_xsat(data) -> XsatFormula:
         raise ParseError(f"header declares {clip(r)} variables but {k} "
                          f"clauses can cover at most {3 * k}", header_line)
     f = XsatFormula(r, tuple(clauses), positive=tag == "xsat+")
-    violations = validate(f)
-    if violations:
-        raise ParseError("invalid instance: " + describe_violations(violations))
+    if f.violations:
+        raise ParseError("invalid instance: " + describe_violations(f.violations))
     return f
 
 

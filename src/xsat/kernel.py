@@ -3,14 +3,15 @@
 There is one route from a formula to a kernel: ``encode_sys``, then
 ``build_kernel`` on the encoded rows, which runs ``gauss_jordan`` or
 ``substitute``.  The ``RrefResult`` either one returns is the kernel: its
-sparse integer rows, pivot and free columns, rank, nullity and
-consistency flag, with no second copy of the rows.  A 3-CNF takes the
-same route on its carry rows, one per clause, which both methods return
-as encoded: rank m and width n + m.  Every pivot variable is then an
-affine function of the free variables.  A free assignment s extends to a
-model exactly when every row's residual lands in {0, 1}; the residual
-then IS the pivot variable's value, so counting admissible free
-assignments counts models, with no separate back-substitution pass.
+sparse integer rows, pivot columns, variable count and consistency flag,
+from which its free columns, rank and nullity follow, with no second copy
+of the rows.  A 3-CNF takes the same route on its carry rows, one per
+clause, which both methods return as encoded: rank m and width n + m.
+Every pivot variable is then an affine function of the free variables.
+A free assignment s extends to a model exactly when every row's residual
+lands in {0, 1}; the residual then IS the pivot variable's value, so
+counting admissible free assignments counts models, with no separate
+back-substitution pass.
 
 A row's D is its pivot entry, and the residual test is
 ``rhs - sum(coeff * s)`` in {0, D} over the free columns s.  An RREF row
@@ -113,7 +114,7 @@ def _exact_rows(
     residual is in {0, D0} and every exact row's residual is 0.
     """
     pos = {c: i for i, c in enumerate(rref.free_cols)}
-    rhs_col = rref.rank + rref.nullity
+    rhs_col = rref.num_vars
     first: dict[int, dict[int, int]] = {}
     coeffs, rhs, dens = [], [], []
     for row, pivot in zip(rref.rows, rref.pivot_cols):
@@ -226,9 +227,11 @@ def _gray_rank(g: int) -> int:
     return s
 
 
-def _models(rref: RrefResult, words: list[int]):
+def _models(rref: RrefResult, coeffs: list[dict[int, int]], rhs: list[int],
+            dens: list[int], words: list[int]):
     """Yield the models whose free bits are the given words, in the flat
-    walk's order.
+    walk's order; ``coeffs``, ``rhs`` and ``dens`` are the rows of ``rref``
+    as :func:`_exact_rows` reads them.
 
     Bit p of a word is free bit p, column ``free_cols[p]``.  The flat walk
     visits the word g at step ``_gray_rank(g)``, so the words are taken in
@@ -237,12 +240,11 @@ def _models(rref: RrefResult, words: list[int]):
     a model, the rows that share a pivot agree on that, so the first one,
     the one that is no exact row, stands for them all.
     """
-    coeffs, rhs, dens = _exact_rows(rref)
     pivots = [(col, r, [(c, 1 << p) for p, c in row.items()])
               for col, row, r, den in zip(rref.pivot_cols, coeffs, rhs, dens)
               if den]
     for g in sorted(words, key=_gray_rank):
-        a = [0] * (rref.rank + rref.nullity)
+        a = [0] * rref.num_vars
         for p, col in enumerate(rref.free_cols):
             a[col] = g >> p & 1
         for col, r, terms in pivots:
@@ -342,7 +344,8 @@ def count_blocks(
     del walk
     if witness_cap is None or count > witness_cap:
         return count, None
-    return count, tuple(_models(rref, words))
+    # the walk has restored every residual in res to the row's rhs
+    return count, tuple(_models(rref, coeffs, res, dens, words))
 
 
 def repr_size(f: XsatFormula | CnfFormula) -> float:
@@ -386,20 +389,19 @@ def solve(
     method: str = "gauss",
     max_free: int = DEFAULT_MAX_FREE,
     witness_cap: int | None = None,
-    checked: bool = False,
 ) -> SolveReport:
     """Full pipeline: ``encode_sys``, then ``build_kernel``, then count.
 
     ``witness_cap`` is passed to :func:`count_blocks`: None lists nothing;
     for a 3-CNF the witnesses hold the carries too, and a model is bits
-    m+1..m+n of its witness.  ``checked=True`` says an XSAT ``f`` has
-    already passed ``validate``, so it is not checked again; otherwise a
-    malformed one raises ``ValidationError``.  A ``CnfFormula`` validates
-    itself when it is constructed.  An inconsistent kernel counts 0 with no
-    walk.  The report carries the kernel it counted, and its rank and
-    nullity are the kernel's.
+    m+1..m+n of its witness.  A malformed XSAT ``f`` raises
+    ``ValidationError``; ``check_valid`` reads the formula's ``violations``,
+    so a formula is validated once however often it is parsed or solved.
+    A ``CnfFormula`` validates itself when it is constructed.  An
+    inconsistent kernel counts 0 with no walk.  The report carries the
+    kernel it counted, and its rank and nullity are the kernel's.
     """
-    if not (checked or isinstance(f, CnfFormula)):
+    if not isinstance(f, CnfFormula):
         check_valid(f)
     t0 = time.perf_counter()
     system = encode_sys(f)

@@ -36,7 +36,7 @@ as index lists instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .formula import CnfFormula, XsatFormula
 
@@ -63,39 +63,36 @@ class RrefResult:
     like :class:`LinearSystem` rows.  Row i is primitive with a positive
     entry at ``pivot_cols[i]``; that entry is the row's D, the least common
     denominator of the rational row.  Besides its own pivot column, no
-    row holds a pivot column.  ``pivot_cols`` and ``free_cols`` are 0-based column indices
-    into the original variable order; ``rank + nullity`` is the number of
-    variables, and ``inconsistent`` is set when elimination produced a row
-    that is zero on every variable column but nonzero in the augmented
-    column.
+    row holds a pivot column.  ``pivot_cols`` are 0-based column indices
+    into the original variable order, and column ``num_vars`` is the
+    augmented one.  ``inconsistent`` is set when elimination produced a
+    row that is zero on every variable column but nonzero in the augmented
+    column.  ``free_cols``, the variable columns that are no pivot, is set
+    from the two, and ``rank`` and ``nullity`` are read off it.
 
     :func:`xsat.substitution.substitute` returns the same type with every
     D equal to 1, and there ``pivot_cols`` can repeat: two rows solved for
-    the same variable.  ``rank`` counts the distinct pivots, and
-    ``free_cols`` are the columns that are no pivot.
+    the same variable.  ``rank`` counts the distinct pivots.
     """
 
     rows: tuple[dict[int, int], ...]
     pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-    rank: int
-    nullity: int
+    num_vars: int
     inconsistent: bool
+    free_cols: tuple[int, ...] = field(init=False)
 
-    @classmethod
-    def of(cls, rows: list[dict[int, int]], pivot_cols: list[int],
-           num_vars: int, inconsistent: bool) -> RrefResult:
-        """The result for these rows and their pivots: the rank counts the
-        distinct pivots, and every other variable column is free."""
-        pivots = set(pivot_cols)
-        return cls(
-            rows=tuple(rows),
-            pivot_cols=tuple(pivot_cols),
-            free_cols=tuple(c for c in range(num_vars) if c not in pivots),
-            rank=len(pivots),
-            nullity=num_vars - len(pivots),
-            inconsistent=inconsistent,
-        )
+    def __post_init__(self):
+        pivots = set(self.pivot_cols)
+        object.__setattr__(self, "free_cols", tuple(
+            c for c in range(self.num_vars) if c not in pivots))
+
+    @property
+    def rank(self) -> int:
+        return self.num_vars - len(self.free_cols)
+
+    @property
+    def nullity(self) -> int:
+        return len(self.free_cols)
 
 
 def encode_sys(f: XsatFormula | CnfFormula) -> LinearSystem:
@@ -166,10 +163,8 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int):
             row[c] //= common
 
 
-def back_substitute(rows: list[dict[int, int]],
-                    pivot_cols: list[int]) -> dict[int, dict[int, int]]:
-    """In place: clear from each row every pivot column but its own, and
-    return each pivot column's last row solved for it.
+def back_substitute(rows: list[dict[int, int]], pivot_cols: list[int]):
+    """In place: clear from each row every pivot column but its own.
 
     ``rows[i]`` is solved for ``pivot_cols[i]`` and has a positive entry
     there; rows past the pivots are left alone, and pivots may repeat.  No
@@ -187,14 +182,15 @@ def back_substitute(rows: list[dict[int, int]],
         for col in [c for c in row if c != pivot and c in last]:
             _eliminate(row, last[col], col)
         last.setdefault(pivot, row)
-    return last
 
 
 def _reduce(system: LinearSystem,
             sparsest: bool) -> tuple[list[dict[int, int]], list[int]]:
-    """The forward sweep of :func:`integer_rref`, with the sparsest holder of
-    each column as its pivot row when ``sparsest`` is set, else the first,
-    then :func:`back_substitute`."""
+    """The sweeps of :func:`gauss_jordan`: (rows, pivot columns), with the
+    sparsest holder of each column as its pivot row when ``sparsest`` is
+    set, else the first.  The first ``len(pivot_cols)`` rows are the pivot
+    rows in order, each with a positive pivot entry; the rest are zero on
+    every variable column."""
     rows = [dict(_primitive(row)) for row in system.rows]
     n_rows = len(rows)
     pivot_cols: list[int] = []
@@ -219,14 +215,13 @@ def _reduce(system: LinearSystem,
     return rows, pivot_cols
 
 
-def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
-    """Sparse fraction-free reduction: (rows, pivot columns).
+def gauss_jordan(system: LinearSystem) -> RrefResult:
+    """Reduced row echelon form by sparse fraction-free reduction, with the
+    all-zero rows dropped.  Inconsistency is a flag, never an exception.
 
     Reads the system's ``rows`` and never modifies them: each is copied once,
     divided by the gcd of its values, and every update after that rewrites
-    a copy in place as ``row = p*row - g*pivot_row``, kept primitive.  The
-    first ``len(pivot_cols)`` rows are the pivot rows in order, each with a
-    positive pivot entry; the rest are zero on every variable column.
+    a copy in place as ``row = p*row - g*pivot_row``, kept primitive.
 
     A forward sweep, then :func:`back_substitute`.  The forward sweep takes
     the columns left to right.  It finds the rows at or below the current
@@ -248,18 +243,9 @@ def integer_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]
     pivot row, the rule the printed kernels and the rational reference use.
     """
     rows, pivot_cols = _reduce(system, sparsest=True)
-    if any(rows[i] for i in range(len(pivot_cols), len(rows))):
-        rows, pivot_cols = _reduce(system, sparsest=False)
-    return rows, pivot_cols
-
-
-def gauss_jordan(system: LinearSystem) -> RrefResult:
-    """Reduced row echelon form, pivot rule as in :func:`integer_rref`.
-
-    Keeps the pivot rows of the integer reduction and drops the all-zero
-    rows.  Inconsistency is a flag, never an exception.
-    """
-    rows, pivot_cols = integer_rref(system)
     rank = len(pivot_cols)
-    return RrefResult.of(rows[:rank], pivot_cols, system.num_vars,
-                         inconsistent=any(rows[rank:]))
+    inconsistent = any(rows[rank:])
+    if inconsistent:
+        rows, pivot_cols = _reduce(system, sparsest=False)
+    return RrefResult(tuple(rows[:rank]), tuple(pivot_cols), system.num_vars,
+                      inconsistent)

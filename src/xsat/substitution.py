@@ -63,15 +63,15 @@ def substitute(system: LinearSystem) -> RrefResult:
             inconsistent = True
     rows.sort(key=min)  # by the lowest variable; stable: ties keep row order
     pivot_cols = [min(row) for row in rows]
-    solved = back_substitute(rows, pivot_cols)
-    if len(solved) < len(rows):  # only rows sharing a pivot can contradict
+    back_substitute(rows, pivot_cols)
+    if len(set(pivot_cols)) < len(rows):  # only rows sharing a pivot can contradict
         rhs_of: dict[frozenset, int] = {}
         for row in rows:
             rhs = row.get(n_vars, 0)
             body = frozenset((c, v) for c, v in row.items() if c != n_vars)
             if rhs_of.setdefault(body, rhs) != rhs:
                 inconsistent = True
-    return RrefResult.of(rows, pivot_cols, n_vars, inconsistent)
+    return RrefResult(tuple(rows), tuple(pivot_cols), n_vars, inconsistent)
 
 
 def expansion_profile(f: XsatFormula | CnfFormula) -> list[int]:

@@ -338,35 +338,31 @@ def test_negated_input_witnesses_cover_its_own_variables(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["solve", "count"])
 @pytest.mark.parametrize("text, validated", [
-    (SIX_VAR, ["parsed"]),
-    (NEGATED, ["parsed"]),
+    (SIX_VAR, ["validated"]),
+    (NEGATED, ["validated"]),
     (ONE_CNF, ["constructed"]),
 ], ids=["xsat+", "xsat", "cnf"])
 def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
                                         command, text, validated):
-    # parse_xsat validates what it reads and a CnfFormula itself when it is
-    # constructed; a formula parsed and solved unchanged, negations and
-    # all, is not validated twice
+    # an XSAT formula keeps its one validation, which parse_xsat and solve
+    # both read, and a CnfFormula validates itself when it is constructed;
+    # a formula parsed and solved unchanged, negations and all, is not
+    # validated twice
     path = tmp_path / "in.txt"
     path.write_text(text)
     seen = []
-    real_validate, real_check = xsat.io.validate, kernel_module.check_valid
+    real_validate = xsat.formula.validate
     real_construct = xsat.CnfFormula.__post_init__
 
     def validate(f):
-        seen.append("parsed")
+        seen.append("validated")
         return real_validate(f)
-
-    def check_valid(f):
-        seen.append("solved")
-        return real_check(f)
 
     def construct(f):
         seen.append("constructed")
         return real_construct(f)
 
-    monkeypatch.setattr(xsat.io, "validate", validate)
-    monkeypatch.setattr(kernel_module, "check_valid", check_valid)
+    monkeypatch.setattr(xsat.formula, "validate", validate)
     monkeypatch.setattr(xsat.CnfFormula, "__post_init__", construct)
     flags = ["--count"] if command == "solve" else []
     assert main([command, "--input", str(path), *flags]) == EXIT_OK

@@ -23,6 +23,7 @@ from xsat import (
     repr_size,
     solve,
 )
+from xsat import formula as formula_module
 from xsat import kernel as kernel_module
 from xsat.generator import (
     GenSpec,
@@ -159,7 +160,7 @@ def _residuals(row: dict[int, int], kern: RrefResult) -> tuple[int, dict[int, in
     """(mask, table): ``table[bits & mask]`` is the row's residual
     ``rhs - sum(coeff * s)`` at free bits ``bits``, bit p standing for
     ``free_cols[p]``, tabulated over the free bits the row reads."""
-    mask, table = 0, {0: row.get(kern.rank + kern.nullity, 0)}
+    mask, table = 0, {0: row.get(kern.num_vars, 0)}
     for pos, col in enumerate(kern.free_cols):
         if col in row:
             mask |= 1 << pos
@@ -188,7 +189,7 @@ def gray_order_models(kern: RrefResult) -> list[tuple[int, ...]]:
         else:
             first[pivot] = mask, table
     # zeros, replaced below
-    columns = [[0] * len(walk)] * (kern.rank + kern.nullity)
+    columns = [[0] * len(walk)] * kern.num_vars
     for pos, col in enumerate(kern.free_cols):
         columns[col] = [bits >> pos & 1 for bits in walk]
     for col, (mask, table) in first.items():
@@ -242,7 +243,8 @@ def test_models_take_the_flat_walk_order_from_the_free_bits_alone():
         words = [_free_bits(kern, model) for model in models]
         assert len(set(words)) == len(words)
         rng.shuffle(words)
-        assert list(kernel_module._models(kern, words)) == models
+        rows = kernel_module._exact_rows(kern)
+        assert list(kernel_module._models(kern, *rows, words)) == models
         sizes.append(len(models))
     assert min(sizes[-5:]) > 20, sizes  # the kernels 12 and 13 wide, and subst
 
@@ -274,6 +276,20 @@ def test_solve_rejects_invalid():
         solve(XsatFormula(4, ((1, 2, 3),)))  # variable 4 uncovered
     with pytest.raises(ValidationError):
         solve(XsatFormula(3, ()))  # declared variables, no clauses at all
+
+
+def test_two_solves_validate_a_formula_once(six_var, monkeypatch):
+    seen = []
+    real = formula_module.validate
+
+    def validate(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(formula_module, "validate", validate)
+    f = dataclasses.replace(six_var)  # a copy that has not been validated
+    assert [solve(f, method).count for method in ("gauss", "subst")] == [3, 3]
+    assert seen == [f]
 
 
 def test_solve_empty_formula_counts_the_empty_assignment():
@@ -518,17 +534,18 @@ def _kernel(width: int, rows: list[tuple[tuple[int, ...], int, int, int]]
     in ascending order, so that no other column is free."""
     col = {p: width + i for i, p in enumerate(sorted({row[2] for row in rows}))}
     n_vars = width + len(col)
-    return RrefResult.of(
-        [{**{pos: c for pos, c in enumerate(coeffs) if c}, col[pivot]: den,
-          **({n_vars: rhs} if rhs else {})} for coeffs, rhs, pivot, den in rows],
-        [col[row[2]] for row in rows], n_vars, False)
+    return RrefResult(
+        tuple({**{pos: c for pos, c in enumerate(coeffs) if c}, col[pivot]: den,
+               **({n_vars: rhs} if rhs else {})}
+              for coeffs, rhs, pivot, den in rows),
+        tuple(col[row[2]] for row in rows), n_vars, False)
 
 
 def _with_rows(kern: RrefResult, rows: list[dict[int, int]],
                pivot_cols: list[int]) -> RrefResult:
     """``kern`` with ``rows``, solved for ``pivot_cols``, appended."""
-    return RrefResult.of([*kern.rows, *rows], [*kern.pivot_cols, *pivot_cols],
-                         kern.rank + kern.nullity, kern.inconsistent)
+    return RrefResult((*kern.rows, *rows), (*kern.pivot_cols, *pivot_cols),
+                      kern.num_vars, kern.inconsistent)
 
 
 def _planted_kernel(rng, width: int, n_rows: int, n_pivots: int,
@@ -614,10 +631,10 @@ def _high_part(kern: RrefResult) -> RrefResult:
     columns of the bits below are dropped and the rest renumbered."""
     low = set(kern.free_cols[:BLOCK_BITS])
     new = {c: i for i, c in enumerate(
-        c for c in range(kern.rank + kern.nullity + 1) if c not in low)}
-    return RrefResult.of(
-        [{new[c]: v for c, v in row.items() if c in new} for row in kern.rows],
-        [new[p] for p in kern.pivot_cols], len(new) - 1, kern.inconsistent)
+        c for c in range(kern.num_vars + 1) if c not in low)}
+    return RrefResult(
+        tuple({new[c]: v for c, v in row.items() if c in new} for row in kern.rows),
+        tuple(new[p] for p in kern.pivot_cols), len(new) - 1, kern.inconsistent)
 
 
 def _contradicted(kern: RrefResult) -> RrefResult:
@@ -625,7 +642,7 @@ def _contradicted(kern: RrefResult) -> RrefResult:
     copy's residual is the first row's plus D, so the two are never both 0
     or both D, and the count is 0."""
     row, pivot = kern.rows[0], kern.pivot_cols[0]
-    rhs_col = kern.rank + kern.nullity
+    rhs_col = kern.num_vars
     twin = {**row, rhs_col: row.get(rhs_col, 0) + row[pivot]}
     return _with_rows(kern, [{c: v for c, v in twin.items() if v}], [pivot])
 

@@ -25,7 +25,6 @@ from xsat.generator import (
 )
 from xsat import linsys, substitution
 from xsat.formula import CnfFormula
-from xsat.linsys import integer_rref
 from xsat.oracle import naive_models
 from xsat.reductions import reduce_cnf_to_xsat, reduce_xsat_to_positive
 
@@ -69,20 +68,11 @@ def dense_gauss_jordan(system: LinearSystem) -> RrefResult:
         all(x == 0 for x in row[:n_vars]) and row[n_vars] != 0
         for row in rows[cur:])
     kept = tuple(tuple(row) for row in rows[:cur])
-    rank = len(pivot_cols)
-    free_cols = tuple(c for c in range(n_vars) if c not in set(pivot_cols))
-    return RrefResult(
-        rows=kept,
-        pivot_cols=tuple(pivot_cols),
-        free_cols=free_cols,
-        rank=rank,
-        nullity=n_vars - rank,
-        inconsistent=inconsistent,
-    )
+    return RrefResult(kept, tuple(pivot_cols), n_vars, inconsistent)
 
 
 def first_holder_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[int]]:
-    """Reference: :func:`integer_rref` with the first row holding each column
+    """Reference: ``linsys._reduce`` with the first row holding each column
     at or below the current one as its pivot row, the rule of
     :func:`dense_gauss_jordan`.  Calls ``linsys._eliminate`` through the
     module, so a test can count its row updates."""
@@ -113,6 +103,15 @@ def first_holder_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[
     return rows, pivot_cols
 
 
+def as_result(system: LinearSystem,
+              reduced: tuple[list[dict[int, int]], list[int]]) -> RrefResult:
+    """The :func:`gauss_jordan` result of reduced rows and their pivots."""
+    rows, pivot_cols = reduced
+    rank = len(pivot_cols)
+    return RrefResult(tuple(rows[:rank]), tuple(pivot_cols), system.num_vars,
+                      any(rows[rank:]))
+
+
 def rank_of(f: XsatFormula) -> tuple[int, int]:
     """(rank, nullity) of the clause equation system."""
     res = gauss_jordan(encode_sys(f))
@@ -121,7 +120,7 @@ def rank_of(f: XsatFormula) -> tuple[int, int]:
 
 def rational_rows(res: RrefResult) -> tuple[tuple[Fraction, ...], ...]:
     """Each kept integer row divided by its pivot entry, as dense Fractions."""
-    n_vars = res.rank + res.nullity
+    n_vars = res.num_vars
     return tuple(tuple(F(row.get(c, 0), row[pivot]) for c in range(n_vars + 1))
                  for row, pivot in zip(res.rows, res.pivot_cols))
 
@@ -161,8 +160,10 @@ def _random_integer_system(n_rows: int, n_vars: int, seed: int) -> LinearSystem:
 def _assert_same_rref(system: LinearSystem):
     sparse = gauss_jordan(system)
     assert_matches_dense(sparse, dense_gauss_jordan(system))
-    rows, pivot_cols = integer_rref(system)
-    assert pivot_cols == list(sparse.pivot_cols)
+    # the reduction gauss_jordan kept, zero rows included
+    reduced = linsys._reduce(system, sparsest=not sparse.inconsistent)
+    assert as_result(system, reduced) == sparse
+    rows, pivot_cols = reduced
     for row in rows:
         assert all(isinstance(v, int) and v for v in row.values())
         assert math.gcd(*row.values()) in (0, 1), row
@@ -219,6 +220,14 @@ def test_gauss_six_var(six_var):
     assert res.pivot_cols == (0, 1, 2, 3)
     assert res.free_cols == (4, 5)
     assert not res.inconsistent
+
+
+def test_rref_result_derives_free_columns_rank_and_nullity():
+    # two rows solved for column 0, as substitution may leave them: the
+    # rank counts the column once
+    rows = ({0: 1, 1: 1, 4: 1}, {0: 1, 3: -1}, {2: 1, 3: 1, 4: 1})
+    res = RrefResult(rows, (0, 0, 2), 4, False)
+    assert (res.rank, res.nullity, res.free_cols) == (2, 2, (1, 3))
 
 
 def test_gauss_dense_unsat_is_rationally_consistent(dense_unsat):
@@ -319,8 +328,8 @@ def test_sparse_rref_equals_dense_on_criterion2_ensemble():
 def test_sparse_rref_equals_dense_on_families():
     formulas = [gen_partition(r) for r in (3, 6, 15, 30)]
     formulas += [gen_fib_chain(k) for k in (2, 5, 12, 30)]
-    formulas += [gen_fixed_rank(rank + nullity, rank)
-                 for rank, nullity in ((7, 12), (11, 14), (11, 22), (20, 20))]
+    formulas += [gen_fixed_rank(rank + width, rank)
+                 for rank, width in ((7, 12), (11, 14), (11, 22), (20, 20))]
     for f in formulas:
         _assert_same_rref(encode_sys(f))
 
@@ -380,7 +389,7 @@ def test_elimination_leaves_its_input_alone(six_var):
         before = copy.deepcopy(system.rows)
         gauss_jordan(system)
         assert system.rows == before
-        integer_rref(system)
+        linsys._reduce(system, sparsest=False)
         assert system.rows == before
 
 
@@ -410,7 +419,7 @@ def test_sparsest_pivot_keeps_a_consistent_rref(system):
     res = gauss_jordan(system)
     assert not res.inconsistent
     _assert_same_rref(system)
-    assert integer_rref(system) == first_holder_rref(system)
+    assert linsys._reduce(system, sparsest=True) == first_holder_rref(system)
 
 
 # inconsistent systems whose right-hand sides differ between the two rules
@@ -430,8 +439,10 @@ INCONSISTENT_PIVOT_SYSTEMS = (
 def test_inconsistent_systems_keep_the_first_holder_rhs(system):
     reference = first_holder_rref(system)
     assert linsys._reduce(system, sparsest=True) != reference
-    assert integer_rref(system) == reference
-    assert gauss_jordan(system).inconsistent
+    assert linsys._reduce(system, sparsest=False) == reference
+    res = gauss_jordan(system)
+    assert res == as_result(system, reference)
+    assert res.inconsistent
     _assert_same_rref(system)
 
 
@@ -448,11 +459,14 @@ def test_sparsest_pivot_eliminates_less(monkeypatch):
         update(row, pivot, col)
 
     monkeypatch.setattr(linsys, "_eliminate", counted)
-    result = integer_rref(system)
+    result = gauss_jordan(system)
     sparsest_calls, calls = calls, 0
-    assert result == first_holder_rref(system)
-    assert not gauss_jordan(system).inconsistent
-    assert 0 < sparsest_calls < calls
+    reference = first_holder_rref(system)
+    first_holder_calls = calls
+    assert result == as_result(system, reference)
+    assert not result.inconsistent
+    assert linsys._reduce(system, sparsest=True) == reference
+    assert 0 < sparsest_calls < first_holder_calls
 
 
 def test_both_methods_share_one_back_substitution(monkeypatch, six_var):
@@ -480,6 +494,7 @@ def test_back_substitution_matches_the_column_sweep_on_repeated_clauses():
     f = reduce_cnf_to_xsat(CnfFormula(3, ((1, 2, 3),) * 40))
     f = reduce_xsat_to_positive(f)
     system = encode_sys(f)
-    rows, pivot_cols = integer_rref(system)
-    assert (rows, pivot_cols) == first_holder_rref(system)
-    assert len(pivot_cols) == len(system.rows)  # full row rank
+    reference = first_holder_rref(system)
+    res = gauss_jordan(system)
+    assert res == as_result(system, reference)
+    assert res.rank == len(system.rows)  # full row rank, so no zero rows

@@ -95,7 +95,7 @@ def sweep_to_fixpoint(f: XsatFormula) -> tuple:
 def constraints(rref) -> list[tuple]:
     """``substitute``'s rows as ``(lhs, const, body)`` constraints: a row
     solved for column p reads ``x_{p+1} = rhs - sum(coef * x)``."""
-    n_vars = rref.rank + rref.nullity
+    n_vars = rref.num_vars
     return [(p + 1, row.get(n_vars, 0),
              {c + 1: -v for c, v in row.items() if c not in (p, n_vars)})
             for row, p in zip(rref.rows, rref.pivot_cols)]
@@ -114,8 +114,8 @@ def kernel_from_constraints(cons: list[tuple], num_vars: int) -> RrefResult:
     flag is :func:`_split`'s."""
     rows = [{lhs - 1: 1, **{v - 1: -c for v, c in body.items()},
              **({num_vars: const} if const else {})} for lhs, const, body in cons]
-    return RrefResult.of(rows, [lhs - 1 for lhs, _, _ in cons], num_vars,
-                         _split(cons, num_vars)[3])
+    return RrefResult(tuple(rows), tuple(lhs - 1 for lhs, _, _ in cons),
+                      num_vars, _split(cons, num_vars)[3])
 
 
 def spliced_profile(f: XsatFormula) -> list[int]:
