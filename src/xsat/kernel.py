@@ -23,11 +23,16 @@ the free columns and turns each repeat into an exact row, one whose
 residual must be 0 (its D is 0), so both counters apply the one rule to
 every row.  The counters check the width cap on the nullity before they
 read a row.  ``count_blocks`` accepts all 2^BLOCK_BITS assignments of the
-low free bits at once, as bits of one Python int per row, through one
-accept map per row built on the column masks the oracle caches.  It walks
-the free bits above BLOCK_BITS depth first, the bit most rows read first,
-checks each row as soon as the bits it reads are set, and cuts a subtree
-whose block is empty.  ``solve`` counts with it, and the witnesses are the
+low free bits at once, as bits of one Python int.  It builds one bare table
+per distinct low part, the blocks of low assignments per sum, on the
+column masks the oracle caches, and shares it whatever the row's D.  A row
+that reads no higher bit is checked once, at the root, on the table of its
+low part less its top entry, at residuals r and r - D.  It walks the free
+bits above BLOCK_BITS depth first, the bit most rows read first, checks
+each other row, through the map ``t -> table[t] | table[t - D]`` derived
+from its table, as soon as the bits it reads are set, and cuts a subtree
+whose block is empty; a kernel at most BLOCK_BITS wide is not walked.
+``solve`` counts with it, and the witnesses are the
 words of free bits it accepts, sorted by Gray rank: the flat walk visits
 free bits g at step ``_gray_rank(g)``.  ``count_kernel`` is the flat walk:
 it visits {0,1}^d in Gray-code order, one bit flip and one addition per
@@ -179,43 +184,87 @@ BLOCK_BITS = 12
 MAX_WALK_DEPTH = 512
 
 
-def _low_tables(coeffs: list[dict[int, int]], dens: list[int],
-                low: int) -> tuple[int, list[dict[int, int]]]:
-    """Per row, map each residual t left by its high part to the block of
-    low assignments it accepts.
+def _split_rows(coeffs: list[dict[int, int]], d: int, low: int
+                ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """One pass over the rows: per row, its entries ``(p, c)`` below
+    ``low`` in ascending p (its low part); per free bit ``low + k``, the
+    rows that read it and their coefficients there."""
+    parts: list[list[tuple[int, int]]] = []
+    flips: list[list[tuple[int, int]]] = [[] for _ in range(d - low)]
+    for i, row in enumerate(coeffs):
+        part = []
+        for p, c in row.items():
+            if p < low:
+                part.append((p, c))
+            else:
+                flips[p - low].append((i, c))
+        part.sort()
+        parts.append(part)
+    return parts, flips
 
-    Bit j of a block stands for the low assignment whose bit p is free bit
-    p.  With ``table[s]`` the block of the low assignments whose sum over
-    the row's entries at the positions below ``low`` is s, the row's map
-    is ``t -> table[t] | table[t - D]``: residual 0 or D.  It is built as
-    the table would be, one column at a time on the oracle's cached
-    ``_columns(low)`` masks, but from the full block at both 0 and D; so
-    when D is 0 the map is the table.  Rows with the same entries below
-    ``low`` and the same D share one map.
+
+def _bare_table(tables: dict[tuple[tuple[int, int], ...], dict[int, int]],
+                part: tuple[tuple[int, int], ...], low: int) -> dict[int, int]:
+    """``tables[part]``, built first if it is missing: the bare table of
+    the entries ``(p, c)`` of ``part``, all below ``low``.
+
+    It maps each sum s to the block of the low assignments j whose sum
+    ``sum(c * j_p)`` is s; bit j of a block stands for the low assignment
+    whose bit p is free bit p.  It is built from ``{0: full}`` one entry
+    at a time on the oracle's cached ``_columns(low)`` masks, each block
+    split by its bit p.  The key has no D, so every row with this part
+    shares the table whatever its D.
     """
-    full, cols, _ = _columns(low)
-    maps: dict[tuple[frozenset[tuple[int, int]], int], dict[int, int]] = {}
-    accepts = []
-    for row, den in zip(coeffs, dens):
-        part = frozenset((p, c) for p, c in row.items() if p < low)
-        m = maps.get((part, den))
-        if m is None:
-            m = {0: full, den: full}
-            for p, c in part:
-                col = cols[p]
-                split: dict[int, int] = {}
-                for s, block in m.items():
-                    on = block & col
-                    if on != block:
-                        off = block ^ on
-                        split[s] = split[s] | off if s in split else off
-                    if on:
-                        t = s + c
-                        split[t] = split[t] | on if t in split else on
-                m = split
-            maps[part, den] = m
-        accepts.append(m)
-    return full, accepts
+    table = tables.get(part)
+    if table is None:
+        full, cols, _ = _columns(low)
+        table = {0: full}
+        for p, c in part:
+            col = cols[p]
+            split: dict[int, int] = {}
+            for s, block in table.items():
+                on = block & col
+                if on != block:
+                    off = block ^ on
+                    split[s] = split[s] | off if s in split else off
+                if on:
+                    t = s + c
+                    split[t] = split[t] | on if t in split else on
+            table = split
+        tables[part] = table
+    return table
+
+
+def _walk_map(table: dict[int, int], den: int) -> dict[int, int]:
+    """The map ``t -> table[t] | table[t - den]`` of a row checked in the
+    walk: the low assignments that leave residual 0 or ``den`` once its
+    high part has left t.  When ``den`` is 0 it is the table itself."""
+    if not den:
+        return table
+    m = dict(table)
+    for s, block in table.items():
+        t = s + den
+        m[t] = m[t] | block if t in m else block
+    return m
+
+
+def _root_block(table: dict[int, int], col: int, c: int, r: int, den: int) -> int:
+    """The low assignments that a row checked at the root accepts at
+    residual r: ``table`` is the bare table of its low part less its top
+    entry ``(p, c)``, and ``col`` is the block where bit p is set.
+
+    The row accepts the low assignments whose sum over its low part is r,
+    or r - den when den is not 0.  That sum is r where bit p is clear and
+    the table's sum is r, or where bit p is set and the table's sum is
+    r - c: ``(T[r] & ~col) | (T[r - c] & col)``, with the same term at
+    r - den, is ``off ^ ((off ^ on) & col)``.
+    """
+    get = table.get
+    off, on = get(r, 0), get(r - c, 0)
+    if den:
+        off |= get(r - den, 0)
+        on |= get(r - den - c, 0)
+    return off ^ ((off ^ on) & col)
 
 
 def _gray_rank(g: int) -> int:
@@ -261,9 +310,18 @@ def count_blocks(
     ``witness_cap``, also list the models when there are at most that many.
 
     Same rows, acceptance rule and count as :func:`count_kernel`.  The low
-    ``min(d, BLOCK_BITS)`` free bits form one block, and a row whose high
-    part leaves residual ``t`` accepts the block that its map from
-    :func:`_low_tables` gives for ``t``.
+    ``min(d, BLOCK_BITS)`` free bits form one block.  Each distinct low part
+    has one bare table from :func:`_bare_table`, whatever the D of its
+    rows.  A root row, one that reads no high bit, is checked on the table
+    of its low part less its top entry by :func:`_root_block`, at its rhs
+    and its rhs less D, and is never made a map; a row with no free entry
+    accepts the full block or none.  Every other row has the map of
+    :func:`_walk_map` on its part's table, shared by the rows with the same
+    part and D, and one whose high part leaves residual ``t`` accepts the
+    block its map gives for ``t``.  The rows are read in order, and once
+    the root block is empty no more are read and the count is 0.  When
+    ``d <= BLOCK_BITS`` every row is a root row and nothing is walked: the
+    root is the one leaf, and its block holds the admissible assignments.
 
     The high bits are walked depth first, densest first: the bit that the
     most rows read is set at the root, so rows complete, and prune, near
@@ -290,17 +348,40 @@ def count_blocks(
             f"{BLOCK_BITS + MAX_WALK_DEPTH} (a {BLOCK_BITS}-bit block and "
             f"{MAX_WALK_DEPTH} levels of recursion)")
     coeffs, res, dens = _exact_rows(rref)
-    full, accepts = _low_tables(coeffs, dens, low)
-    flips = _flips(coeffs, d)[low:]
+    parts, flips = _split_rows(coeffs, d, low)
     # the walk sets flips[order[-1]] first, the most-read high bit
     order = sorted(range(d - low), key=lambda k: len(flips[k]))
     flips = [flips[k] for k in order]
-    # checks[k]: the rows whose last-set high bit is order[k]; the flip
-    # lists are scanned last-set first, so a row lands where it is first
-    # seen, and the rows left over read no high bit
-    unplaced = dict(enumerate(accepts))
-    checks = [[(i, unplaced.pop(i)) for i, _ in flip if i in unplaced]
-              for flip in flips]
+    # where[i]: the k of row i's last-set high bit; the flip lists are
+    # scanned last-set first, so a row lands where it is first seen, and
+    # the rows left over read no high bit
+    where: dict[int, int] = {}
+    for k, flip in enumerate(flips):
+        for i, _ in flip:
+            where.setdefault(i, k)
+    checks: list[list[tuple[int, dict[int, int]]]] = [[] for _ in flips]
+    full, cols, _ = _columns(low)
+    tables: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    maps: dict[tuple[tuple[tuple[int, int], ...], int], dict[int, int]] = {}
+    block = full
+    for i, part in enumerate(parts):
+        den = dens[i]
+        k = where.get(i)
+        if k is not None:
+            key = tuple(part)
+            m = maps.get((key, den))
+            if m is None:
+                m = maps[key, den] = _walk_map(_bare_table(tables, key, low), den)
+            checks[k].append((i, m))
+        elif part:
+            p, c = part.pop()
+            block &= _root_block(_bare_table(tables, tuple(part), low),
+                                 cols[p], c, res[i], den)
+            if not block:
+                break
+        elif res[i] != 0 and res[i] != den:
+            block = 0
+            break
 
     def accept(block: int, rows: list[tuple[int, dict[int, int]]]) -> int:
         for i, m in rows:
@@ -336,7 +417,6 @@ def count_blocks(
         for i, delta in flip:
             res[i] += delta
 
-    block = accept(full, list(unplaced.items()))
     if block:
         walk(d - low - 1, 0, block)
     # walk refers to itself through its closure; breaking that cycle frees

@@ -682,6 +682,50 @@ def test_count_blocks_prunes_rows_that_read_only_high_bits(width):
     assert counts[2::3] == counts[::3], counts
 
 
+def _with_constant_row(kern: RrefResult, rhs: int, den: int) -> RrefResult:
+    """``kern`` plus the row ``den * x = rhs`` over a new pivot x that no
+    other row holds: a row with no free entry, which admits x exactly when
+    rhs is 0 or D.  The rhs column moves one place right to make room."""
+    n = kern.num_vars
+    rows = tuple({(n + 1 if c == n else c): v for c, v in row.items()}
+                 for row in kern.rows)
+    extra = {n: den, **({n + 1: rhs} if rhs else {})}
+    return RrefResult((*rows, extra), (*kern.pivot_cols, n), n + 1,
+                      kern.inconsistent)
+
+
+@pytest.mark.parametrize("width", [1, 5, 11, 12])
+def test_count_blocks_checks_exact_rows_at_the_root(width):
+    """At most BLOCK_BITS wide, every row is checked at the root and
+    nothing is walked: a contradicted copy of a row counts 0, an exact
+    copy keeps the count, and a row with no free entry admits the block
+    only at rhs 0 or D; counts and witnesses match the flat walk's."""
+    rng = SplitMix64(500 + width)
+    kernels, expected = [], []
+    for _ in range(4):
+        kern = _planted_kernel(rng, width, n_rows=2 + rng.randbelow(6),
+                               n_pivots=1 + rng.randbelow(3))
+        count = count_kernel(kern)
+        assert count > 0
+        kernels += [kern, _contradicted(kern), _duplicated(kern)]
+        expected += [count, 0, count]
+        for den in (1, 2, 3):
+            for rhs in (0, den, -den, 2 * den, den + 1):
+                kernels.append(_with_constant_row(kern, rhs, den))
+                expected.append(count if rhs in (0, den) else 0)
+    assert any(_has_filter_group(kern) for kern in kernels[::18])
+    assert max(den for kern in kernels[::18] for den in _dens(kern)) > 1
+    for kern, want in zip(kernels, expected):
+        assert kern.nullity == width
+        assert count_kernel(kern) == want
+        models = tuple(gray_order_models(kern))
+        assert len(models) == want
+        for cap in sorted({0, 1, want}):
+            listed = models if want <= cap else None
+            assert count_blocks(kern, witness_cap=cap) == (want, listed), cap
+        assert count_blocks(kern) == (want, None)
+
+
 def _planted_formula(r: int, k: int, rng: SplitMix64) -> XsatFormula:
     """k clauses over r variables (3 | r) with a planted model: a shuffled
     partition into triples, one planted-true variable per triple, and extra
@@ -838,7 +882,7 @@ def test_carry_rows_count_a_seeded_cnf_ensemble():
 def _shared_rows(rng: SplitMix64, width: int) -> RrefResult:
     """Rows over one coefficient tuple that differ in rhs or D: three lone
     rows and one filter group of two.  Every row reads the same free bits,
-    so the rows with the same D share one accept map.  The rhs are set
+    so all five share one bare table whatever their D.  The rhs are set
     from a planted assignment, at which every
     row's residual is 0 or D and the group's two are both D."""
     coeffs = [0] * width
@@ -857,23 +901,50 @@ def _shared_rows(rng: SplitMix64, width: int) -> RrefResult:
 
 
 @pytest.mark.parametrize("width", [5, 13, 16])
-def test_rows_sharing_a_table_keep_their_own_acceptance(width):
-    """Rows with the same low part and D share one accept map; a row with
-    another D has its own, and a map with D = 0 is the bare table."""
+def test_rows_sharing_a_table_keep_their_own_acceptance(width, monkeypatch):
+    """Rows with the same low part share one bare table whatever their D;
+    a walk map with D is ``t -> table[t] | table[t - D]``, and with D = 0
+    it is the table; and the root check on the table of the part less its
+    top entry accepts at every residual what that map gives.  In the
+    walk, rows with the same low part and D share one map."""
     rng = SplitMix64(700 + width)
+    real_walk_map = kernel_module._walk_map
+    maps_made = []
+    monkeypatch.setattr(kernel_module, "_walk_map", lambda table, den: (
+        maps_made.append((id(table), den)) or real_walk_map(table, den)))
     for _ in range(3):
         kern = _shared_rows(rng, width)
         low = min(width, BLOCK_BITS)
         coeffs = [{pos: row[c] for pos, c in enumerate(kern.free_cols) if c in row}
                   for row in kern.rows]
-        dens = _dens(kern)
-        _, maps = kernel_module._low_tables(coeffs, dens, low)
-        assert maps[0] is maps[1] is maps[3]
-        assert maps[2] is maps[4] is not maps[0]
-        (table,) = kernel_module._low_tables(coeffs[:1], [0], low)[1]
-        assert maps[0] == {t: table.get(t, 0) | table.get(t - 1, 0)
-                           for t in table.keys() | {s + 1 for s in table}}
+        parts, _ = kernel_module._split_rows(coeffs, width, low)
+        tables: dict = {}
+        shared = [kernel_module._bare_table(tables, tuple(part), low)
+                  for part in parts]
+        assert all(table is shared[0] for table in shared) and len(tables) == 1
+        table = shared[0]
+        assert kernel_module._walk_map(table, 0) is table
+        _, cols, _ = kernel_module._columns(low)
+        part = parts[0]
+        p, c = part[-1]
+        rest = kernel_module._bare_table(tables, tuple(part[:-1]), low)
+        for den in sorted(set(_dens(kern))):
+            m = kernel_module._walk_map(table, den)
+            assert m == {t: table.get(t, 0) | table.get(t - den, 0)
+                         for t in table.keys() | {s + den for s in table}}
+            for r in range(min(m) - 2, max(m) + 3):
+                assert kernel_module._root_block(rest, cols[p], c, r, den) \
+                    == m.get(r, 0), (den, r)
+        maps_made.clear()
         assert _agreed_count(kern) > 0
+        if width > BLOCK_BITS:
+            # every row reads the top free bit, so all are checked in the
+            # walk: rows 0, 1 and 3 (D = 1) share a map, row 2 (D = 2) has
+            # its own, and so does the group's exact row (D = 0)
+            assert len(maps_made) == len(set(maps_made)) == 3, maps_made
+            assert sorted(den for _, den in maps_made) == [0, 1, 2]
+        else:
+            assert maps_made == []
 
 
 def _one_path(depth: int, extra: int = 0) -> RrefResult:
