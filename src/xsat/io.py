@@ -4,12 +4,12 @@ Two line-oriented text formats are supported, read by one line reader and
 written by one writer.  The line rules are shared: a line ends at a
 newline only, and surrounding whitespace, a carriage return before the
 newline included, is dropped; lines starting with ``c`` are skipped,
-every other line is ASCII text, and blank ones are skipped too; the header
-``p <tag> <vars> <clauses>`` has two nonnegative integer counts and comes
-before any clause; every other line is one clause of exactly three tokens
-followed by the token ``0``; and the body holds as many clauses as the
-header promises.  An integer is written in ASCII decimal digits with an
-optional leading ``-``.
+every other line is ASCII text, and blank ones are skipped too; there is
+exactly one header, ``p <tag> <vars> <clauses>``, which has two
+nonnegative integer counts and comes before any clause; every other line
+is one clause of exactly three tokens followed by the token ``0``; and
+the body holds as many clauses as the header promises.  An integer is
+written in ASCII decimal digits with an optional leading ``-``.
 
 DIMACS CNF (input of the reduction chain), tag ``cnf``::
 
@@ -110,6 +110,8 @@ def _read(data, tags: tuple[str, ...], clause):
     for lineno, line in _content_lines(_as_text(data)):
         toks = line.split()
         if line.startswith("p"):
+            if tag is not None:
+                raise ParseError(f"second header {clip(line)!r}", lineno)
             if len(toks) != 4 or toks[1] not in tags:
                 raise ParseError(f"malformed header {clip(line)!r}", lineno)
             try:

@@ -17,13 +17,15 @@ A row's D is its pivot entry, and the residual test is
 ``rhs - sum(coeff * s)`` in {0, D} over the free columns s.  An RREF row
 is primitive, so its D is the least common denominator of the rational
 row; a substitution row has a pivot entry of 1, so D = 1.  Substitution
-may solve two rows for one pivot.  ``_exact_rows`` is the one reader of
-the rows: it keys each row's free entries by the column's position among
-the free columns and turns each repeat into an exact row, one whose
-residual must be 0 (its D is 0), so both counters apply the one rule to
-every row.  The counters check the width cap on the nullity before they
-read a row.  ``count_blocks`` accepts all 2^BLOCK_BITS assignments of the
-low free bits at once, as bits of one Python int.  It builds one bare table
+may solve two rows for one pivot.  ``_read_rows`` is the one reader of
+the rows, for both counters and the witnesses: in one pass it keys each
+row's free entries by the column's position among the free columns,
+splits them into a sorted low part and one flip list per higher bit, and
+turns each repeat into an exact row, one whose residual must be 0 (its D
+is 0), so both counters apply the one rule to every row.  The counters
+check the width cap on the nullity before they read a row.
+``count_blocks`` accepts all 2^BLOCK_BITS assignments of the low free
+bits at once, as bits of one Python int.  It builds one bare table
 per distinct low part, the blocks of low assignments per sum, on the
 column masks the oracle caches, and shares it whatever the row's D.  A row
 that reads no higher bit is checked once, at the root, on the table of its
@@ -102,14 +104,18 @@ def _check_width(d: int, max_free: int):
             "raise the cap or sample through the bench harness")
 
 
-def _exact_rows(
-    rref: RrefResult,
-) -> tuple[list[dict[int, int]], list[int], list[int]]:
-    """Per row of ``rref``: its entries at the free columns, keyed by the
-    column's position in ``free_cols``, its rhs and its D, the pivot entry.
-    Each row that repeats a pivot is replaced by an exact row: every row
-    then accepts a residual ``rhs - sum(coeff * s)`` in {0, D}, and an
-    exact row's D is 0.
+def _read_rows(
+    rref: RrefResult, low: int,
+) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]],
+           list[int], list[int]]:
+    """The rows of ``rref`` in one pass, in the counters' form: per row,
+    its low part, the entries ``(p, c)`` with p < ``low`` in ascending p;
+    per free bit ``low + k``, the rows i that read it and their entries c
+    there, as ``(i, c)`` in row order; and per row, its rhs and its D, the
+    pivot entry.  Bit p is the column ``free_cols[p]``; zero entries and
+    the pivot and rhs columns are skipped.  Each row that repeats a pivot
+    is replaced by an exact row: every row then accepts a residual
+    ``rhs - sum(c * s)`` in {0, D}, and an exact row's D is 0.
 
     Rows sharing a pivot accept where their residuals are all 0 or all D.
     Let row0 be the first of them, residual e0 and D0 > 0, and take another
@@ -118,11 +124,15 @@ def _exact_rows(
     is 0 iff e = D.  So the rows are all 0 or all D exactly when row0's
     residual is in {0, D0} and every exact row's residual is 0.
     """
-    pos = {c: i for i, c in enumerate(rref.free_cols)}
+    pos: list[int | None] = [None] * (rref.num_vars + 1)
+    for p, c in enumerate(rref.free_cols):
+        pos[c] = p
     rhs_col = rref.num_vars
     first: dict[int, dict[int, int]] = {}
-    coeffs, rhs, dens = [], [], []
-    for row, pivot in zip(rref.rows, rref.pivot_cols):
+    parts: list[list[tuple[int, int]]] = []
+    flips: list[list[tuple[int, int]]] = [[] for _ in range(rref.nullity - low)]
+    rhs, dens = [], []
+    for i, (row, pivot) in enumerate(zip(rref.rows, rref.pivot_cols)):
         row0 = first.get(pivot)
         if row0 is None:
             first[pivot] = row
@@ -132,19 +142,20 @@ def _exact_rows(
             row = {c: a * row.get(c, 0) - b * row0.get(c, 0)
                    for c in row.keys() | row0.keys()}
             den = 0
-        coeffs.append({pos[c]: v for c, v in row.items() if v and c in pos})
+        part = []
+        for c, v in row.items():
+            p = pos[c]
+            if p is None or not v:
+                continue
+            if p < low:
+                part.append((p, v))
+            else:
+                flips[p - low].append((i, v))
+        part.sort()
+        parts.append(part)
         rhs.append(row.get(rhs_col, 0))
         dens.append(den)
-    return coeffs, rhs, dens
-
-
-def _flips(coeffs: list[dict[int, int]], d: int) -> list[list[tuple[int, int]]]:
-    """Per free bit, the rows that read it and their coefficients there."""
-    flips: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for i, row in enumerate(coeffs):
-        for p, c in row.items():
-            flips[p].append((i, c))
-    return flips
+    return parts, flips, rhs, dens
 
 
 def count_kernel(rref: RrefResult, max_free: int = DEFAULT_MAX_FREE) -> int:
@@ -155,8 +166,7 @@ def count_kernel(rref: RrefResult, max_free: int = DEFAULT_MAX_FREE) -> int:
     """
     d = rref.nullity
     _check_width(d, max_free)
-    coeffs, res, dens = _exact_rows(rref)
-    flips = _flips(coeffs, d)
+    _, flips, res, dens = _read_rows(rref, 0)
     ok = [1 if v == 0 or v == den else 0 for v, den in zip(res, dens)]
     bad = len(ok) - sum(ok)
     count = 1 if bad == 0 else 0
@@ -182,25 +192,6 @@ BLOCK_BITS = 12
 # count_blocks recurses once per free bit above the block; the ceiling
 # keeps that well under Python's default recursion limit of 1000.
 MAX_WALK_DEPTH = 512
-
-
-def _split_rows(coeffs: list[dict[int, int]], d: int, low: int
-                ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    """One pass over the rows: per row, its entries ``(p, c)`` below
-    ``low`` in ascending p (its low part); per free bit ``low + k``, the
-    rows that read it and their coefficients there."""
-    parts: list[list[tuple[int, int]]] = []
-    flips: list[list[tuple[int, int]]] = [[] for _ in range(d - low)]
-    for i, row in enumerate(coeffs):
-        part = []
-        for p, c in row.items():
-            if p < low:
-                part.append((p, c))
-            else:
-                flips[p - low].append((i, c))
-        part.sort()
-        parts.append(part)
-    return parts, flips
 
 
 def _bare_table(tables: dict[tuple[tuple[int, int], ...], dict[int, int]],
@@ -276,28 +267,30 @@ def _gray_rank(g: int) -> int:
     return s
 
 
-def _models(rref: RrefResult, coeffs: list[dict[int, int]], rhs: list[int],
-            dens: list[int], words: list[int]):
+def _models(rref: RrefResult, words: list[int]):
     """Yield the models whose free bits are the given words, in the flat
-    walk's order; ``coeffs``, ``rhs`` and ``dens`` are the rows of ``rref``
-    as :func:`_exact_rows` reads them.
+    walk's order.
 
     Bit p of a word is free bit p, column ``free_cols[p]``.  The flat walk
     visits the word g at step ``_gray_rank(g)``, so the words are taken in
-    that order.  A pivot is 1 exactly where its row's residual, ``rhs``
-    less the row's coefficients at the set bits of the word, is nonzero; at
-    a model, the rows that share a pivot agree on that, so the first one,
-    the one that is no exact row, stands for them all.
+    that order.  The rows are read by :func:`_read_rows`, and a pivot is 1
+    exactly where its row's residual, the rhs less the row's entries at the
+    set bits of the word, is nonzero; at a model, the rows that share a
+    pivot agree on that, so the first one, the one whose D is not 0, stands
+    for them all.
     """
-    pivots = [(col, r, [(c, 1 << p) for p, c in row.items()])
-              for col, row, r, den in zip(rref.pivot_cols, coeffs, rhs, dens)
-              if den]
+    _, flips, rhs, dens = _read_rows(rref, 0)
     for g in sorted(words, key=_gray_rank):
         a = [0] * rref.num_vars
+        res = list(rhs)
         for p, col in enumerate(rref.free_cols):
-            a[col] = g >> p & 1
-        for col, r, terms in pivots:
-            a[col] = 1 if r - sum(c for c, bit in terms if g & bit) else 0
+            if g >> p & 1:
+                a[col] = 1
+                for i, c in flips[p]:
+                    res[i] -= c
+        for col, r, den in zip(rref.pivot_cols, res, dens):
+            if den:
+                a[col] = 1 if r else 0
         yield tuple(a)
 
 
@@ -347,8 +340,7 @@ def count_blocks(
             f"kernel has {d} free variables, the block walk takes at most "
             f"{BLOCK_BITS + MAX_WALK_DEPTH} (a {BLOCK_BITS}-bit block and "
             f"{MAX_WALK_DEPTH} levels of recursion)")
-    coeffs, res, dens = _exact_rows(rref)
-    parts, flips = _split_rows(coeffs, d, low)
+    parts, flips, res, dens = _read_rows(rref, low)
     # the walk sets flips[order[-1]] first, the most-read high bit
     order = sorted(range(d - low), key=lambda k: len(flips[k]))
     flips = [flips[k] for k in order]
@@ -424,8 +416,7 @@ def count_blocks(
     del walk
     if witness_cap is None or count > witness_cap:
         return count, None
-    # the walk has restored every residual in res to the row's rhs
-    return count, tuple(_models(rref, coeffs, res, dens, words))
+    return count, tuple(_models(rref, words))
 
 
 def repr_size(f: XsatFormula | CnfFormula) -> float:

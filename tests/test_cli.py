@@ -378,7 +378,7 @@ SIX_VAR_KERNEL = {
 
 
 @pytest.mark.parametrize("method", ["gauss", "subst"])
-def test_kernel_output_gauss(six_var_file, capsys, method):
+def test_kernel_output_six_var(six_var_file, capsys, method):
     assert main(["kernel", "--input", six_var_file, "--method", method]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == SIX_VAR_KERNEL[method]
 

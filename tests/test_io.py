@@ -93,9 +93,11 @@ def test_negative_header_count_rejected(text):
     ("p {tag} 3 2\n1 2 3 0\n", "header promises 2 clauses, body has 1", None),
     ("p {tag} 3 1\n1 2 3 00\n", "clause not terminated by 0", 2),
     ("p {tag} 3 1\n1 2 3 -0\n", "clause not terminated by 0", 2),
+    ("p {tag} 3 2\n1 2 3 0\np {tag} 3 1\n", "second header 'p {tag} 3 1'", 3),
 ], ids=["clause-before-header", "missing-header", "malformed-header",
         "non-integer-count", "negative-count", "unterminated", "width-2",
-        "width-4", "count-mismatch", "terminator-00", "terminator-minus-0"])
+        "width-4", "count-mismatch", "terminator-00", "terminator-minus-0",
+        "second-header"])
 def test_both_parsers_report_line_faults_alike(text, message, line):
     for tag, parse in (("cnf", parse_dimacs_cnf), ("xsat", parse_xsat)):
         with pytest.raises(ParseError) as err:
@@ -103,6 +105,14 @@ def test_both_parsers_report_line_faults_alike(text, message, line):
         where = f"line {line}: " if line is not None else ""
         assert str(err.value) == where + message.format(tag=tag), tag
         assert err.value.line == line, tag
+
+
+def test_a_second_header_is_refused_whatever_its_tag():
+    """A later header would otherwise override the tag and counts that the
+    clauses before it were read under."""
+    with pytest.raises(ParseError, match="second header 'p xsat\\+ 6 2'") as err:
+        parse_xsat("p xsat 3 1\n-1 2 3 0\np xsat+ 6 2\n4 5 6 0\n")
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize("parse, text, line", [

@@ -56,7 +56,7 @@ def _dens(kern: RrefResult) -> list[int]:
     return [row[p] for row, p in zip(kern.rows, kern.pivot_cols)]
 
 
-def test_extract_six_var_gauss(six_var):
+def test_gauss_kernel_six_var(six_var):
     kern = _gauss_kernel(six_var)
     assert tuple(c + 1 for c in kern.free_cols) == (5, 6)
     assert [p + 1 for p in kern.pivot_cols] == [1, 2, 3, 4]
@@ -70,13 +70,13 @@ def test_extract_six_var_gauss(six_var):
     ]
 
 
-def test_extract_six_var_subst(six_var):
+def test_subst_kernel_six_var(six_var):
     kern = _subst_kernel(six_var)
     assert tuple(c + 1 for c in kern.free_cols) == (3, 5, 6)
     assert [p + 1 for p in kern.pivot_cols] == [1, 1, 2, 4]
 
 
-def test_extract_partition():
+def test_gauss_kernel_partition():
     kern = _gauss_kernel(gen_partition(6))
     assert kern.nullity == 4
     assert len(kern.rows) == 2
@@ -243,8 +243,7 @@ def test_models_take_the_flat_walk_order_from_the_free_bits_alone():
         words = [_free_bits(kern, model) for model in models]
         assert len(set(words)) == len(words)
         rng.shuffle(words)
-        rows = kernel_module._exact_rows(kern)
-        assert list(kernel_module._models(kern, *rows, words)) == models
+        assert list(kernel_module._models(kern, words)) == models
         sizes.append(len(models))
     assert min(sizes[-5:]) > 20, sizes  # the kernels 12 and 13 wide, and subst
 
@@ -915,9 +914,10 @@ def test_rows_sharing_a_table_keep_their_own_acceptance(width, monkeypatch):
     for _ in range(3):
         kern = _shared_rows(rng, width)
         low = min(width, BLOCK_BITS)
-        coeffs = [{pos: row[c] for pos, c in enumerate(kern.free_cols) if c in row}
-                  for row in kern.rows]
-        parts, _ = kernel_module._split_rows(coeffs, width, low)
+        # the group's second row is read as an exact row (D = 0), whose
+        # part differs; the other four keep the shared coefficients
+        parts, _, _, dens = kernel_module._read_rows(kern, low)
+        parts = [part for part, den in zip(parts, dens) if den]
         tables: dict = {}
         shared = [kernel_module._bare_table(tables, tuple(part), low)
                   for part in parts]
@@ -945,6 +945,88 @@ def test_rows_sharing_a_table_keep_their_own_acceptance(width, monkeypatch):
             assert sorted(den for _, den in maps_made) == [0, 1, 2]
         else:
             assert maps_made == []
+
+
+def _reader_kernels() -> list[RrefResult]:
+    """Gauss kernels 13 and 20 wide, the first of them again with each
+    row's entries stored in descending column order, and a subst kernel
+    with a filter group."""
+    kernels = [build_kernel(encode_sys(f), "gauss")
+               for width in (13, 20) for f in _order_formulas(width)]
+    first = kernels[0]
+    kernels.append(RrefResult(tuple(dict(sorted(row.items(), reverse=True))
+                                    for row in first.rows),
+                              first.pivot_cols, first.num_vars, first.inconsistent))
+    subst = build_kernel(encode_sys(gen_random(GenSpec(r=15, k=8, seed=900))),
+                         "subst")
+    assert _has_filter_group(subst) and not subst.inconsistent
+    return kernels + [subst]
+
+
+def test_read_rows_gives_the_same_rows_at_every_low():
+    """``_read_rows`` splits each row at ``low`` and nowhere else: the rhs
+    and D do not depend on ``low``, and a row's entries, its low part plus
+    its flips shifted by ``low``, are the same at every ``low``.  The part
+    is sorted and below ``low``, the flips list their rows in order, and
+    no entry is 0.  A row that is first for its pivot keeps its own free
+    entries, rhs and pivot entry; a repeat is an exact row, with D = 0."""
+    for kern in _reader_kernels():
+        d = kern.nullity
+        reads = []
+        for low in sorted({0, 5, BLOCK_BITS, d}):
+            if low > d:
+                continue
+            parts, flips, rhs, dens = kernel_module._read_rows(kern, low)
+            assert len(parts) == len(rhs) == len(dens) == len(kern.rows)
+            assert len(flips) == d - low
+            entries = [list(part) for part in parts]
+            for part in parts:
+                assert part == sorted(part)
+                assert all(p < low and c for p, c in part), part
+            for k, flip in enumerate(flips):
+                rows = [i for i, _ in flip]
+                assert rows == sorted(set(rows)), (low, k)
+                for i, c in flip:
+                    assert c
+                    entries[i].append((low + k, c))
+            reads.append((rhs, dens, [sorted(e) for e in entries]))
+        assert len(reads) >= 3 and all(read == reads[0] for read in reads)
+        rhs, dens, entries = reads[0]
+        seen = set()
+        for row, pivot, r, den, row_entries in zip(
+                kern.rows, kern.pivot_cols, rhs, dens, entries):
+            if pivot in seen:
+                assert den == 0
+                continue
+            seen.add(pivot)
+            assert (r, den) == (row.get(kern.num_vars, 0), row[pivot])
+            assert row_entries == [(p, row[c]) for p, c in enumerate(kern.free_cols)
+                                   if row.get(c)]
+        assert 0 in dens or not _has_filter_group(kern)
+
+
+def test_rows_are_read_once_per_count_and_again_for_witnesses(monkeypatch):
+    """A count reads the rows once, in either counter; listing witnesses
+    reads them once more, for the pivots."""
+    real = kernel_module._read_rows
+    lows = []
+    monkeypatch.setattr(kernel_module, "_read_rows", lambda rref, low: (
+        lows.append(low) or real(rref, low)))
+    # the kernels up to 13 wide: count_kernel walks every assignment
+    for kern in [k for k in _reader_kernels() if k.nullity <= 13]:
+        low = min(kern.nullity, BLOCK_BITS)
+        count, wit = count_blocks(kern)
+        assert wit is None and lows == [low]
+        lows.clear()
+        assert count_kernel(kern) == count and lows == [0]
+        lows.clear()
+        _, wit = count_blocks(kern, witness_cap=count)
+        assert len(wit) == count and lows == [low, 0]
+        lows.clear()
+        if count:
+            assert count_blocks(kern, witness_cap=count - 1)[1] is None
+            assert lows == [low]
+            lows.clear()
 
 
 def _one_path(depth: int, extra: int = 0) -> RrefResult:
