@@ -322,12 +322,19 @@ def cmd_verify(args) -> int:
     # the signs come from a stream of their own, so the positive formulas
     # are the ones drawn without them
     signs = SplitMix64(~args.seed)
+    skipped = 0
     for trial in range(args.trials):
         r = 6 + rng.randbelow(max(1, args.r_max - 5))
         k_lo = math.ceil(r / 3)
         k = k_lo + rng.randbelow(r - k_lo + 1)
         spec = GenSpec(r=r, k=k, seed=args.seed ^ trial, family="random")
-        f = generate(spec)
+        # a generator failure skips the trial, as in bench, and the run goes on
+        try:
+            f = generate(spec)
+        except SpecError as exc:
+            print(f"c skip trial {trial} r={r} k={k}: {exc}", flush=True)
+            skipped += 1
+            continue
         for g, what in ((f, ""), (_signed(f, signs), " (signed copy)")):
             disagreement = _counts_disagree(g)
             if disagreement:
@@ -338,10 +345,13 @@ def cmd_verify(args) -> int:
                 print(f"c disagreement at trial {trial}{what}: {disagreement}; "
                       f"repro written to {path}")
                 return EXIT_DISAGREE
-    print(f"c verified: {args.trials} trials, each on a positive formula and "
-          "a signed copy, all three counts agree, "
+    print(f"c verified: {args.trials - skipped} trials, each on a positive "
+          "formula and a signed copy, all three counts agree, "
           "count_kernel = count_blocks on both kernels, "
           "and the witnesses are the oracle's models")
+    if skipped:
+        print(f"c skipped: {skipped} of {args.trials} trials, "
+              "their formulas could not be generated")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from xsat import (count_blocks, encode_sys, parse_xsat, naive_count, naive_count
                   naive_models, solve)
 from xsat import cli
 from xsat import kernel as kernel_module
+from xsat.generator import SpecError
 from xsat.cli import (
     EXIT_CAPACITY,
     EXIT_DISAGREE,
@@ -482,6 +483,29 @@ def test_verify_passes(tmp_path, capsys):
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_OK
     assert "warning" in capsys.readouterr().out
+
+
+def test_verify_skips_a_trial_it_cannot_generate(tmp_path, monkeypatch,
+                                                 capsys):
+    real = cli.generate
+    drawn = []
+
+    def flaky(spec):
+        drawn.append(spec.seed)
+        if spec.seed == 1 ^ 1:  # trial 1 of seed 1
+            raise SpecError("no covering clause set found in 1 attempts")
+        return real(spec)
+
+    monkeypatch.setattr(cli, "generate", flaky)
+    assert main(["verify", "--trials", "3", "--r-max", "8", "--seed", "1",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert drawn == [1, 0, 3]
+    assert lines[0].startswith("c skip trial 1 r=")
+    assert lines[0].endswith(": no covering clause set found in 1 attempts")
+    assert lines[1].startswith("c verified: 2 trials")
+    assert lines[2:] == ["c skipped: 1 of 3 trials, their formulas could not "
+                         "be generated"]
 
 
 def test_verify_fault_injection(tmp_path, monkeypatch, capsys):

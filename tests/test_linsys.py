@@ -75,8 +75,9 @@ def first_holder_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[
     """Reference: ``linsys._reduce`` with the first row holding each column
     at or below the current one as its pivot row, the rule of
     :func:`dense_gauss_jordan`.  Calls ``linsys._eliminate`` through the
-    module, so a test can count its row updates."""
-    rows = [dict(linsys._primitive(row)) for row in system.rows]
+    module, so a test can count its row updates, and makes the rows
+    primitive at the end, as ``_reduce`` does."""
+    rows = [dict(row) for row in system.rows]
     n_rows = len(rows)
     pivot_cols: list[int] = []
     cur = 0
@@ -100,7 +101,7 @@ def first_holder_rref(system: LinearSystem) -> tuple[list[dict[int, int]], list[
         for i in range(j):
             if col in rows[i]:
                 linsys._eliminate(rows[i], pivot, col)
-    return rows, pivot_cols
+    return [linsys._primitive(row) for row in rows], pivot_cols
 
 
 def as_result(system: LinearSystem,
@@ -356,6 +357,11 @@ def test_sparse_rref_equals_dense_on_integer_systems():
     single = LinearSystem(({0: -2, 1: 4, 2: 6},), 2)
     _assert_same_rref(single)
     assert gauss_jordan(single).rows == ({0: 1, 1: -2, 2: -3},)
+    # x + y = 1 less x - y = 1 is the unscaled update 2y = 0, divided by 2
+    # only once the sweeps end
+    halved = LinearSystem(({0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 2: 1}), 2)
+    _assert_same_rref(halved)
+    assert gauss_jordan(halved).rows == ({0: 1, 2: 1}, {1: 1})
 
 
 def test_sparse_rref_equals_dense_on_inconsistent_systems():
@@ -446,10 +452,31 @@ def test_inconsistent_systems_keep_the_first_holder_rhs(system):
     _assert_same_rref(system)
 
 
-def test_sparsest_pivot_eliminates_less(monkeypatch):
+def test_sparsest_tie_goes_to_the_last_holder(monkeypatch):
+    # x + y + z = 1 above x + y = 1 and x + z = 1: the last two tie as the
+    # sparsest holders of column 0, and the later one clears it
+    system = LinearSystem(({0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 1, 3: 1},
+                           {0: 1, 2: 1, 3: 1}), 3)
+    pivots = []
+    update = linsys._eliminate
+
+    def spy(row, pivot, col):
+        if col == 0:
+            pivots.append(dict(pivot))
+        update(row, pivot, col)
+
+    monkeypatch.setattr(linsys, "_eliminate", spy)
+    result = gauss_jordan(system)
+    assert pivots == [system.rows[2]] * 2
+    assert result == as_result(system, first_holder_rref(system))
+    assert not result.inconsistent
+
+
+@pytest.mark.parametrize("r, k", [(60, 80), (402, 402)])
+def test_sparsest_pivot_eliminates_less(monkeypatch, r, k):
     from test_substitution import planted  # test_substitution imports this module
 
-    system = encode_sys(planted(60, 80, random.Random("sparsest-pivot")))
+    system = encode_sys(planted(r, k, random.Random("sparsest-pivot")))
     calls = 0
     update = linsys._eliminate
 
