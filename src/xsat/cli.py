@@ -1,9 +1,10 @@
 """Command-line front end and benchmark harness.
 
-Subcommands: solve, count, kernel, reduce, gen, bench, verify.  CNF inputs
-are detected by header and encoded as one carry row per clause, so the
-tool doubles as an exact 3-CNF model counter; only ``xsat reduce`` runs
-the paper's chain to positive XSAT.  Exit codes follow solver conventions:
+Subcommands: solve, count, kernel, reduce, gen, bench, verify.  An input
+file is read once, and its header's tag says whether it holds XSAT or
+CNF.  CNF is encoded as one carry row per clause, so the tool doubles as
+an exact 3-CNF model counter; only ``xsat reduce`` runs the paper's
+chain to positive XSAT.  Exit codes follow solver conventions:
 10 satisfiable, 20 unsatisfiable, 0 for count/report modes, 1 unusable
 input (unreadable file, parse or validation failure), 2 capacity exceeded
 or a bad command line, 3 verification disagreement.
@@ -23,14 +24,7 @@ from pathlib import Path
 
 from .formula import BOTTOM, CapacityError, CnfFormula, XsatError, XsatFormula, kappa
 from .generator import FAMILIES, GenSpec, SpecError, SplitMix64, generate
-from .io import (
-    clip,
-    emit_report,
-    parse_dimacs_cnf,
-    parse_xsat,
-    serialize_xsat,
-    sniff_format,
-)
+from .io import clip, emit_report, parse, serialize_xsat
 from .kernel import (
     DEFAULT_MAX_FREE,
     METHODS,
@@ -56,17 +50,16 @@ EXIT_UNSAT = 20
 
 def _load(path: str) -> XsatFormula | CnfFormula:
     """Read a file and return the XSAT instance, negations kept, or the
-    CNF it holds; ``parse_xsat`` has validated an XSAT instance."""
-    data = Path(path).read_bytes()
-    if sniff_format(data) != "cnf":
-        return parse_xsat(data)
-    cnf = parse_dimacs_cnf(data)
-    # xsat reduce keeps every source variable, and each must be covered
-    unused = cnf.num_vars - len({abs(l) for c in cnf.clauses for l in c})
-    if unused:
-        raise XsatError(f"{clip(unused)} of the {clip(cnf.num_vars)} declared "
-                        "variables appear in no clause")
-    return cnf
+    CNF it holds, as its header's tag says; ``parse`` has validated an
+    XSAT instance."""
+    f = parse(Path(path).read_bytes())
+    if isinstance(f, CnfFormula):
+        # xsat reduce keeps every source variable, and each must be covered
+        unused = f.num_vars - len({abs(l) for c in f.clauses for l in c})
+        if unused:
+            raise XsatError(f"{clip(unused)} of the {clip(f.num_vars)} "
+                            "declared variables appear in no clause")
+    return f
 
 
 def cmd_solve(args) -> int:
@@ -261,7 +254,7 @@ def _counts_disagree(f: XsatFormula) -> str | None:
     ``count_kernel`` is checked against the block walk ``count_blocks``,
     and the witnesses ``solve`` lists against the oracle's models.
     """
-    models = naive_models(f, ORACLE_CAP)
+    models = naive_models(f)
     n = len(models)
     reps = [solve(f, method=method, witness_cap=n) for method in METHODS]
     g, s = (rep.count for rep in reps)

@@ -25,7 +25,6 @@ from itertools import chain
 
 BOTTOM = 0
 
-Literal = int
 Triple = tuple[int, int, int]
 Assignment = tuple[int, ...]
 

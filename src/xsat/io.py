@@ -1,15 +1,19 @@
 """Bit-exact parsing and serialization of instances and solve reports.
 
-Two line-oriented text formats are supported, read by one line reader and
-written by one writer.  The line rules are shared: a line ends at a
-newline only, and surrounding whitespace, a carriage return before the
-newline included, is dropped; lines starting with ``c`` are skipped,
-every other line is ASCII text, and blank ones are skipped too; there is
-exactly one header, ``p <tag> <vars> <clauses>``, which has two
-nonnegative integer counts and comes before any clause; every other line
-is one clause of exactly three tokens followed by the token ``0``; and
-the body holds as many clauses as the header promises.  An integer is
-written in ASCII decimal digits with an optional leading ``-``.
+Two line-oriented text formats are supported, read by one reader and
+written by one writer.  The reader goes over the lines once, and the
+header's tag picks the format: ``parse`` takes any of the three tags,
+``parse_dimacs_cnf`` only ``cnf`` and ``parse_xsat`` only ``xsat`` and
+``xsat+``, and a tag outside the ones asked for is a malformed header at
+its line.  The line rules are shared: a line ends at a newline only, and
+surrounding whitespace, a carriage return before the newline included, is
+dropped; lines starting with ``c`` are skipped, every other line is ASCII
+text, and blank ones are skipped too; there is exactly one header,
+``p <tag> <vars> <clauses>``, which has two nonnegative integer counts
+and comes before any clause; every other line is one clause of exactly three
+tokens followed by the token ``0``; and the body holds as many clauses as
+the header promises.  An integer is written in ASCII decimal digits with
+an optional leading ``-``.
 
 DIMACS CNF (input of the reduction chain), tag ``cnf``::
 
@@ -76,17 +80,6 @@ def _as_text(data) -> str:
     return data
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line.startswith("c"):
-            continue
-        if not raw.isascii():
-            raise ParseError(f"non-ASCII text in {clip(raw)!r}", lineno)
-        if line:
-            yield lineno, line
-
-
 def _integer(tok: str) -> int:
     """ASCII decimal digits with an optional leading ``-``; ``int()`` alone
     also takes ``+``, ``_`` and non-ASCII digits."""
@@ -96,18 +89,27 @@ def _integer(tok: str) -> int:
     return int(tok)
 
 
-def _read(data, tags: tuple[str, ...], clause):
-    """The header's tag, variable count and line, and the clauses.
+def _parse(data, tags: tuple[str, ...]) -> XsatFormula | CnfFormula:
+    """The formula in ``data``, whose header's tag is one of ``tags``.
 
-    Applies the shared line rules; ``clause(toks, line, tag, num_vars)``
-    turns the three tokens of a clause line into a triple, or raises
-    ``ValueError`` with the message to report at that line.  A line the
-    converter accepts is then held to ASCII integers: ``int()`` also reads
-    ``+`` and ``_`` (and non-ASCII digits, which no line here holds).
+    Applies the shared line rules in one pass.  The tag picks the clause
+    converter, which turns the three tokens of a clause line into a triple,
+    or raises ``ValueError`` with the message to report at that line.  A
+    line the converter accepts is then held to ASCII integers: ``int()``
+    also reads ``+`` and ``_`` (and non-ASCII digits, which no line here
+    holds).  An XSAT formula must pass ``validate``; it keeps that result
+    as its ``violations``.
     """
     tag = None
     clauses: list[Triple] = []
-    for lineno, line in _content_lines(_as_text(data)):
+    for lineno, raw in enumerate(_as_text(data).split("\n"), start=1):
+        line = raw.strip()
+        if line.startswith("c"):
+            continue
+        if not raw.isascii():
+            raise ParseError(f"non-ASCII text in {clip(raw)!r}", lineno)
+        if not line:
+            continue
         toks = line.split()
         if line.startswith("p"):
             if tag is not None:
@@ -123,6 +125,7 @@ def _read(data, tags: tuple[str, ...], clause):
                 raise ParseError(
                     f"negative count in header {clip(line)!r}", lineno)
             tag, header_line = toks[1], lineno
+            clause = _cnf_clause if tag == "cnf" else _xsat_clause
             continue
         if tag is None:
             raise ParseError("clause before header", lineno)
@@ -138,11 +141,20 @@ def _read(data, tags: tuple[str, ...], clause):
             raise ParseError(f"'+' or '_' in clause {clip(line)!r}", lineno)
     if tag is None:
         raise ParseError("missing header")
-    if len(clauses) != num_clauses:
+    k = len(clauses)
+    if k != num_clauses:
         raise ParseError(
-            f"header promises {clip(num_clauses)} clauses, "
-            f"body has {len(clauses)}")
-    return tag, num_vars, header_line, clauses
+            f"header promises {clip(num_clauses)} clauses, body has {k}")
+    if tag == "cnf":
+        return CnfFormula(num_vars, tuple(clauses))
+    if num_vars > 3 * k:
+        # every variable must be covered, and a clause covers at most 3
+        raise ParseError(f"header declares {clip(num_vars)} variables but {k} "
+                         f"clauses can cover at most {3 * k}", header_line)
+    f = XsatFormula(num_vars, tuple(clauses), positive=tag == "xsat+")
+    if f.violations:
+        raise ParseError("invalid instance: " + describe_violations(f.violations))
+    return f
 
 
 def _cnf_clause(toks, line, tag, num_vars) -> Triple:
@@ -176,25 +188,20 @@ def _xsat_clause(toks, line, tag, r) -> Triple:
     return tuple(lits)  # type: ignore[return-value]
 
 
+def parse(data) -> XsatFormula | CnfFormula:
+    """Parse DIMACS CNF or XSAT, as the header's tag says."""
+    return _parse(data, ("cnf", "xsat", "xsat+"))
+
+
 def parse_dimacs_cnf(data) -> CnfFormula:
     """Parse DIMACS CNF, enforcing exactly 3 literals per clause."""
-    _, num_vars, _, clauses = _read(data, ("cnf",), _cnf_clause)
-    return CnfFormula(num_vars, tuple(clauses))
+    return _parse(data, ("cnf",))
 
 
 def parse_xsat(data) -> XsatFormula:
     """Parse the XSAT format and reject anything ``validate`` rejects; the
     formula returned keeps that result as its ``violations``."""
-    tag, r, header_line, clauses = _read(data, ("xsat", "xsat+"), _xsat_clause)
-    k = len(clauses)
-    if r > 3 * k:
-        # every variable must be covered, and a clause covers at most 3
-        raise ParseError(f"header declares {clip(r)} variables but {k} "
-                         f"clauses can cover at most {3 * k}", header_line)
-    f = XsatFormula(r, tuple(clauses), positive=tag == "xsat+")
-    if f.violations:
-        raise ParseError("invalid instance: " + describe_violations(f.violations))
-    return f
+    return _parse(data, ("xsat", "xsat+"))
 
 
 def _write(tag: str, f) -> bytes:
@@ -212,19 +219,6 @@ def serialize_xsat(f: XsatFormula) -> bytes:
 
 def serialize_cnf(f: CnfFormula) -> bytes:
     return _write("cnf", f)
-
-
-def sniff_format(data) -> str:
-    """Return "cnf" or "xsat" according to the first header line."""
-    for _, line in _content_lines(_as_text(data)):
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == "cnf":
-                return "cnf"
-            if len(parts) >= 2 and parts[1] in ("xsat", "xsat+"):
-                return "xsat"
-            raise ParseError(f"unrecognized header {clip(line)!r}")
-    raise ParseError("missing header")
 
 
 REPORT_FIELDS = ("sat", "count", "rank", "nullity", "kernel_vars",

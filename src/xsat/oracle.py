@@ -107,19 +107,19 @@ def _truth_tables(num_vars: int, clauses, clause_table):
     del walk
 
 
-def naive_count(f: XsatFormula, cap: int = ORACLE_CAP) -> int:
+def naive_count(f: XsatFormula) -> int:
     """Exact one-in-three model count over all 2^r assignments.
 
     Works on negation-bearing formulas as well as positive ones.
     """
-    _check_cap(f.num_vars, cap)
+    _check_cap(f.num_vars, ORACLE_CAP)
     return sum(table.bit_count() for _, table in
                _truth_tables(f.num_vars, f.clauses, _exactly_one))
 
 
-def naive_models(f: XsatFormula, cap: int = ORACLE_CAP) -> list[Assignment]:
+def naive_models(f: XsatFormula) -> list[Assignment]:
     """All satisfying assignments, ascending in m = sum of a[i] * 2^i."""
-    _check_cap(f.num_vars, cap)
+    _check_cap(f.num_vars, ORACLE_CAP)
     r = f.num_vars
     out = []
     for first, table in _truth_tables(r, f.clauses, _exactly_one):
@@ -130,8 +130,8 @@ def naive_models(f: XsatFormula, cap: int = ORACLE_CAP) -> list[Assignment]:
     return out
 
 
-def naive_count_cnf(f: CnfFormula, cap: int = ORACLE_CAP) -> int:
+def naive_count_cnf(f: CnfFormula) -> int:
     """Satisfying-assignment count under ordinary disjunctive semantics."""
-    _check_cap(f.num_vars, cap)
+    _check_cap(f.num_vars, ORACLE_CAP)
     return sum(table.bit_count() for _, table in
                _truth_tables(f.num_vars, f.clauses, _any_of))

@@ -119,6 +119,16 @@ def test_parse_error_exit(tmp_path):
     assert main(["solve", "--input", str(bad)]) == EXIT_ERROR
 
 
+def test_unknown_header_tag_is_a_malformed_header_at_its_line(tmp_path,
+                                                              capsys):
+    path = tmp_path / "wat.txt"
+    path.write_text("p wat 3 1\n1 2 3 0\n")
+    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: malformed header 'p wat 3 1'\n"
+
+
 @pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "not-utf8"])
 def test_unreadable_input_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "in.xsat"
@@ -157,10 +167,12 @@ def test_negative_header_count_one_error_line(tmp_path, capsys, text):
 def test_invalid_instance_error_is_short(tmp_path, capsys, text):
     path = tmp_path / "in.xsat"
     path.write_text(text, encoding="utf-8")
-    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err.encode()) < 1024, len(err.encode())
+    # every command that reads a file reads it through the one reader
+    for command in ("solve", "count", "kernel", "reduce"):
+        assert main([command, "--input", str(path)]) == EXIT_ERROR, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, command
+        assert len(err.encode()) < 1024, (command, len(err.encode()))
 
 
 def test_cnf_with_unused_variables_is_refused_before_any_reduction(
@@ -333,7 +345,7 @@ def test_negated_input_witnesses_cover_its_own_variables(tmp_path, capsys,
                  "--method", method]) == EXIT_SAT
     out = capsys.readouterr().out
     ws = [tuple(map(int, l[2:])) for l in out.splitlines() if l.startswith("w ")]
-    assert sorted(ws) == sorted(naive_models(f, f.num_vars)) == [
+    assert sorted(ws) == sorted(naive_models(f)) == [
         (0, 0, 0, 0, 0), (0, 0, 0, 1, 1)]
 
 
@@ -368,6 +380,25 @@ def test_each_formula_is_validated_once(tmp_path, monkeypatch, capsys,
     flags = ["--count"] if command == "solve" else []
     assert main([command, "--input", str(path), *flags]) == EXIT_OK
     assert seen == validated
+
+
+@pytest.mark.parametrize("text", [SIX_VAR, NEGATED, ONE_CNF],
+                         ids=["xsat+", "xsat", "cnf"])
+def test_each_input_is_decoded_once(tmp_path, monkeypatch, capsys, text):
+    # the header's tag picks the format in the one pass that reads the
+    # clauses, so no second reader decodes the file again
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    calls = []
+    real = xsat.io._as_text
+
+    def spy(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(xsat.io, "_as_text", spy)
+    assert main(["count", "--input", str(path)]) == EXIT_OK
+    assert calls == [text.encode()]
 
 
 # under subst both of six_var's first two rows are solved for variable 1
@@ -603,9 +634,9 @@ def test_verify_walks_the_oracle_once_per_formula(tmp_path, monkeypatch,
     calls = []
     real = cli.naive_models
 
-    def spy(f, cap):
+    def spy(f):
         calls.append(f)
-        return real(f, cap)
+        return real(f)
 
     monkeypatch.setattr(cli, "naive_models", spy)
     assert not hasattr(cli, "naive_count")

@@ -10,7 +10,7 @@ from xsat import (
     solve,
 )
 from xsat.generator import GenSpec, gen_random
-from xsat.io import ParseError, sniff_format
+from xsat.io import ParseError, parse
 from xsat.reductions import reduce_cnf_to_xsat
 
 
@@ -99,9 +99,10 @@ def test_negative_header_count_rejected(text):
         "width-4", "count-mismatch", "terminator-00", "terminator-minus-0",
         "second-header"])
 def test_both_parsers_report_line_faults_alike(text, message, line):
-    for tag, parse in (("cnf", parse_dimacs_cnf), ("xsat", parse_xsat)):
+    for tag, reader in (("cnf", parse_dimacs_cnf), ("xsat", parse_xsat),
+                        ("cnf", parse), ("xsat+", parse)):
         with pytest.raises(ParseError) as err:
-            parse(text.format(tag=tag))
+            reader(text.format(tag=tag))
         where = f"line {line}: " if line is not None else ""
         assert str(err.value) == where + message.format(tag=tag), tag
         assert err.value.line == line, tag
@@ -154,14 +155,14 @@ def test_content_lines_are_ascii(text, line):
         assert err.value.line == line
     if line == 1:
         with pytest.raises(ParseError, match="non-ASCII text") as err:
-            sniff_format(text)
+            parse(text)
         assert err.value.line == 1
 
 
 def test_crlf_lines_and_non_ascii_comments_parse():
     lf = "c two clauses\np cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
     assert parse_dimacs_cnf(lf.replace("\n", "\r\n")) == parse_dimacs_cnf(lf)
-    assert sniff_format(lf.replace("\n", "\r\n")) == "cnf"
+    assert parse(lf.replace("\n", "\r\n")) == parse_dimacs_cnf(lf)
     xsat = "p xsat+ 4 2\n1 2 3 0\n2 3 4 0\n"
     assert parse_xsat(xsat.replace("\n", "\r\n")) == parse_xsat(xsat)
     assert parse_dimacs_cnf("c caf\u00e9\n" + lf) == parse_dimacs_cnf(lf)
@@ -217,11 +218,20 @@ def test_round_trip_cnf_reduction_output():
     assert parse_xsat(serialize_xsat(f)) == f
 
 
-def test_sniff_format():
-    assert sniff_format("c hi\np cnf 3 1\n1 2 3 0\n") == "cnf"
-    assert sniff_format("p xsat+ 3 1\n1 2 3 0\n") == "xsat"
-    with pytest.raises(ParseError):
-        sniff_format("p wat 1 1\n")
+def test_parse_reads_the_format_its_header_names():
+    cnf = "c hi\np cnf 3 1\n1 -2 3 0\n"
+    assert parse(cnf) == parse_dimacs_cnf(cnf)
+    for text in ("p xsat 3 1\n-1 2 3 0\n", "p xsat+ 3 1\n1 2 3 0\n"):
+        assert parse(text) == parse_xsat(text)
+    for reader, text, message in (
+            (parse, "p wat 1 1\n", "line 1: malformed header 'p wat 1 1'"),
+            (parse_xsat, "p cnf 3 1\n1 2 3 0\n",
+             "line 1: malformed header 'p cnf 3 1'"),
+            (parse_dimacs_cnf, "c\np xsat 3 1\n1 2 3 0\n",
+             "line 2: malformed header 'p xsat 3 1'")):
+        with pytest.raises(ParseError) as err:
+            reader(text)
+        assert str(err.value) == message
 
 
 def test_emit_report_fixed_field_order(six_var):

@@ -238,7 +238,7 @@ def test_conflicting_top_clauses_yield_nothing_at_the_cap():
     assert list(_truth_tables(r, f.clauses, counted)) == []
     assert calls[0] == 1 + 2 * 2
     assert naive_count(f) == 0
-    assert naive_models(f, r) == []
+    assert naive_models(f) == []
 
 
 def test_models_ascend_across_skipped_blocks():
