@@ -86,7 +86,7 @@ def cmd_kernel(args) -> int:
     """Emit the residual 0/1 equality program as text."""
     system = encode_sys(_load(args.input))
     kern = build_kernel(system, args.method)
-    # the rewrite flags only rows that contradict each other outright;
+    # the rewrite flags only an input row with no variable column;
     # elimination decides whether any rational solution exists
     inconsistent = (kern.inconsistent if args.method == "gauss"
                     else gauss_jordan(system).inconsistent)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 BOTTOM = 0
 
@@ -226,7 +226,10 @@ def validate(f: XsatFormula) -> list[str]:
     set-level checks: range, strictly increasing variables in each triple,
     positivity when flagged, distinct clauses, and coverage, which implies
     the density.  The clauses are walked one by one only when a check
-    fails, to word each violation in clause order.
+    fails, to word each violation in clause order.  The uncovered
+    variables make one violation, which gives their count and the first
+    ``VIOLATIONS_SHOWN`` of them, so its size does not grow with
+    ``num_vars``.
     """
     if _well_formed(f):
         return []
@@ -247,9 +250,16 @@ def validate(f: XsatFormula) -> list[str]:
         else:
             seen[c] = i
     covered = f.variables_used()
-    for v in range(1, f.num_vars + 1):
-        if v not in covered:
-            out.append(f"uncovered-variable: {v}")
+    n = f.num_vars
+    uncovered = n - sum(1 for v in covered if v <= n)
+    if uncovered:
+        first = islice((v for v in range(1, n + 1) if v not in covered),
+                       VIOLATIONS_SHOWN)
+        names = ", ".join(map(str, first))
+        if uncovered > 1:
+            more = ", ..." if uncovered > VIOLATIONS_SHOWN else ""
+            names = f"{uncovered} variables: {names}{more}"
+        out.append(f"uncovered-variable: {names}")
     if f.positive and 3 * f.num_clauses < f.num_vars:
         need = math.ceil(f.num_vars / 3)
         out.append(

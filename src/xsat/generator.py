@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count
 
-from .formula import Triple, XsatError, XsatFormula
+from .formula import XsatError, XsatFormula
 
 FAMILIES = ("random", "partition", "fib-chain", "fixed-rank")
 RETRY_CAP = 1_000_000
@@ -67,15 +67,6 @@ class SplitMix64:
         for i in range(len(xs) - 1, 0, -1):
             j = self.randbelow(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
-
-    def triple(self, r: int) -> Triple:
-        """Three distinct variables from 1..r, canonical order."""
-        picked: list[int] = []
-        while len(picked) < 3:
-            v = self.randbelow(r) + 1
-            if v not in picked:
-                picked.append(v)
-        return tuple(sorted(picked))  # type: ignore[return-value]
 
 
 # The block stream's lane constants: LANES holds 1 in every lane, STEPS
@@ -134,7 +125,8 @@ def gen_random(spec: GenSpec) -> XsatFormula:
     The draws are ``SplitMix64(seed).randbelow(r)`` read in blocks of 256
     (see the module docstring), and each triple is held as the bitmask of
     its three variables until a clause set is accepted; the formula is the
-    one the scalar stream's ``triple`` draws give.
+    one the scalar stream gives when each triple takes ``randbelow(r) + 1``
+    until it has three distinct variables.
     """
     r, k = spec.r, spec.k
     if r < 3:

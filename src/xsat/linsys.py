@@ -69,14 +69,17 @@ class RrefResult:
     denominator of the rational row.  Besides its own pivot column, no
     row holds a pivot column.  ``pivot_cols`` are 0-based column indices
     into the original variable order, and column ``num_vars`` is the
-    augmented one.  ``inconsistent`` is set when elimination produced a
-    row that is zero on every variable column but nonzero in the augmented
-    column.  ``free_cols``, the variable columns that are no pivot, is set
+    augmented one.  ``inconsistent`` is set under both methods by one
+    rule: a row with no variable entry and a nonzero right-hand side was
+    dropped.  ``free_cols``, the variable columns that are no pivot, is set
     from the two, and ``rank`` and ``nullity`` are read off it.
 
     :func:`xsat.substitution.substitute` returns the same type with every
     D equal to 1, and there ``pivot_cols`` can repeat: two rows solved for
-    the same variable.  ``rank`` counts the distinct pivots.
+    the same variable.  ``rank`` counts the distinct pivots.  Its dropped
+    rows are input rows with no variable column, so kept rows that
+    contradict each other leave the flag unset; the counters count 0 on
+    them.
     """
 
     rows: tuple[dict[int, int], ...]

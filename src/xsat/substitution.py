@@ -46,10 +46,11 @@ def substitute(system: LinearSystem) -> RrefResult:
     builds from a formula with no repeated variable in a clause; a row
     with -1 there is negated first.  Every step after that subtracts a
     multiple of one row from another, so the integer solution set never
-    changes.  A row with no variable column is dropped,
-    and ``inconsistent`` is set when it has a right-hand side, as
-    :func:`xsat.linsys.gauss_jordan` does; it is also set when two rows
-    have the same variable entries but a different right-hand side.
+    changes.  A row with no variable column is dropped, and
+    ``inconsistent`` is set when it has a right-hand side: the one rule of
+    :func:`xsat.linsys.gauss_jordan` too.  A contradiction among the kept
+    rows, such as two rows with the same variable entries and another
+    right-hand side, is left to the counters, which count 0 on it.
     """
     n_vars = system.num_vars
     rows: list[dict[int, int]] = []
@@ -64,13 +65,6 @@ def substitute(system: LinearSystem) -> RrefResult:
     rows.sort(key=min)  # by the lowest variable; stable: ties keep row order
     pivot_cols = [min(row) for row in rows]
     back_substitute(rows, pivot_cols)
-    if len(set(pivot_cols)) < len(rows):  # only rows sharing a pivot can contradict
-        rhs_of: dict[frozenset, int] = {}
-        for row in rows:
-            rhs = row.get(n_vars, 0)
-            body = frozenset((c, v) for c, v in row.items() if c != n_vars)
-            if rhs_of.setdefault(body, rhs) != rhs:
-                inconsistent = True
     return RrefResult(tuple(rows), tuple(pivot_cols), n_vars, inconsistent)
 
 

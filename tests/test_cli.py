@@ -733,6 +733,15 @@ def test_bench_partition_sweep_sits_on_the_lower_band_edge(tmp_path,
     assert decided == [(6, 4), (9, 6), (12, 8)]
     assert all(row["repr_bits"] == row["lo"] for row in rows)
     assert not any("size-bound violation" in l for l in lines), lines
+    # spec seed 61106 ^ (6*1009 + 6*9176) = 4 draws a formula whose profile
+    # total, 24, lies above 1.62^6: the run ends with the violation note
+    decided.clear()
+    assert main(["bench", "--r-range", "6..6", "--kappa", "1",
+                 "--seed", "61106", "--out", str(out)]) == EXIT_OK
+    assert decided == [(6, 24)]
+    assert out.read_text().splitlines()[-1] == (
+        "c size-bound violation: r=6 k=6 seed=4 repr_bits=27.5098 "
+        "band=[12.0000, 25.0558]")
 
 
 @pytest.mark.parametrize("method", ["gauss", "subst"])

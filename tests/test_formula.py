@@ -125,6 +125,23 @@ def test_validate_uncovered_variable():
     f = XsatFormula(4, ((1, 2, 3),))
     problems = validate(f)
     assert any(v == "uncovered-variable: 4" for v in problems)
+    g = XsatFormula(6, ((1, 3, 5), (1, 3, 6)), positive=False)
+    assert validate(g) == ["uncovered-variable: 2 variables: 2, 4"]
+
+
+def test_uncovered_variables_cost_no_memory_per_variable():
+    """A declared variable count far above the clauses' gives one
+    uncovered-variable violation, not one per variable."""
+    tracemalloc.start()
+    try:
+        violations = XsatFormula(10**6, ((1, 2, 3),)).violations
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == (
+        "uncovered-variable: 999997 variables: 4, 5, 6, 7, 8, ...",
+        "density-below-one-third: 1 clauses < minimum 333334")
+    assert peak < 8 << 20, peak
 
 
 def test_validate_repeated_and_complementary():
@@ -149,12 +166,11 @@ def test_validation_error_message_names_count_and_first_few():
     with pytest.raises(ValidationError) as err:
         check_valid(f)
     full = validate(f)
-    assert len(full) == 38  # 37 uncovered variables, density below r/3
+    # 37 uncovered variables in one violation, then the density
+    assert full == ["uncovered-variable: 37 variables: 4, 5, 6, 7, 8, ...",
+                    "density-below-one-third: 1 clauses < minimum 14"]
     assert err.value.violations == full
-    message = str(err.value)
-    assert message.startswith("38 violation(s): uncovered-variable: 4; ")
-    assert message.count("uncovered-variable") == VIOLATIONS_SHOWN
-    assert message.endswith(f"; {38 - VIOLATIONS_SHOWN} more")
+    assert str(err.value) == "2 violation(s): " + "; ".join(full)
     with pytest.raises(ValidationError, match=r"^1 violation\(s\): uncovered-variable: 4$"):
         check_valid(XsatFormula(4, ((1, 2, 3), (1, 2, BOTTOM))))
 
@@ -320,9 +336,13 @@ def reference_validate(f: XsatFormula) -> list[str]:
         else:
             seen[c] = i
     covered = f.variables_used()
-    for v in range(1, f.num_vars + 1):
-        if v not in covered:
-            out.append(f"uncovered-variable: {v}")
+    missing = [v for v in range(1, f.num_vars + 1) if v not in covered]
+    if len(missing) == 1:
+        out.append(f"uncovered-variable: {missing[0]}")
+    elif missing:
+        shown = ", ".join(map(str, missing[:VIOLATIONS_SHOWN]))
+        more = ", ..." if len(missing) > VIOLATIONS_SHOWN else ""
+        out.append(f"uncovered-variable: {len(missing)} variables: {shown}{more}")
     if f.positive and 3 * f.num_clauses < f.num_vars:
         need = math.ceil(f.num_vars / 3)
         out.append(

@@ -43,6 +43,17 @@ def test_block_stream_matches_randbelow(seed, n):
         rng.randbelow(n) for _ in range(count)]
 
 
+def scalar_triple(rng: SplitMix64, r: int) -> tuple[int, int, int]:
+    """Three distinct variables from 1..r, sorted: ``randbelow(r) + 1``
+    drawn until three values differ."""
+    picked: list[int] = []
+    while len(picked) < 3:
+        v = rng.randbelow(r) + 1
+        if v not in picked:
+            picked.append(v)
+    return tuple(sorted(picked))
+
+
 def _reference_random(spec: GenSpec) -> XsatFormula:
     # gen_random's rejection loop drawn one scalar triple at a time
     r, k = spec.r, spec.k
@@ -50,7 +61,7 @@ def _reference_random(spec: GenSpec) -> XsatFormula:
     for _ in range(RETRY_CAP):
         seen = set()
         while len(seen) < k:
-            seen.add(rng.triple(r))
+            seen.add(scalar_triple(rng, r))
         covered = {v for t in seen for v in t}
         if len(covered) == r:
             return XsatFormula(r, tuple(seen))
@@ -74,6 +85,8 @@ def test_randbelow_range_and_determinism():
     xs = [a.randbelow(7) for _ in range(200)]
     assert xs == [b.randbelow(7) for _ in range(200)]
     assert set(xs) <= set(range(7))
+    with pytest.raises(ValueError, match="^randbelow needs n >= 1$"):
+        SplitMix64(0).randbelow(0)
 
 
 def test_gen_random_deterministic():
@@ -104,9 +117,17 @@ def test_gen_random_structure():
     assert validate(f) == []
 
 
-@pytest.mark.parametrize("r,k", [(9, 2), (6, 7), (3, 2)])
+INFEASIBLE_RANDOM = {
+    (9, 2): r"^k=2 cannot cover r=9 variables \(need k >= ceil\(r/3\)\)$",
+    (6, 7): r"^k=7 exceeds r=6; only instances with r >= k$",
+    (3, 2): r"^k=2 exceeds the number of distinct triples$",
+    (2, 1): r"^need at least 3 variables$",
+}
+
+
+@pytest.mark.parametrize("r,k", list(INFEASIBLE_RANDOM))
 def test_gen_random_infeasible(r, k):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=INFEASIBLE_RANDOM[r, k]):
         gen_random(GenSpec(r=r, k=k, seed=0))
 
 
@@ -157,6 +178,8 @@ def test_fixed_rank_infeasible():
         gen_fixed_rank(10, 3)  # 3 clauses cannot cover 10 variables
     with pytest.raises(SpecError):
         gen_fixed_rank(4, 3)  # pool too small
+    with pytest.raises(SpecError, match="^need k >= 1$"):
+        gen_fixed_rank(6, 0)
 
 
 def test_generate_dispatch():
@@ -166,6 +189,12 @@ def test_generate_dispatch():
     assert generate(GenSpec(r=12, k=6, family="fixed-rank")) == gen_fixed_rank(12, 6)
     with pytest.raises(SpecError):
         GenSpec(r=6, k=2, family="strange")
+    with pytest.raises(SpecError, match="^r and k must be non-negative$"):
+        GenSpec(r=-1, k=0)
+    with pytest.raises(SpecError, match=r"^partition family fixes k = r/3$"):
+        generate(GenSpec(r=9, k=2, family="partition"))
+    with pytest.raises(SpecError, match=r"^chain family fixes r = k \+ 2$"):
+        generate(GenSpec(r=7, k=4, family="fib-chain"))
 
 
 def test_generator_output_counts_cross_checked():

@@ -94,10 +94,11 @@ def test_negative_header_count_rejected(text):
     ("p {tag} 3 1\n1 2 3 00\n", "clause not terminated by 0", 2),
     ("p {tag} 3 1\n1 2 3 -0\n", "clause not terminated by 0", 2),
     ("p {tag} 3 2\n1 2 3 0\np {tag} 3 1\n", "second header 'p {tag} 3 1'", 3),
+    ("p {tag} 3 1\n1 2 4 0\n", "index 4 out of range 1..3", 2),
 ], ids=["clause-before-header", "missing-header", "malformed-header",
         "non-integer-count", "negative-count", "unterminated", "width-2",
         "width-4", "count-mismatch", "terminator-00", "terminator-minus-0",
-        "second-header"])
+        "second-header", "index-out-of-range"])
 def test_both_parsers_report_line_faults_alike(text, message, line):
     for tag, reader in (("cnf", parse_dimacs_cnf), ("xsat", parse_xsat),
                         ("cnf", parse), ("xsat+", parse)):

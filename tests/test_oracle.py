@@ -13,6 +13,8 @@ from xsat.oracle import (
 )
 from xsat.reductions import reduce_cnf_to_xsat
 
+from test_generator import scalar_triple
+
 
 def naive_count_reference(f: XsatFormula, cap: int = 16) -> int:
     """Straightforward double-loop counter; the check on naive_count."""
@@ -73,7 +75,7 @@ def test_monotone_under_clause_addition():
         f = gen_random(GenSpec(r=9, k=5, seed=trial))
         extra = None
         while extra is None or extra in f.clauses:
-            extra = rng.triple(9)
+            extra = scalar_triple(rng, 9)
         g = XsatFormula(9, f.clauses + (extra,))
         assert naive_count(g) <= naive_count(f)
 

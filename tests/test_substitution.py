@@ -18,7 +18,7 @@ from xsat.generator import (
     gen_partition,
     gen_random,
 )
-from xsat.kernel import build_kernel
+from xsat.kernel import build_kernel, count_blocks, count_kernel
 from xsat.linsys import RrefResult
 from xsat.oracle import naive_count, naive_models
 from xsat.substitution import expansion_profile, substitute
@@ -69,13 +69,12 @@ def _sweep(cons: list[dict]) -> int:
 def _split(cons: list[tuple], num_vars: int) -> tuple:
     """(constraints, independent set, dependent set, inconsistent) of
     ``(lhs, const, body)`` constraints: the solved variables are the
-    independent set, and two constraints with the same lhs and body but
-    another constant are inconsistent."""
+    independent set.  The flag is set only for a dropped row with no
+    variable and a nonzero constant; every constraint has an lhs, so it
+    is never set, and contradicting constraints are left to the count."""
     independent = frozenset(lhs for lhs, _, _ in cons)
-    keyed = {(lhs, tuple(sorted(body.items()))) for lhs, _, body in cons}
-    full = {(lhs, tuple(sorted(body.items())), const) for lhs, const, body in cons}
     return (cons, independent, frozenset(range(1, num_vars + 1)) - independent,
-            len(full) > len(keyed))
+            False)
 
 
 def sweep_to_fixpoint(f: XsatFormula) -> tuple:
@@ -316,11 +315,27 @@ def test_single_pass_matches_sweep_on_planted_instances_with_k_above_r():
             _assert_matches_reference(f)
 
 
-def test_conflicting_empty_bodies_flagged():
+def test_conflicting_empty_bodies_are_left_to_the_counters():
+    # the rewrite keeps both rows and flags nothing; elimination drops the
+    # contradiction and flags it; the repeated pivot becomes the exact row
+    # 0 = 1, so every counter counts 0
     a = {0: 1, 1: 1}  # x1 = 1
     b = {0: 1}  # x1 = 0
-    assert substitute(LinearSystem((a, b), 1)).inconsistent
-    assert not substitute(LinearSystem((a, a), 1)).inconsistent
+    system = LinearSystem((a, b), 1)
+    res = substitute(system)
+    assert not res.inconsistent and res.rows == (a, b)
+    assert gauss_jordan(system).inconsistent
+    assert count_kernel(res) == count_blocks(res)[0] == 0
+    same = substitute(LinearSystem((a, a), 1))
+    assert not same.inconsistent
+    assert count_kernel(same) == count_blocks(same)[0] == 1
+    # from a formula: x1 + x2 + x3 = 1 and, from the negated clause, = 2
+    f = XsatFormula(3, ((1, 2, 3), (-1, -2, -3)), positive=False)
+    kern = substitute(encode_sys(f))
+    assert kern.pivot_cols == (0, 0) and not kern.inconsistent
+    assert gauss_jordan(encode_sys(f)).inconsistent
+    assert count_kernel(kern) == count_blocks(kern)[0] == 0
+    assert solve(f, "subst").count == solve(f, "gauss").count == 0
 
 
 def test_star_subst_kernel_is_wider_than_two_thirds_of_the_variables():
